@@ -157,7 +157,9 @@ def lyapunov_audit(
     snapshots must be at consecutive unit-s boundaries; dissipation[k] is the
     discrete double integral over [s_k, s_k + 1].  tol = tol_scale (1 + |L(s_k)|).
     When the per-step L series is supplied, per-step monotonicity within
-    step_tol is checked as well.  Violations are report content, not errors.
+    step_tol is checked as well; the series must span the snapshots at a
+    uniform step, and a step violation is placed at the s where L rose.
+    Violations are report content, not errors.
     """
     if len(snapshots) < 4:
         raise DomainError("lyapunov_audit: ledger must span >= 3 units of s")
@@ -186,9 +188,11 @@ def lyapunov_audit(
         max_step_increase = float(max(0.0, diffs.max()))
         if max_step_increase > step_tol:
             where = int(np.argmax(diffs))
+            s0, s_last = snapshots[0].s, snapshots[-1].s
+            s = s0 + (where + 1) * (s_last - s0) / (len(step_L) - 1)
             violations.append(
                 LyapunovViolation(
-                    s=float(where), magnitude=max_step_increase - step_tol, kind="step"
+                    s=float(s), magnitude=max_step_increase - step_tol, kind="step"
                 )
             )
     return LyapunovReport(

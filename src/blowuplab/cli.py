@@ -1,10 +1,11 @@
 """Command-line entry points, run configuration, and artifact persistence.
 
 Configuration documents are flat INI sections; every key is validated against
-the schema below and unknown keys are rejected by name.  All numeric output
-uses 17 significant digits so doubles round-trip losslessly, and a run is a
-pure function of (config, seed): identical inputs produce byte-identical
-ledgers.
+the schema derived from RunConfig (each section is a dataclass field, and the
+dataclasses hold every default) and unknown keys are rejected by name.  All
+numeric output uses 17 significant digits so doubles round-trip losslessly,
+and a run is a pure function of (config, seed): identical inputs produce
+byte-identical ledgers.
 
 Subcommands: ``ode``, ``physical``, ``similarity``, ``verify``,
 ``rate-fit <csv>``.  Any config key can be overridden with
@@ -20,8 +21,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+import warnings
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import scipy
@@ -83,51 +86,32 @@ class RunConfig:
     params: Params = field(default_factory=lambda: Params(3.0, 1.0, 1))
     scenario: str = "similarity"
     seed: int = 0
-    initial: InitialData = field(default_factory=InitialData)
+    initial_data: InitialData = field(default_factory=InitialData)
     grid: GridSpec = field(default_factory=GridSpec)
     solver: SolverSpec = field(default_factory=SolverSpec)
     functionals: FunctionalConfig = field(default_factory=FunctionalConfig)
     output_dir: str = "out"
 
     def echo(self) -> dict:
-        d = {
-            "params": {"p": self.params.p, "a": self.params.a, "N": self.params.N},
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "initial_data": asdict(self.initial),
-            "grid": asdict(self.grid),
-            "solver": asdict(self.solver),
-            "functionals": asdict(self.functionals),
-            "output_dir": self.output_dir,
-        }
-        return d
+        return asdict(self)
 
 
-# section -> key -> converter
-_SCHEMA = {
-    "run": {"scenario": str, "seed": int, "output_dir": str},
-    "params": {"p": float, "a": float, "N": int},
-    "initial_data": {
-        "kind": str,
-        "value": float,
-        "amplitude": float,
-        "width": float,
-        "floor": float,
-        "path": str,
-    },
-    "grid": {"extent": float, "resolution": int},
-    "solver": {
-        "T": float,
-        "s_end": float,
-        "s_max": float,
-        "ds": float,
-        "dt_safety": float,
-        "rel_tol": float,
-        "m_stop": float,
-        "t_max": float,
-    },
-    "functionals": {"m0": float, "theta": float, "A": float, "cutoff_radius": float},
-}
+def _schema() -> dict[str, dict[str, type]]:
+    """section -> key -> converter: each dataclass-typed field of RunConfig is
+    a section of its fields, and the remaining fields form [run]."""
+    hints = get_type_hints(RunConfig)
+    schema: dict[str, dict[str, type]] = {"run": {}}
+    for f in fields(RunConfig):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            section_hints = get_type_hints(hint)
+            schema[f.name] = {g.name: section_hints[g.name] for g in fields(hint)}
+        else:
+            schema["run"][f.name] = hint
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def _convert(section: str, key: str, raw: str):
@@ -155,86 +139,38 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ParseError(f"malformed config: {exc}") from exc
 
-    values: dict[tuple[str, str], object] = {}
+    values: dict[str, dict[str, object]] = {}
     for section in cp.sections():
         for key, raw in cp.items(section):
-            values[(section, key)] = _convert(section, key, raw)
+            values.setdefault(section, {})[key] = _convert(section, key, raw)
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ParseError(f"--set expects section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        section, key = dotted.split(".", 1)
-        values[(section.strip(), key.strip())] = _convert(
-            section.strip(), key.strip(), raw.strip()
-        )
+        section, key = (part.strip() for part in dotted.split(".", 1))
+        values.setdefault(section, {})[key] = _convert(section, key, raw.strip())
 
-    def pick(section, key, default):
-        return values.get((section, key), default)
+    config = RunConfig()
+    updates = values.pop("run", {})
+    for section, kv in values.items():
+        try:
+            updates[section] = replace(getattr(config, section), **kv)
+        except BlowupLabError as exc:
+            raise ParseError(f"{section}: {exc}") from exc
+    config = replace(config, **updates)
 
-    try:
-        params = Params(
-            p=float(pick("params", "p", 3.0)),
-            a=float(pick("params", "a", 1.0)),
-            N=int(pick("params", "N", 1)),
-        )
-    except BlowupLabError as exc:
-        raise ParseError(f"params: {exc}") from exc
-
-    scenario = str(pick("run", "scenario", "similarity"))
-    if scenario not in SCENARIOS:
-        raise ParseError(f"run.scenario must be one of {SCENARIOS}, got {scenario!r}")
-
-    initial = InitialData(
-        kind=str(pick("initial_data", "kind", "gaussian")),
-        value=float(pick("initial_data", "value", 1.0)),
-        amplitude=float(pick("initial_data", "amplitude", 0.2)),
-        width=float(pick("initial_data", "width", 2.0)),
-        floor=float(pick("initial_data", "floor", 1.0)),
-        path=str(pick("initial_data", "path", "")),
-    )
-    if initial.kind not in INITIAL_KINDS:
+    if config.scenario not in SCENARIOS:
         raise ParseError(
-            f"initial_data.kind must be one of {INITIAL_KINDS}, got {initial.kind!r}"
+            f"run.scenario must be one of {SCENARIOS}, got {config.scenario!r}"
         )
-
-    grid = GridSpec(
-        extent=float(pick("grid", "extent", 20.0)),
-        resolution=int(pick("grid", "resolution", 401)),
-    )
-    if grid.resolution < 64:
-        raise ParseError(f"grid.resolution must be >= 64, got {grid.resolution}")
-
-    solver = SolverSpec(
-        T=float(pick("solver", "T", 1.0)),
-        s_end=float(pick("solver", "s_end", 8.0)),
-        s_max=float(pick("solver", "s_max", 30.0)),
-        ds=float(pick("solver", "ds", 0.01)),
-        dt_safety=float(pick("solver", "dt_safety", 0.05)),
-        rel_tol=float(pick("solver", "rel_tol", 1e-10)),
-        m_stop=float(pick("solver", "m_stop", 1e8)),
-        t_max=float(pick("solver", "t_max", 10.0)),
-    )
-    defaults = FunctionalConfig()
-    try:
-        functionals = FunctionalConfig(
-            m0=float(pick("functionals", "m0", defaults.m0)),
-            theta=float(pick("functionals", "theta", defaults.theta)),
-            A=float(pick("functionals", "A", defaults.A)),
-            cutoff_radius=float(pick("functionals", "cutoff_radius", defaults.cutoff_radius)),
+    if config.initial_data.kind not in INITIAL_KINDS:
+        raise ParseError(
+            f"initial_data.kind must be one of {INITIAL_KINDS}, "
+            f"got {config.initial_data.kind!r}"
         )
-    except BlowupLabError as exc:
-        raise ParseError(f"functionals: {exc}") from exc
-
-    return RunConfig(
-        params=params,
-        scenario=scenario,
-        seed=int(pick("run", "seed", 0)),
-        initial=initial,
-        grid=grid,
-        solver=solver,
-        functionals=functionals,
-        output_dir=str(pick("run", "output_dir", "out")),
-    )
+    if config.grid.resolution < 64:
+        raise ParseError(f"grid.resolution must be >= 64, got {config.grid.resolution}")
+    return config
 
 
 def _fmt(x) -> str:
@@ -258,7 +194,7 @@ def _resolve_outdir(config: RunConfig) -> Path:
 
 
 def _initial_sim_values(config: RunConfig, nodes: np.ndarray, s0: float) -> np.ndarray:
-    init = config.initial
+    init = config.initial_data
     if init.kind == "constant":
         return np.full(nodes.shape, init.value)
     if init.kind == "gaussian":
@@ -282,7 +218,7 @@ def _initial_sim_values(config: RunConfig, nodes: np.ndarray, s0: float) -> np.n
 
 
 def _initial_physical(config: RunConfig, nodes: np.ndarray) -> GridField:
-    init = config.initial
+    init = config.initial_data
     params = config.params
     if init.kind == "constant":
         return physical_constant(nodes, init.value, params)
@@ -526,8 +462,17 @@ def run(config: RunConfig) -> int:
 
 
 def _cmd_rate_fit(args) -> int:
-    data = np.loadtxt(args.csv, delimiter=",", skiprows=1)
     try:
+        try:
+            with warnings.catch_warnings():  # an empty file is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(args.csv, delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"rate-fit csv {args.csv!r}: {exc}") from exc
+        if data.shape[0] < 1 or data.shape[1] < 2:
+            raise ParseError(
+                f"rate-fit csv {args.csv!r}: need t,sup_u rows after a header"
+            )
         fit = fit_rate(data, args.t_hat)
         out = {
             "alpha_hat": fit.alpha_hat,

@@ -47,7 +47,14 @@ class FunctionalConfig:
 
 @dataclass(frozen=True)
 class FunctionalSnapshot:
-    """All functional values at one rescaled time s."""
+    """All functional values at one rescaled time s.
+
+    With mass = int w^2 rho dy and b = m0 (p+3)/2: E is the natural energy,
+    J = -mass/(2s), H_m = E + m0 J, N_m = s^(-b) H_m + A e^(-s),
+    I = s^(-b) mass, L0 = E - s^(-3/2) mass and the Lyapunov candidate
+    L = exp((p+3)/sqrt(s)) L0 + theta s^(-3/4).  E_psi is E with its
+    integrand weighted by psi^2, and I_psi = s^(-(b+1)) int w^2 psi^2 rho dy.
+    """
 
     s: float
     E: float
@@ -75,66 +82,34 @@ def _check_field(field: SimField, rule: QuadratureRule) -> None:
         raise ContractViolation("functional: rule nodes do not match the field grid")
 
 
-def _grad(field: SimField) -> np.ndarray:
-    return np.gradient(field.values, field.spacing)
-
-
-def weighted_mass(field: SimField, rule: QuadratureRule) -> float:
-    """int w^2 rho dy."""
+def _integrands(field: SimField, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """Energy integrand |grad w|^2/2 + w^2/(2(p-1)) - e^(-(p+1)s/(p-1))
+    s^(2a/(p-1)) F(phi w), with the F term in its stable cancellation form,
+    and w^2."""
     _check_field(field, rule)
-    return integrate(rule, field.values**2)
-
-
-def eval_E(field: SimField, rule: QuadratureRule) -> float:
-    """Natural energy
-    int (|grad w|^2/2 + w^2/(2(p-1)) - e^(-(p+1)s/(p-1)) s^(2a/(p-1)) F(phi w)) rho dy,
-    with the F term in its stable cancellation form."""
-    _check_field(field, rule)
-    p = field.params.p
-    grad = _grad(field)
-    integrand = (
+    grad = np.gradient(field.values, field.spacing)
+    w2 = field.values**2
+    energy = (
         0.5 * grad * grad
-        + field.values**2 / (2.0 * (p - 1.0))
+        + w2 / (2.0 * (field.params.p - 1.0))
         - rescaled_F(field.s, field.values, field.params)
     )
-    return integrate(rule, integrand)
+    return energy, w2
 
 
-def eval_J(field: SimField, rule: QuadratureRule) -> float:
-    """J = -(1/(2s)) int w^2 rho dy."""
-    return -weighted_mass(field, rule) / (2.0 * field.s)
-
-
-def eval_H(field: SimField, rule: QuadratureRule, cfg: FunctionalConfig) -> float:
-    """H = E + m0 J."""
-    return eval_E(field, rule) + cfg.m0 * eval_J(field, rule)
-
-
-def eval_N(field: SimField, rule: QuadratureRule, cfg: FunctionalConfig) -> float:
-    """N = s^(-b) H + A e^(-s), with b = m0 (p+3)/2."""
-    b = cfg.b(field.params)
-    return float(field.s ** (-b) * eval_H(field, rule, cfg) + cfg.A * np.exp(-field.s))
-
-
-def eval_I(field: SimField, rule: QuadratureRule, cfg: FunctionalConfig) -> float:
-    """I = s^(-b) int w^2 rho dy."""
-    b = cfg.b(field.params)
-    return float(field.s ** (-b) * weighted_mass(field, rule))
-
-
-def eval_L0(field: SimField, rule: QuadratureRule) -> float:
-    """L0 = E - s^(-3/2) int w^2 rho dy."""
-    return eval_E(field, rule) - field.s ** (-1.5) * weighted_mass(field, rule)
+def _lyapunov(field: SimField, E: float, mass: float, cfg: FunctionalConfig):
+    """(L0, L) from E and mass = int w^2 rho dy."""
+    s = field.s
+    L0 = E - s ** (-1.5) * mass
+    L = np.exp((field.params.p + 3.0) / np.sqrt(s)) * L0 + cfg.theta * s ** (-0.75)
+    return L0, L
 
 
 def eval_L(field: SimField, rule: QuadratureRule, cfg: FunctionalConfig) -> float:
-    """Lyapunov candidate L = exp((p+3)/sqrt(s)) L0 + theta s^(-3/4)."""
-    p = field.params.p
-    s = field.s
-    return float(
-        np.exp((p + 3.0) / np.sqrt(s)) * eval_L0(field, rule)
-        + cfg.theta * s ** (-0.75)
-    )
+    """The L of snapshot alone, without the cut-off terms: the per-step ledger
+    evaluates it after every step."""
+    energy, w2 = _integrands(field, rule)
+    return float(_lyapunov(field, integrate(rule, energy), integrate(rule, w2), cfg)[1])
 
 
 def cutoff_psi(R: float):
@@ -163,58 +138,26 @@ def _psi_sq(field: SimField, cfg: FunctionalConfig, rule: QuadratureRule) -> np.
     return psi(field.nodes) ** 2
 
 
-def eval_E_psi(field: SimField, rule: QuadratureRule, cfg: FunctionalConfig) -> float:
-    """E localized by the cutoff: same integrand as E, weighted by psi^2."""
-    _check_field(field, rule)
-    p = field.params.p
-    grad = _grad(field)
-    integrand = (
-        0.5 * grad * grad
-        + field.values**2 / (2.0 * (p - 1.0))
-        - rescaled_F(field.s, field.values, field.params)
-    ) * _psi_sq(field, cfg, rule)
-    return integrate(rule, integrand)
-
-
-def eval_I_psi(field: SimField, rule: QuadratureRule, cfg: FunctionalConfig) -> float:
-    """I_psi = s^(-(b+1)) int w^2 psi^2 rho dy."""
-    _check_field(field, rule)
-    b = cfg.b(field.params)
-    return float(
-        field.s ** (-(b + 1.0))
-        * integrate(rule, field.values**2 * _psi_sq(field, cfg, rule))
-    )
-
-
 def snapshot(field: SimField, rule: QuadratureRule, cfg: FunctionalConfig) -> FunctionalSnapshot:
     """Evaluate the whole functional family at once (shared integrals)."""
-    _check_field(field, rule)
-    p = field.params.p
+    energy, w2 = _integrands(field, rule)
     s = field.s
     b = cfg.b(field.params)
-    grad = _grad(field)
-    w2 = field.values**2
-    base = 0.5 * grad * grad + w2 / (2.0 * (p - 1.0)) - rescaled_F(
-        s, field.values, field.params
-    )
     psi2 = _psi_sq(field, cfg, rule)
-    E = integrate(rule, base)
+    E = integrate(rule, energy)
     mass = integrate(rule, w2)
     J = -mass / (2.0 * s)
     H = E + cfg.m0 * J
-    N = s ** (-b) * H + cfg.A * np.exp(-s)
-    I = s ** (-b) * mass
-    L0 = E - s ** (-1.5) * mass
-    L = np.exp((p + 3.0) / np.sqrt(s)) * L0 + cfg.theta * s ** (-0.75)
+    L0, L = _lyapunov(field, E, mass, cfg)
     return FunctionalSnapshot(
         s=float(s),
         E=float(E),
         J=float(J),
         H_m=float(H),
-        N_m=float(N),
-        I=float(I),
+        N_m=float(s ** (-b) * H + cfg.A * np.exp(-s)),
+        I=float(s ** (-b) * mass),
         L0=float(L0),
         L=float(L),
-        E_psi=float(integrate(rule, base * psi2)),
+        E_psi=float(integrate(rule, energy * psi2)),
         I_psi=float(s ** (-(b + 1.0)) * integrate(rule, w2 * psi2)),
     )

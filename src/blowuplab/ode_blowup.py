@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .core_math import LOG2, Params, eval_f, phi
+from .core_math import LOG2, Params, eval_f, log_phi
 from .errors import DomainError, NumericError
 
 _ANCHOR_FLOOR = 1e12
@@ -65,7 +65,8 @@ def time_to_blowup(M: float, params: Params) -> float:
         return float(np.exp((1.0 - p) * lm + (p - 2.0) * ls - a * np.log(ell)))
 
     val, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)
-    assert val > 0.0, "time-to-blow-up integral must be positive for p > 1"
+    if not val > 0.0:
+        raise NumericError(f"time_to_blowup: non-positive integral {val!r} at M={M}")
     if err > 1e-9 * val:
         raise NumericError(
             f"time_to_blowup: quadrature error bound {err:.3e} too large at M={M}"
@@ -138,5 +139,4 @@ def asymptotic_ratio(trajectory: OdeTrajectory, params: Params) -> np.ndarray:
     """Ratio v(t(s)) / psi_T(t(s)) for every sample, as an (n, 2) array of
     (s, ratio) rows.  psi_T(t(s)) = phi(s), evaluated from the stored s."""
     s = trajectory.s
-    psi = np.array([phi(si, params) for si in s])
-    return np.column_stack([s, trajectory.v / psi])
+    return np.column_stack([s, trajectory.v / np.exp(log_phi(s, params))])

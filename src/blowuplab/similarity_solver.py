@@ -46,6 +46,8 @@ class SimField:
     def __post_init__(self) -> None:
         if self.geometry not in ("line", "radial"):
             raise ConfigurationError(f"SimField: unknown geometry {self.geometry!r}")
+        if self.geometry == "line" and self.params.N != 1:
+            raise ConfigurationError("SimField: line geometry requires N = 1")
         if self.s < 1.0:
             raise DomainError(f"SimField requires s >= 1, got {self.s}")
         if self.values.shape != self.nodes.shape:

@@ -173,6 +173,15 @@ class TestLyapunovAudit:
         assert not rep.passed
         assert rep.max_step_increase == pytest.approx(1e-3)
 
+    def test_step_violation_located_at_its_s(self):
+        # s0 = 2, ds = 0.01: a bump injected at step 300 sits at s = 5
+        snaps = constant_ledger([5.0, 4.0, 3.0, 2.0, 1.0])
+        step_L = np.linspace(5.0, 1.0, 401)
+        step_L[300] += 0.05
+        rep = lyapunov_audit(snaps, np.zeros(4), step_L=step_L)
+        (step,) = [v for v in rep.violations if v.kind == "step"]
+        assert step.s == 5.0
+
     def test_needs_three_units(self):
         snaps = constant_ledger([1.0, 0.5])
         with pytest.raises(DomainError):

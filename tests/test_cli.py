@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blowuplab.cli import (
+    _SCHEMA,
     RunConfig,
     main,
     parse_config,
@@ -25,6 +26,36 @@ a = 1
 N = 1
 """
 
+# One non-default value per config key, typed as its dataclass field.
+SET_VALUES = {
+    "run.scenario": "ode",
+    "run.seed": 7,
+    "run.output_dir": "elsewhere",
+    "params.p": 2.5,
+    "params.a": -0.5,
+    "params.N": 2,
+    "initial_data.kind": "file",
+    "initial_data.value": 0.3,
+    "initial_data.amplitude": 0.7,
+    "initial_data.width": 3.5,
+    "initial_data.floor": 0.25,
+    "initial_data.path": "w0.csv",
+    "grid.extent": 12.5,
+    "grid.resolution": 257,
+    "solver.T": 0.5,
+    "solver.s_end": 6.0,
+    "solver.s_max": 20.0,
+    "solver.ds": 0.005,
+    "solver.dt_safety": 0.1,
+    "solver.rel_tol": 1e-9,
+    "solver.m_stop": 1e6,
+    "solver.t_max": 3.0,
+    "functionals.m0": 4.0,
+    "functionals.theta": 900.0,
+    "functionals.A": 2.0,
+    "functionals.cutoff_radius": 4.0,
+}
+
 
 class TestParseConfig:
     def test_minimal_with_defaults(self):
@@ -38,6 +69,23 @@ class TestParseConfig:
     def test_empty_document_gets_defaults(self):
         cfg = parse_config("")
         assert cfg.scenario == "similarity"
+        assert cfg == RunConfig()
+
+    def test_schema_is_the_documented_keys(self):
+        assert {f"{s}.{k}" for s, keys in _SCHEMA.items() for k in keys} == set(
+            SET_VALUES
+        )
+
+    @pytest.mark.parametrize("dotted,value", SET_VALUES.items(), ids=list(SET_VALUES))
+    def test_every_key_lands_on_its_field(self, dotted, value):
+        section, key = dotted.split(".")
+        cfg = parse_config("", overrides=[f"{dotted}={value}"])
+
+        def read(config):
+            return getattr(config if section == "run" else getattr(config, section), key)
+
+        assert read(cfg) == value and type(read(cfg)) is type(value)
+        assert read(RunConfig()) != value
 
     def test_subcritical_rejected(self):
         with pytest.raises(ParseError, match="subcritical"):
@@ -238,6 +286,24 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["alpha_hat"] == pytest.approx(0.5, abs=1e-8)
         assert out["beta_hat"] == pytest.approx(0.5, abs=1e-8)
+
+    def test_rate_fit_bad_csv_exit_1(self, tmp_path, capsys):
+        one_column = tmp_path / "one.csv"
+        one_column.write_text("t\n0.1\n0.2\n")
+        text = tmp_path / "text.csv"
+        text.write_text("t,sup_u\nzero,one\n")
+        header_only = tmp_path / "empty.csv"
+        header_only.write_text("t,sup_u\n")
+        for path in (tmp_path / "missing.csv", one_column, text, header_only):
+            assert main(["rate-fit", str(path), "--t-hat", "1"]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert str(path) in err["error"]
+
+    def test_similarity_line_grid_needs_N1(self, tmp_path):
+        out = tmp_path / "n2"
+        assert main(["similarity", "--set", "params.N=2", "--output", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"].startswith("ConfigurationError")
 
     def test_csv_float_format_roundtrip(self, tmp_path):
         vals = [np.pi, 1.0 / 3.0, 1e-17, 123456.789012345678]

@@ -9,21 +9,7 @@ import pytest
 
 from blowuplab.core_math import Params
 from blowuplab.errors import ConfigurationError, ContractViolation
-from blowuplab.functionals import (
-    FunctionalConfig,
-    cutoff_psi,
-    eval_E,
-    eval_E_psi,
-    eval_H,
-    eval_I,
-    eval_I_psi,
-    eval_J,
-    eval_L,
-    eval_L0,
-    eval_N,
-    snapshot,
-    weighted_mass,
-)
+from blowuplab.functionals import FunctionalConfig, cutoff_psi, eval_L, snapshot
 from blowuplab.initial_data import line_grid, sim_field
 from blowuplab.quadrature import rule_for_grid
 
@@ -47,63 +33,64 @@ def random_field(seed, s=10.0, params=P31):
     return sim_field(vals, NODES, s, params)
 
 
+def snap(field, cfg=CFG):
+    return snapshot(field, RULE, cfg)
+
+
 class TestE:
     def test_zero_field(self):
-        assert eval_E(const_field(0.0, 5.0, P31), RULE) == 0.0
+        assert snap(const_field(0.0, 5.0, P31)).E == 0.0
 
     def test_closed_form_a0(self):
         # constant c at a = 0: E = sqrt(4 pi) (c^2/4 - c^4/4)
         for c in (2.0**-0.5, 1.3):
             want = ROOT4PI * (c * c / 4.0 - c**4 / 4.0)
-            got = eval_E(const_field(c, 300.0, P30), RULE)
+            got = snap(const_field(c, 300.0, P30)).E
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_oracle_a1(self):
         # mpmath: c = 2^-1/2 -> 0.29892706145748230562; c = 2 -> -8.6271182406972846248
-        got = eval_E(const_field(2.0**-0.5, 10.0, P31), RULE)
+        got = snap(const_field(2.0**-0.5, 10.0, P31)).E
         assert got == pytest.approx(0.29892706145748231, rel=1e-8)
-        got = eval_E(const_field(2.0, 10.0, P31), RULE)
+        got = snap(const_field(2.0, 10.0, P31)).E
         assert got == pytest.approx(-8.6271182406972846, rel=1e-8)
 
     def test_stable_path_at_large_s(self):
         f = random_field(3, s=700.0)
-        assert np.isfinite(eval_E(f, RULE))
+        assert np.isfinite(snap(f).E)
 
     def test_rule_mismatch(self):
         other = rule_for_grid(line_grid(20.0, 201), 1, "line")
         with pytest.raises(ContractViolation):
-            eval_E(const_field(1.0, 5.0, P31), other)
+            snapshot(const_field(1.0, 5.0, P31), other, CFG)
 
 
 class TestFamily:
     def test_zero_field_values(self):
         f = const_field(0.0, 4.0, P31)
-        assert eval_J(f, RULE) == 0.0
-        assert eval_H(f, RULE, CFG) == 0.0
-        assert eval_N(f, RULE, CFG) == pytest.approx(CFG.A * np.exp(-4.0), rel=1e-14)
-        assert eval_I(f, RULE, CFG) == 0.0
-        assert eval_L0(f, RULE) == 0.0
+        sn = snap(f)
+        assert sn.J == 0.0
+        assert sn.H_m == 0.0
+        assert sn.N_m == pytest.approx(CFG.A * np.exp(-4.0), rel=1e-14)
+        assert sn.I == 0.0
+        assert sn.L0 == 0.0
         assert eval_L(f, RULE, CFG) == pytest.approx(
             CFG.theta * 4.0**-0.75, rel=1e-14
         )
 
     def test_J_closed_form(self):
         # w = 1, s = 2: J = -sqrt(4 pi)/4
-        got = eval_J(const_field(1.0, 2.0, P31), RULE)
+        got = snap(const_field(1.0, 2.0, P31)).J
         assert got == pytest.approx(-ROOT4PI / 4.0, rel=1e-10)
 
     def test_H_definition_exact(self):
         for seed in range(4):
-            f = random_field(seed)
-            h = eval_H(f, RULE, CFG)
-            e = eval_E(f, RULE)
-            j = eval_J(f, RULE)
-            assert h - e - CFG.m0 * j == 0.0
+            sn = snap(random_field(seed))
+            assert sn.H_m - sn.E - CFG.m0 * sn.J == 0.0
 
     def test_L_definition_exact(self):
-        f = random_field(5, s=10.0)
-        l0 = eval_L0(f, RULE)
-        val = eval_L(f, RULE, CFG)
+        sn = snap(random_field(5, s=10.0))
+        l0, val = sn.L0, sn.L
         assert val - np.exp(6.0 / np.sqrt(10.0)) * l0 - CFG.theta * 10.0**-0.75 == 0.0
 
     def test_theta_term_alone_decays(self):
@@ -128,13 +115,10 @@ class TestSnapshot:
             )
             assert sn.H_m == pytest.approx(sn.E + CFG.m0 * sn.J, abs=1e-12)
 
-    def test_matches_individual_evaluations(self):
-        f = random_field(9, s=5.0)
-        sn = snapshot(f, RULE, CFG)
-        assert sn.E == eval_E(f, RULE)
-        assert sn.J == eval_J(f, RULE)
-        assert sn.N_m == eval_N(f, RULE, CFG)
-        assert sn.I_psi == eval_I_psi(f, RULE, CFG)
+    def test_eval_L_matches_snapshot_bitwise(self):
+        for seed, s in ((9, 5.0), (10, 2.0), (11, 40.0)):
+            f = random_field(seed, s=s)
+            assert eval_L(f, RULE, CFG) == snapshot(f, RULE, CFG).L
 
     def test_b_exponent(self):
         assert CFG.b(P31) == CFG.m0 * 3.0
@@ -163,23 +147,24 @@ class TestCutoff:
 
 class TestLocalized:
     def test_zero_field(self):
-        f = const_field(0.0, 4.0, P31)
-        assert eval_E_psi(f, RULE, CFG) == 0.0
-        assert eval_I_psi(f, RULE, CFG) == 0.0
+        sn = snap(const_field(0.0, 4.0, P31))
+        assert sn.E_psi == 0.0
+        assert sn.I_psi == 0.0
 
     def test_equals_global_on_supported_field(self):
         # field supported inside B_R: psi == 1 there, so E_psi == E
         vals = 0.7 * np.exp(-NODES**2)  # numerically zero beyond |y| ~ 4.3
         f = sim_field(vals, NODES, 6.0, P31)
-        assert eval_E_psi(f, RULE, CFG) == pytest.approx(eval_E(f, RULE), rel=1e-10)
+        sn = snap(f)
+        assert sn.E_psi == pytest.approx(sn.E, rel=1e-10)
 
     def test_localization_converges(self):
         f = sim_field(0.7 * np.exp(-NODES**2 / 4.0), NODES, 6.0, P31)
-        e_global = eval_E(f, RULE)
+        e_global = snap(f).E
         errs = []
         for R in (2.0, 5.0, 9.0):
             cfg = FunctionalConfig(cutoff_radius=R)
-            errs.append(abs(eval_E_psi(f, RULE, cfg) - e_global))
+            errs.append(abs(snap(f, cfg).E_psi - e_global))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-10 * abs(e_global)
 
@@ -187,7 +172,7 @@ class TestLocalized:
         cfg = FunctionalConfig(cutoff_radius=15.0)  # 2R = 30 > 20
         f = const_field(0.5, 4.0, P31)
         with pytest.raises(ConfigurationError):
-            eval_E_psi(f, RULE, cfg)
+            snap(f, cfg)
 
     def test_I_psi_value(self):
         f = const_field(1.0, 2.0, P31)
@@ -196,11 +181,11 @@ class TestLocalized:
         from blowuplab.quadrature import integrate
 
         want = 2.0 ** (-(b + 1.0)) * integrate(RULE, psi(NODES) ** 2)
-        assert eval_I_psi(f, RULE, CFG) == pytest.approx(want, rel=1e-12)
+        assert snap(f).I_psi == pytest.approx(want, rel=1e-12)
 
 
 class TestMass:
     def test_constant(self):
-        assert weighted_mass(const_field(2.0, 3.0, P31), RULE) == pytest.approx(
-            4.0 * ROOT4PI, rel=1e-10
-        )
+        # int w^2 rho dy = -2 s J
+        sn = snap(const_field(2.0, 3.0, P31))
+        assert -2.0 * sn.s * sn.J == pytest.approx(4.0 * ROOT4PI, rel=1e-10)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blowuplab.core_math import Params, eval_f, kappa_a
-from blowuplab.errors import DomainError
+import blowuplab.ode_blowup as ode_mod
+from blowuplab.core_math import Params, eval_f, kappa_a, phi
+from blowuplab.errors import DomainError, NumericError
 from blowuplab.ode_blowup import asymptotic_ratio, integrate_vT, time_to_blowup
 
 P30 = Params(3.0, 0.0)
@@ -34,6 +35,11 @@ class TestTimeToBlowup:
     def test_domain(self):
         with pytest.raises(DomainError):
             time_to_blowup(0.5, P30)
+
+    def test_non_positive_integral_is_numeric_error(self, monkeypatch):
+        monkeypatch.setattr(ode_mod, "quad", lambda *args, **kwargs: (0.0, 0.0))
+        with pytest.raises(NumericError):
+            time_to_blowup(10.0, P30)
 
 
 class TestTrajectories:
@@ -90,6 +96,11 @@ class TestTrajectories:
 
 
 class TestAsymptoticRatio:
+    def test_matches_scalar_phi_loop(self):
+        traj = integrate_vT(P31, T=1.0, s_max=31.0)
+        ref = traj.v / np.array([phi(s, P31) for s in traj.s])
+        assert np.array_equal(asymptotic_ratio(traj, P31)[:, 1], ref)
+
     def test_constant_at_a0(self):
         traj = integrate_vT(P30, T=1.0, s_max=25.0)
         sr = asymptotic_ratio(traj, P30)
