@@ -4,7 +4,7 @@ f(u) = |u|^(p-1) u log^a(2 + u^2)."""
 
 __version__ = "0.1.0"
 
-from .core_math import Params, ScalingConstants, kappa_a
+from .core_math import Params, kappa_a
 from .errors import BlowupLabError
 
-__all__ = ["Params", "ScalingConstants", "kappa_a", "BlowupLabError", "__version__"]
+__all__ = ["Params", "kappa_a", "BlowupLabError", "__version__"]

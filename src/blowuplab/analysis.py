@@ -8,7 +8,13 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .core_math import Params, kappa_a
-from .errors import DomainError, FitError, NumericError, ResolutionError
+from .errors import (
+    BlowupOvershootError,
+    DomainError,
+    FitError,
+    NumericError,
+    ResolutionError,
+)
 from .functionals import FunctionalConfig, FunctionalSnapshot, eval_L, snapshot
 from .quadrature import QuadratureRule, integrate, rule_for_grid
 from .similarity_solver import SimField, cfl_step, ds_dissipation, step_w
@@ -236,7 +242,7 @@ def tune_blowup_amplitude(
         for _ in range(n_steps):
             try:
                 w = step_w(w, ds_eff)
-            except (NumericError, FloatingPointError):
+            except BlowupOvershootError:
                 return +1
             peak = float(np.max(np.abs(w.values)))
             if peak > 2.5 * kap:

@@ -75,20 +75,6 @@ def kappa_a(params: Params) -> float:
     return float((2.0 ** (-a) / (p - 1.0) ** (1.0 - a)) ** (1.0 / (p - 1.0)))
 
 
-@dataclass(frozen=True)
-class ScalingConstants:
-    """Derived scaling constants of a parameter triple."""
-
-    kappa_a: float
-
-    @classmethod
-    def from_params(cls, params: Params) -> "ScalingConstants":
-        k = kappa_a(params)
-        if not (k > 0.0):
-            raise DomainError(f"kappa_a must be positive, got {k}")
-        return cls(kappa_a=k)
-
-
 def _check_finite(x: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{name}: non-finite input")

@@ -1,9 +1,5 @@
-"""Method-of-lines solver for  du/dt = Lap(u) + f(u)  on a truncated domain.
-
-Space: second-order centered Laplacian on a uniform grid, homogeneous Neumann
-at the outer boundary; radial geometry uses u'' + (N-1) u'/r with the origin
-regularised to N u''(0).  Time: IMEX trapezoidal rule (Crank-Nicolson on the
-implicit diffusion, Heun on the explicit reaction), second order overall.
+"""Method-of-lines solver for  du/dt = Lap(u) + f(u)  on a truncated domain,
+stepped by imex.imex_step with the reaction f(u) as the explicit term.
 
 Near blow-up the step controller follows the reaction timescale M/f(M) with
 M = max|u|, so the singularity is approached geometrically and the remaining
@@ -15,15 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core_math import Params, eval_f
-from .errors import (
-    BlowupOvershootError,
-    ConfigurationError,
-    DomainError,
-    NumericError,
-)
+from .errors import ConfigurationError, DomainError
+from .imex import imex_step, laplacian_bands
 from .ode_blowup import time_to_blowup
 
 
@@ -68,75 +59,17 @@ class PhysicalRunResult:
     dt_last: float = field(default=0.0)
 
 
-def laplacian_bands(nodes: np.ndarray, geometry: str, dimension: int) -> np.ndarray:
-    """Banded (3, n) representation of the Neumann Laplacian on the grid."""
-    n = nodes.size
-    h = nodes[1] - nodes[0]
-    upper = np.zeros(n)
-    diag = np.zeros(n)
-    lower = np.zeros(n)
-    inv_h2 = 1.0 / (h * h)
-    diag[:] = -2.0 * inv_h2
-    upper[1:] = inv_h2
-    lower[:-1] = inv_h2
-    if geometry == "line":
-        upper[1] = 2.0 * inv_h2  # mirrored ghost at both ends
-        lower[-2] = 2.0 * inv_h2
-    else:
-        N = dimension
-        r = nodes[1:-1]
-        drift = (N - 1) / (2.0 * h * r)
-        upper[2:] += drift
-        lower[:-2] -= drift
-        # r = 0: Lap u = N u''(0) with even extension u(-h) = u(h)
-        diag[0] = -2.0 * N * inv_h2
-        upper[1] = 2.0 * N * inv_h2
-        # outer Neumann: mirrored ghost, first-derivative term vanishes
-        lower[-2] = 2.0 * inv_h2
-    return np.vstack([upper, diag, lower])
-
-
-def _apply_banded(bands: np.ndarray, u: np.ndarray) -> np.ndarray:
-    out = bands[1] * u
-    out[:-1] += bands[0][1:] * u[1:]
-    out[1:] += bands[2][:-1] * u[:-1]
-    return out
-
-
 def step(field_in: GridField, params: Params, dt: float) -> GridField:
-    """One IMEX trapezoidal step of size dt.
+    """One imex_step of size dt with the reaction f(u) as the explicit term.
 
-    Diffusion is implicit (Crank-Nicolson), the reaction f(u) explicit via a
-    backward-Euler predictor and Heun corrector.  Raises
-    BlowupOvershootError if the step produces non-finite values.
+    Raises BlowupOvershootError if the step produces non-finite values.
     """
     if not (dt > 0.0):
         raise DomainError(f"step: dt must be positive, got {dt}")
-    u = field_in.values
     bands = laplacian_bands(field_in.nodes, field_in.geometry, field_in.dimension)
-
-    def implicit(alpha: float) -> np.ndarray:
-        m = -alpha * bands
-        m[1] += 1.0
-        return m
-
-    fu = eval_f(u, params)
-    try:
-        u_star = solve_banded((1, 1), implicit(dt), u + dt * fu)
-        if not np.all(np.isfinite(u_star)):
-            raise BlowupOvershootError(
-                f"step: predictor non-finite after dt={dt} at t={field_in.time}"
-            )
-        rhs = u + 0.5 * dt * _apply_banded(bands, u) + 0.5 * dt * (
-            fu + eval_f(u_star, params)
-        )
-        u_new = solve_banded((1, 1), implicit(0.5 * dt), rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - CN matrix is SPD-like
-        raise NumericError(f"step: linear solve failed ({exc})") from exc
-    if not np.all(np.isfinite(u_new)):
-        raise BlowupOvershootError(
-            f"step: non-finite values after dt={dt} at t={field_in.time}"
-        )
+    u_new = imex_step(
+        bands, field_in.values, field_in.time, dt, lambda t, u: eval_f(u, params)
+    )
     return GridField(
         geometry=field_in.geometry,
         dimension=field_in.dimension,

@@ -6,27 +6,27 @@ field w obeys
     dw/ds = Lap w - (y/2).grad w - (1/(p-1)) (1 - a/s) w + source(s, w),
 
 where the source is the cancellation form of e^(-ps/(p-1)) s^(a/(p-1))
-f(phi(s) w).  Diffusion is implicit (Crank-Nicolson); the drift is explicit
+f(phi(s) w).  step_w advances it by imex.imex_step; the drift is explicit
 with second-order upwinding, which caps the step at ds <= ~2h/R_max.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 
 from .core_math import Params, psi_T, rescaled_nonlinearity
 from .errors import (
     ConfigurationError,
     ContractViolation,
     DomainError,
-    NumericError,
     TruncationError,
 )
-from .physical_solver import GridField, laplacian_bands
+from .imex import imex_step, laplacian_bands
+from .physical_solver import GridField
 from .quadrature import QuadratureRule, integrate
 
 _CFL = 0.9
@@ -70,7 +70,6 @@ def to_similarity(
     T: float,
     params: Params,
     target_nodes: np.ndarray,
-    geometry: str = "line",
 ) -> SimField:
     """Transform a physical field into the similarity frame centred at (x0, T).
 
@@ -94,7 +93,7 @@ def to_similarity(
     spline = CubicSpline(u.nodes, u.values)
     w = spline(np.clip(x_needed, u.nodes[0], u.nodes[-1])) / psi_T(u.time, T, params)
     return SimField(
-        geometry=geometry,
+        geometry=u.geometry,
         nodes=np.asarray(target_nodes, dtype=float),
         values=w,
         s=float(-np.log(T - u.time)),
@@ -139,17 +138,18 @@ def _upwind_gradient(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _explicit_terms(s: float, nodes: np.ndarray, w: np.ndarray, params: Params) -> np.ndarray:
+def _explicit_terms(nodes: np.ndarray, params: Params, s: float, w: np.ndarray) -> np.ndarray:
     drift = -0.5 * nodes * _upwind_gradient(nodes, w)
     linear = -(1.0 / (params.p - 1.0)) * (1.0 - params.a / s) * w
     return drift + linear + rescaled_nonlinearity(s, w, params)
 
 
 def step_w(field_in: SimField, ds: float) -> SimField:
-    """One IMEX trapezoidal step of the similarity-frame equation.
+    """One imex_step of the similarity-frame equation, the drift, linear and
+    source terms explicit.
 
-    Raises DomainError when ds violates the drift CFL bound and NumericError
-    on non-finite output.
+    Raises DomainError when ds violates the drift CFL bound and
+    BlowupOvershootError on non-finite values.
     """
     if not (ds > 0.0):
         raise DomainError(f"step_w: ds must be positive, got {ds}")
@@ -161,32 +161,14 @@ def step_w(field_in: SimField, ds: float) -> SimField:
             f"step_w: ds={ds} violates the drift CFL bound {_CFL * h / c_max:.3e}"
         )
     params = field_in.params
-    s = field_in.s
     bands = laplacian_bands(nodes, field_in.geometry, params.N)
-
-    def implicit(alpha: float) -> np.ndarray:
-        m = -alpha * bands
-        m[1] += 1.0
-        return m
-
-    w = field_in.values
-    g0 = _explicit_terms(s, nodes, w, params)
-    w_star = solve_banded((1, 1), implicit(ds), w + ds * g0)
-    if not np.all(np.isfinite(w_star)):
-        raise NumericError(f"step_w: predictor non-finite at s={s}")
-    lap_w = bands[1] * w
-    lap_w[:-1] += bands[0][1:] * w[1:]
-    lap_w[1:] += bands[2][:-1] * w[:-1]
-    g1 = _explicit_terms(s + ds, nodes, w_star, params)
-    rhs = w + 0.5 * ds * lap_w + 0.5 * ds * (g0 + g1)
-    w_new = solve_banded((1, 1), implicit(0.5 * ds), rhs)
-    if not np.all(np.isfinite(w_new)):
-        raise NumericError(f"step_w: non-finite values at s={s}")
+    explicit = partial(_explicit_terms, nodes, params)
+    w_new = imex_step(bands, field_in.values, field_in.s, ds, explicit)
     return SimField(
         geometry=field_in.geometry,
         nodes=nodes,
         values=w_new,
-        s=s + ds,
+        s=field_in.s + ds,
         params=params,
     )
 
@@ -209,7 +191,10 @@ def ds_dissipation(before: SimField, after: SimField, rule: QuadratureRule) -> f
 
 def cfl_step(nodes: np.ndarray, ds_requested: float) -> float:
     """Largest step <= ds_requested that satisfies the drift CFL bound and
-    divides 1 exactly (so runs land on unit-s boundaries)."""
+    divides 1 exactly (so runs land on unit-s boundaries).  Raises
+    DomainError unless ds_requested is finite and positive."""
+    if not (0.0 < ds_requested < np.inf):
+        raise DomainError(f"cfl_step: ds must be finite and positive, got {ds_requested}")
     h = float(nodes[1] - nodes[0])
     c_max = 0.5 * max(abs(float(nodes[0])), abs(float(nodes[-1])))
     ds_cap = _CFL * h / c_max if c_max > 0 else ds_requested

@@ -299,11 +299,33 @@ class TestMain:
             err = json.loads(capsys.readouterr().err)
             assert str(path) in err["error"]
 
-    def test_similarity_line_grid_needs_N1(self, tmp_path):
-        out = tmp_path / "n2"
-        assert main(["similarity", "--set", "params.N=2", "--output", str(out)]) == 1
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["similarity", "--set", "params.N=2"], "ConfigurationError"),
+            (["similarity"], "BlowupOvershootError"),
+            (
+                ["physical", "--set", "solver.m_stop=1e200", "--set", "grid.resolution=129"],
+                "BlowupOvershootError",
+            ),
+            (["similarity", "--set", "solver.ds=0"], "DomainError"),
+            (["similarity", "--set", "solver.ds=-1"], "DomainError"),
+            (["similarity", "--set", "solver.ds=nan"], "DomainError"),
+        ],
+        ids=[
+            "similarity-N=2",
+            "similarity-default",
+            "physical-m_stop-1e200",
+            "ds=0",
+            "ds=-1",
+            "ds=nan",
+        ],
+    )
+    def test_run_error_in_report(self, tmp_path, argv, error):
+        out = tmp_path / "run"
+        assert main([*argv, "--output", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
-        assert report["error"].startswith("ConfigurationError")
+        assert report["error"].startswith(error)
 
     def test_csv_float_format_roundtrip(self, tmp_path):
         vals = [np.pi, 1.0 / 3.0, 1e-17, 123456.789012345678]

@@ -9,7 +9,6 @@ import pytest
 
 from blowuplab.core_math import (
     Params,
-    ScalingConstants,
     eval_F,
     eval_F1,
     eval_F2,
@@ -67,7 +66,7 @@ class TestKappa:
 
     def test_scaling_constants_positive(self):
         for params in PA_GRID:
-            assert ScalingConstants.from_params(params).kappa_a > 0.0
+            assert kappa_a(params) > 0.0
 
 
 class TestEvalF:

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from blowuplab.core_math import Params, eval_f
-from blowuplab.errors import ConfigurationError, DomainError
+from blowuplab.errors import BlowupOvershootError, ConfigurationError, DomainError
+from blowuplab.imex import imex_step, laplacian_bands
 from blowuplab.initial_data import line_grid, physical_constant, physical_gaussian
 from blowuplab.ode_blowup import time_to_blowup
 from blowuplab.physical_solver import GridField, run_to_blowup, step
@@ -73,6 +74,18 @@ class TestStep:
         with pytest.raises(DomainError):
             step(f, P31, 0.0)
 
+    @pytest.mark.parametrize(
+        "value, dt",
+        [
+            (1e150, 1e-3),  # f(u) overflows float64
+            (1.3e101, 1.0),  # finite predictor input of ~1e306 solves to NaN
+        ],
+    )
+    def test_overshoot_raises(self, value, dt):
+        f = physical_constant(line_grid(5.0, 129), value, P31)
+        with pytest.raises(BlowupOvershootError):
+            step(f, P31, dt)
+
     def test_refinement_order(self):
         # halving h and dt: change in sup at fixed time shrinks at order >= 1.5
         t_end = 0.02
@@ -87,6 +100,19 @@ class TestStep:
         e2 = abs(sups[2] - sups[1])
         order = np.log2(e1 / e2)
         assert order >= 1.5
+
+
+class TestImexStep:
+    def test_pure_diffusion_conserves_trapezoid_sum(self):
+        # the Neumann line Laplacian integrates to zero under the trapezoid
+        # rule, and so does every Crank-Nicolson solve with it
+        nodes = line_grid(5.0, 129)
+        bands = laplacian_bands(nodes, "line", 1)
+        u = np.exp(-((nodes - 1.0) ** 2)) + 0.3 * np.sin(nodes)
+        mass = np.trapezoid(u, nodes)
+        for k in range(200):
+            u = imex_step(bands, u, k * 1e-2, 1e-2, lambda t, v: np.zeros_like(v))
+        assert abs(np.trapezoid(u, nodes) - mass) < 1e-12
 
 
 class TestRunToBlowup:

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from blowuplab.core_math import Params, kappa_a, psi_T
-from blowuplab.errors import ContractViolation, DomainError, TruncationError
+from blowuplab.errors import (
+    BlowupOvershootError,
+    ContractViolation,
+    DomainError,
+    TruncationError,
+)
 from blowuplab.initial_data import line_grid, sim_field
 from blowuplab.physical_solver import GridField
 from blowuplab.quadrature import rule_for_grid
@@ -41,6 +46,17 @@ class TestFrameChange:
         )
         y = np.array([-1.5, -0.5, 0.0, 0.7, 2.0])
         w = to_similarity(u, x0, T, P31, y)
+        assert np.max(np.abs(w.values - np.exp(-y * y))) < 1e-6
+
+    def test_hand_computed_gaussian_radial(self):
+        # same profile in N = 3: the similarity field keeps the radial geometry
+        P31_3 = Params(3.0, 1.0, N=3)
+        T, t = 0.5, 0.45
+        r = np.linspace(0.0, 6.0, 2001)
+        u = GridField("radial", 3, r, psi_T(t, T, P31_3) * np.exp(-r * r / (T - t)), t)
+        y = np.array([0.0, 0.5, 0.7, 2.0])
+        w = to_similarity(u, 0.0, T, P31_3, y)
+        assert w.geometry == "radial"
         assert np.max(np.abs(w.values - np.exp(-y * y))) < 1e-6
 
     def test_round_trip(self):
@@ -123,6 +139,12 @@ class TestStepW:
         w = sim_field(np.zeros(y.shape), y, 2.0, P31)
         with pytest.raises(DomainError):
             step_w(w, 0.1)
+
+    def test_overshoot_raises(self):
+        y = line_grid(20.0, 201)
+        w = sim_field(np.full(y.shape, 1e150), y, 2.0, P31)
+        with pytest.raises(BlowupOvershootError):
+            step_w(w, 0.004)
 
     def test_s_advances(self):
         y = line_grid(20.0, 201)
