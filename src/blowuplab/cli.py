@@ -275,12 +275,18 @@ def _scenario_physical(config: RunConfig, outdir: Path) -> dict:
         ["x", "u"],
         zip(result.field.nodes, result.field.values),
     )
+    dts = result.dts
+    h2_cap = config.solver.dt_safety * u0.spacing**2  # the controller's dt off blow-up
     out = {
         "status": result.status,
         "T_hat": result.T_hat,
         "x0_hat": result.x0_hat,
         "t_halt": float(result.field.time),
         "sup_final": float(np.max(np.abs(result.field.values))),
+        "steps": int(dts.size),
+        "h2_capped_frac": float(np.mean(dts == h2_cap)) if dts.size else None,
+        "dt_min": float(dts.min()) if dts.size else None,
+        "dt_max": float(dts.max()) if dts.size else None,
     }
     if result.status == "blown_up":
         try:
@@ -345,6 +351,7 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
         "s0": float(s0),
         "s_end": float(run.fields[-1].s),
         "ds_effective": run.ds,
+        "steps": len(run.step_s) - 1,
         "lyapunov": lyap,
         "final_sup_w": float(np.max(np.abs(run.fields[-1].values))),
     }

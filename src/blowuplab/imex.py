@@ -8,17 +8,25 @@ the diffusion, a backward-Euler predictor and Heun corrector on g,
     (I - dt Lap) u*      = u + dt g(t, u)
     (I - dt/2 Lap) u_new = u + dt/2 Lap u + dt/2 (g(t, u) + g(t + dt, u*)),
 
-second order overall.
+second order overall.  Both tridiagonal matrices are LU-factored once per
+(grid, dt) and kept in a small cache: a run steps one grid, and away from
+blow-up every step has the same dt.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import BlowupOvershootError, NumericError
+
+# Operators kept, one per (grid, dt).  A run steps one grid with one dt until
+# a physical run nears blow-up and sets a new dt on every step; those entries
+# cycle out instead of accumulating.
+_OPERATOR_CACHE_SIZE = 4
 
 
 def laplacian_bands(nodes: np.ndarray, geometry: str, dimension: int) -> np.ndarray:
@@ -49,35 +57,63 @@ def laplacian_bands(nodes: np.ndarray, geometry: str, dimension: int) -> np.ndar
     return np.vstack([upper, diag, lower])
 
 
-def _solve(bands: np.ndarray, alpha: float, rhs: np.ndarray, t: float, stage: str):
-    """Solve (I - alpha Lap) x = rhs; a non-finite value is an overshoot."""
-    if not np.all(np.isfinite(rhs)):
-        raise BlowupOvershootError(f"imex_step: non-finite {stage} input at t={t}")
+def _factor(bands: np.ndarray, alpha: float) -> tuple:
+    """dgttrf factors (dl, d, du, du2, ipiv) of I - alpha Lap."""
     m = -alpha * bands
     m[1] += 1.0
-    try:
-        out = solve_banded((1, 1), m, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - CN matrix is SPD-like
-        raise NumericError(f"imex_step: linear solve failed ({exc})") from exc
+    *factors, info = dgttrf(m[2, :-1], m[1], m[0, 1:])
+    if info != 0:  # pragma: no cover - CN matrix is diagonally dominant
+        raise NumericError(
+            f"imex_step: I - {alpha} Lap is singular (dgttrf info {info})"
+        )
+    for arr in factors:
+        arr.setflags(write=False)  # shared by every step that hits the cache
+    return tuple(factors)
+
+
+@lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _operator(nodes_key: bytes, geometry: str, dimension: int, dt: float) -> tuple:
+    """(bands, predictor factors, corrector factors) for one grid and dt."""
+    bands = laplacian_bands(np.frombuffer(nodes_key), geometry, dimension)
+    bands.setflags(write=False)
+    return bands, _factor(bands, dt), _factor(bands, 0.5 * dt)
+
+
+def _solve(factors: tuple, rhs: np.ndarray, t: float, stage: str) -> np.ndarray:
+    """Solve (I - alpha Lap) x = rhs from that matrix's dgttrf factors; a
+    non-finite value is an overshoot."""
+    if not np.all(np.isfinite(rhs)):
+        raise BlowupOvershootError(f"imex_step: non-finite {stage} input at t={t}")
+    out, info = dgttrs(*factors, rhs)
+    if info != 0:  # pragma: no cover - only an invalid argument sets it
+        raise NumericError(f"imex_step: {stage} solve failed (dgttrs info {info})")
     if not np.all(np.isfinite(out)):
         raise BlowupOvershootError(f"imex_step: non-finite {stage} at t={t}")
     return out
 
 
 def imex_step(
-    bands: np.ndarray,
+    nodes: np.ndarray,
+    geometry: str,
+    dimension: int,
     u: np.ndarray,
     t: float,
     dt: float,
     explicit: Callable[[float, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Advance u by dt with the Laplacian bands of laplacian_bands and the
+    """Advance u by dt on the grid (nodes, geometry, dimension) with the
     explicit terms g(t, u) = explicit(t, u).  Raises BlowupOvershootError on
     any non-finite value (the step went past the singularity)."""
+    nodes_key = np.asarray(nodes, dtype=float).tobytes()
+    bands, predictor, corrector = _operator(nodes_key, geometry, dimension, dt)
     g0 = explicit(t, u)
-    u_star = _solve(bands, dt, u + dt * g0, t, "predictor")
-    lap_u = bands[1] * u
-    lap_u[:-1] += bands[0][1:] * u[1:]
-    lap_u[1:] += bands[2][:-1] * u[:-1]
-    rhs = u + 0.5 * dt * lap_u + 0.5 * dt * (g0 + explicit(t + dt, u_star))
-    return _solve(bands, 0.5 * dt, rhs, t, "corrector")
+    with np.errstate(over="ignore"):  # an inf is reported by _solve
+        rhs = u + dt * g0
+    u_star = _solve(predictor, rhs, t, "predictor")
+    g1 = explicit(t + dt, u_star)
+    with np.errstate(over="ignore"):
+        lap_u = bands[1] * u
+        lap_u[:-1] += bands[0][1:] * u[1:]
+        lap_u[1:] += bands[2][:-1] * u[:-1]
+        rhs = u + 0.5 * dt * lap_u + 0.5 * dt * (g0 + g1)
+    return _solve(corrector, rhs, t, "corrector")

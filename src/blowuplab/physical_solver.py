@@ -14,7 +14,7 @@ import numpy as np
 
 from .core_math import Params, eval_f
 from .errors import ConfigurationError, DomainError
-from .imex import imex_step, laplacian_bands
+from .imex import imex_step
 from .ode_blowup import time_to_blowup
 
 
@@ -53,6 +53,7 @@ class PhysicalRunResult:
 
     field: GridField
     sup_history: np.ndarray  # rows (t, max|u|)
+    dts: np.ndarray  # the dt of every step; near blow-up it falls below ulp(t)
     T_hat: float | None
     x0_hat: float | None
     status: str  # "blown_up" or "no_blowup"
@@ -66,9 +67,14 @@ def step(field_in: GridField, params: Params, dt: float) -> GridField:
     """
     if not (dt > 0.0):
         raise DomainError(f"step: dt must be positive, got {dt}")
-    bands = laplacian_bands(field_in.nodes, field_in.geometry, field_in.dimension)
     u_new = imex_step(
-        bands, field_in.values, field_in.time, dt, lambda t, u: eval_f(u, params)
+        field_in.nodes,
+        field_in.geometry,
+        field_in.dimension,
+        field_in.values,
+        field_in.time,
+        dt,
+        lambda t, u: eval_f(u, params),
     )
     return GridField(
         geometry=field_in.geometry,
@@ -110,6 +116,7 @@ def run_to_blowup(
     field_now = u0
     h2 = u0.spacing ** 2
     history = [(u0.time, float(np.max(np.abs(u0.values))))]
+    dts = []
     dt = safety * h2
     while True:
         M = history[-1][1]
@@ -125,6 +132,7 @@ def run_to_blowup(
         else:
             dt = safety * h2
         field_now = step(field_now, params, dt)
+        dts.append(dt)
         history.append((field_now.time, float(np.max(np.abs(field_now.values)))))
 
     sup_history = np.asarray(history)
@@ -143,6 +151,7 @@ def run_to_blowup(
     return PhysicalRunResult(
         field=field_now,
         sup_history=sup_history,
+        dts=np.asarray(dts),
         T_hat=T_hat,
         x0_hat=x0_hat,
         status=status,

@@ -25,7 +25,7 @@ from .errors import (
     DomainError,
     TruncationError,
 )
-from .imex import imex_step, laplacian_bands
+from .imex import imex_step
 from .physical_solver import GridField
 from .quadrature import QuadratureRule, integrate
 
@@ -124,17 +124,21 @@ def from_similarity(
 
 def _upwind_gradient(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
     """d w/d y biased against the outward drift y/2 (second order where two
-    upwind neighbours exist, first order next to the origin)."""
+    upwind neighbours exist, first order next to the origin, 0 at y = 0 and
+    where no upwind neighbour exists).  nodes ascend uniformly."""
     h = nodes[1] - nodes[0]
+    n = w.size
+    neg = int(np.searchsorted(nodes, 0.0, side="left"))  # nodes[:neg] < 0
+    pos = int(np.searchsorted(nodes, 0.0, side="right"))  # nodes[pos:] > 0
     out = np.zeros_like(w)
-    back2 = np.zeros_like(w)
-    back2[2:] = (3.0 * w[2:] - 4.0 * w[1:-1] + w[:-2]) / (2.0 * h)
-    back2[1] = (w[1] - w[0]) / h
-    fwd2 = np.zeros_like(w)
-    fwd2[:-2] = (-3.0 * w[:-2] + 4.0 * w[1:-1] - w[2:]) / (2.0 * h)
-    fwd2[-2] = (w[-1] - w[-2]) / h
-    out = np.where(nodes > 0.0, back2, fwd2)
-    out[nodes == 0.0] = 0.0
+    lo = max(pos, 2)  # y > 0: backward differences
+    out[lo:] = (3.0 * w[lo:] - 4.0 * w[lo - 1 : -1] + w[lo - 2 : -2]) / (2.0 * h)
+    if pos <= 1:
+        out[1] = (w[1] - w[0]) / h
+    hi = min(neg, n - 2)  # y < 0: forward differences
+    out[:hi] = (-3.0 * w[:hi] + 4.0 * w[1 : hi + 1] - w[2 : hi + 2]) / (2.0 * h)
+    if neg >= n - 1:
+        out[n - 2] = (w[-1] - w[-2]) / h
     return out
 
 
@@ -161,9 +165,10 @@ def step_w(field_in: SimField, ds: float) -> SimField:
             f"step_w: ds={ds} violates the drift CFL bound {_CFL * h / c_max:.3e}"
         )
     params = field_in.params
-    bands = laplacian_bands(nodes, field_in.geometry, params.N)
     explicit = partial(_explicit_terms, nodes, params)
-    w_new = imex_step(bands, field_in.values, field_in.s, ds, explicit)
+    w_new = imex_step(
+        nodes, field_in.geometry, params.N, field_in.values, field_in.s, ds, explicit
+    )
     return SimField(
         geometry=field_in.geometry,
         nodes=nodes,

@@ -13,6 +13,7 @@ from blowuplab.cli import (
     run,
     write_csv,
 )
+from blowuplab.core_math import Params, eval_f
 from blowuplab.errors import ParseError
 from blowuplab.verification import SuiteResult
 
@@ -326,6 +327,31 @@ class TestMain:
         assert main([*argv, "--output", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
         assert report["error"].startswith(error)
+
+    def test_run_counters_in_report(self, tmp_path):
+        phys, sim = tmp_path / "phys", tmp_path / "sim"
+        argv = ["physical", "--set", "grid.extent=5", "--set", "grid.resolution=129",
+                "--set", "solver.m_stop=1e6", "--output", str(phys)]
+        assert main(argv) == 0
+        res = json.loads((phys / "report.json").read_text())["results"]
+        sup = np.loadtxt(phys / "sup_history.csv", delimiter=",", skiprows=1)[:-1, 1]
+        # the controller's dt before each step: dt_safety min(h^2, M / f(M))
+        h2_cap = 0.05 * (10.0 / 128) ** 2
+        dts = np.minimum(h2_cap, 0.05 * sup / eval_f(sup, Params(3.0, 1.0)))
+        assert res["steps"] == dts.size
+        assert res["h2_capped_frac"] == pytest.approx(np.mean(dts == h2_cap), abs=1.5 / dts.size)
+        assert 0.5 < res["h2_capped_frac"] < 1.0  # the reaction caps the last steps
+        assert res["dt_max"] == pytest.approx(h2_cap, rel=1e-12)
+        assert res["dt_min"] == pytest.approx(dts.min(), rel=1e-12)
+        assert res["dt_min"] < 0.1 * h2_cap
+
+        argv = ["similarity", "--set", "grid.resolution=201", "--set", "initial_data.floor=0",
+                "--set", "solver.s_end=4", "--output", str(sim)]
+        assert main(argv) == 0
+        res = json.loads((sim / "report.json").read_text())["results"]
+        ledger = np.loadtxt(sim / "step_ledger.csv", delimiter=",", skiprows=1)
+        assert res["ds_effective"] == 0.01
+        assert res["steps"] == ledger.shape[0] - 1 == 200
 
     def test_csv_float_format_roundtrip(self, tmp_path):
         vals = [np.pi, 1.0 / 3.0, 1e-17, 123456.789012345678]

@@ -4,8 +4,11 @@ Expected values marked as oracle constants were computed with mpmath
 (40 digits) against the defining integrals; see the docstrings.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowuplab.core_math import (
     Params,
@@ -339,3 +342,39 @@ class TestRescaledForms:
                 assert np.exp(log_phi(s, params)) == pytest.approx(
                     phi(s, params), rel=1e-13
                 )
+
+
+def _literal_50_digits(s, w, params):
+    """log(2 + phi^2 w^2) and e^(-ps/(p-1)) s^(a/(p-1)) f(phi(s) w), composed
+    literally in 50-digit arithmetic."""
+    with mp.workdps(50):
+        s, w, p, a = mp.mpf(s), mp.mpf(w), mp.mpf(params.p), mp.mpf(params.a)
+        u = mp.exp(s / (p - 1)) * s ** (-a / (p - 1)) * w
+        log_arg = mp.log(2 + u * u)
+        f = abs(u) ** (p - 1) * u * log_arg**a
+        return log_arg, mp.exp(-p * s / (p - 1)) * s ** (a / (p - 1)) * f
+
+
+# Worst relative error over 38,000 random (s, w, p, a) in this domain, some
+# of them on the log_term branch switch: 1.6e-15, at (p, a) = (5, -2).
+MPMATH_RTOL = 5e-15
+
+_pairs = st.sampled_from([Params(3.0, 1.0), Params(3.0, -1.0), Params(2.0, 2.0),
+                          Params(1.5, 0.5), Params(5.0, -2.0)])
+_s = st.floats(1.0, 700.0)
+_w = st.builds(lambda e, sign: sign * 10.0**e, st.floats(-3.0, 1.0), st.sampled_from([-1, 1]))
+_mpmath_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestCancellationFormsAgainstMpmath:
+    @_mpmath_settings
+    @given(s=_s, w=_w, params=_pairs)
+    def test_log_term(self, s, w, params):
+        ref, _ = _literal_50_digits(s, w, params)
+        assert abs(log_term(s, w, params) / ref - 1) <= MPMATH_RTOL
+
+    @_mpmath_settings
+    @given(s=_s, w=_w, params=_pairs)
+    def test_rescaled_nonlinearity(self, s, w, params):
+        _, ref = _literal_50_digits(s, w, params)
+        assert abs(rescaled_nonlinearity(s, w, params) / ref - 1) <= MPMATH_RTOL

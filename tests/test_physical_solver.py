@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_banded
 
+from blowuplab import imex
 from blowuplab.core_math import Params, eval_f
 from blowuplab.errors import BlowupOvershootError, ConfigurationError, DomainError
 from blowuplab.imex import imex_step, laplacian_bands
@@ -102,17 +104,81 @@ class TestStep:
         assert order >= 1.5
 
 
+def _reaction(t, v):
+    return eval_f(v, P31)
+
+
+def _reference_step(nodes, geometry, dimension, u, t, dt, explicit):
+    """The IMEX step with the matrices rebuilt and solved by solve_banded."""
+    bands = laplacian_bands(nodes, geometry, dimension)
+
+    def solve(alpha, rhs):
+        m = -alpha * bands
+        m[1] += 1.0
+        return solve_banded((1, 1), m, rhs)
+
+    g0 = explicit(t, u)
+    u_star = solve(dt, u + dt * g0)
+    lap_u = bands[1] * u
+    lap_u[:-1] += bands[0][1:] * u[1:]
+    lap_u[1:] += bands[2][:-1] * u[:-1]
+    return solve(0.5 * dt, u + 0.5 * dt * lap_u + 0.5 * dt * (g0 + explicit(t + dt, u_star)))
+
+
 class TestImexStep:
     def test_pure_diffusion_conserves_trapezoid_sum(self):
         # the Neumann line Laplacian integrates to zero under the trapezoid
         # rule, and so does every Crank-Nicolson solve with it
         nodes = line_grid(5.0, 129)
-        bands = laplacian_bands(nodes, "line", 1)
         u = np.exp(-((nodes - 1.0) ** 2)) + 0.3 * np.sin(nodes)
         mass = np.trapezoid(u, nodes)
         for k in range(200):
-            u = imex_step(bands, u, k * 1e-2, 1e-2, lambda t, v: np.zeros_like(v))
+            u = imex_step(nodes, "line", 1, u, k * 1e-2, 1e-2, lambda t, v: np.zeros_like(v))
         assert abs(np.trapezoid(u, nodes) - mass) < 1e-12
+
+    @pytest.mark.parametrize("dt", [2e-5, 1.0 / 112.0])
+    @pytest.mark.parametrize(
+        "geometry, dimension, nodes",
+        [("line", 1, line_grid(20.0, 401)), ("radial", 3, radial_grid(10.0, 257))],
+        ids=["line-401", "radial-N3-257"],
+    )
+    def test_matches_solve_banded_reference_bitwise(self, geometry, dimension, nodes, dt):
+        # the cached LU factors reproduce a fresh banded solve bit for bit,
+        # on the miss that builds them and on the hits that reuse them
+        u = 1.0 + 0.5 * np.exp(-nodes**2) + 0.1 * np.cos(nodes)
+        for k in range(4):
+            ref = _reference_step(nodes, geometry, dimension, u, k * dt, dt, _reaction)
+            out = imex_step(nodes, geometry, dimension, u, k * dt, dt, _reaction)
+            np.testing.assert_array_equal(out, ref)
+            u = ref
+
+    def test_same_size_grids_do_not_share_factors(self):
+        grids = [line_grid(5.0, 129), line_grid(6.0, 129)]
+        us = [1.0 + 0.5 * np.exp(-nodes**2) for nodes in grids]
+        imex._operator.cache_clear()
+        for k in range(3):
+            for i, nodes in enumerate(grids):
+                ref = _reference_step(nodes, "line", 1, us[i], k * 1e-3, 1e-3, _reaction)
+                np.testing.assert_array_equal(
+                    imex_step(nodes, "line", 1, us[i], k * 1e-3, 1e-3, _reaction), ref
+                )
+                us[i] = ref
+        info = imex._operator.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+
+    def test_changing_dt_rebuilds_every_step(self):
+        # near blow-up the reaction timescale sets a new dt on every step
+        nodes = line_grid(10.0, 513)
+        u = 1.0 + 0.5 * np.exp(-nodes**2)
+        imex._operator.cache_clear()
+        t = 0.0
+        for k in range(12):
+            dt = 1e-4 * 0.8**k
+            ref = _reference_step(nodes, "line", 1, u, t, dt, _reaction)
+            np.testing.assert_array_equal(imex_step(nodes, "line", 1, u, t, dt, _reaction), ref)
+            u, t = ref, t + dt
+        info = imex._operator.cache_info()
+        assert (info.misses, info.hits) == (12, 0)
 
 
 class TestRunToBlowup:
