@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,6 +285,8 @@ class SimilarityRun:
     cfg: FunctionalConfig
     params: Params
     ds: float = field(default=0.0)
+    time_stepping: float = 0.0  # wall seconds in step_w
+    time_functionals: float = 0.0  # wall seconds in the rest: the functional ledger
 
 
 def run_similarity(
@@ -305,27 +308,32 @@ def run_similarity(
     rule = rule_for_grid(w0.nodes, w0.params.N, w0.geometry)
     per_unit = int(round(1.0 / ds_eff))
 
+    t_run, t_step = time.perf_counter(), 0.0
     fields = [w0]
     snaps = [snapshot(w0, rule, cfg)]
     diss = np.zeros(n_units)
     step_s: list[float] = [w0.s]
-    step_L: list[float] = [eval_L(w0, rule, cfg)] if record_L else []
+    step_L: list[float] = [snaps[0].L] if record_L else []
     step_mass: list[float] = [integrate(rule, w0.values**2)]
 
     current = w0
     for k in range(n_units):
         acc = 0.0
-        for _ in range(per_unit):
+        for j in range(per_unit):
+            t0 = time.perf_counter()
             nxt = step_w(current, ds_eff)
+            t_step += time.perf_counter() - t0
             acc += ds_eff * ds_dissipation(current, nxt, rule)
             current = nxt
             step_s.append(current.s)
             step_mass.append(integrate(rule, current.values**2))
-            if record_L:
+            if record_L and j < per_unit - 1:  # the boundary L comes from its snapshot
                 step_L.append(eval_L(current, rule, cfg))
         diss[k] = acc
         fields.append(current)
         snaps.append(snapshot(current, rule, cfg))
+        if record_L:
+            step_L.append(snaps[-1].L)
     return SimilarityRun(
         fields=fields,
         snapshots=snaps,
@@ -337,4 +345,6 @@ def run_similarity(
         cfg=cfg,
         params=w0.params,
         ds=ds_eff,
+        time_stepping=t_step,
+        time_functionals=time.perf_counter() - t_run - t_step,
     )

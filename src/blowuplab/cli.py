@@ -352,6 +352,8 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
         "s_end": float(run.fields[-1].s),
         "ds_effective": run.ds,
         "steps": len(run.step_s) - 1,
+        "time_stepping_s": run.time_stepping,
+        "time_functionals_s": run.time_functionals,
         "lyapunov": lyap,
         "final_sup_w": float(np.max(np.abs(run.fields[-1].values))),
     }

@@ -251,7 +251,12 @@ def _eta_rule(n_half: int = 32) -> tuple[np.ndarray, np.ndarray]:
 
 _ETA, _ETA_W = _eta_rule()
 _XI = _ETA**2
+_XI_SQ = _XI**2
 _LOG_XI = 2.0 * np.log(_ETA)
+
+# log(phi|w|) above which rescaled_F switches to the expanded form of
+# log(2 + phi^2 w^2 xi^2): exp(2 log(phi|w|)) overflows float64 beyond ~354.9.
+_LC_EXPAND = 300.0
 
 
 def rescaled_F(s: float, w, params: Params):
@@ -261,26 +266,36 @@ def rescaled_F(s: float, w, params: Params):
 
         s^(-a) |w|^(p+1) int_0^1 xi^p log_term(s, w xi)^a dxi
 
-    with a fixed 64-point rule (validated to ~1e-12 relative against
-    extended-precision quadrature over s in [1, 700], |w| in [1e-3, 10]).
-    Reduces to |w|^(p+1)/(p+1) at a = 0.  Even in w and nonnegative.
+    with a fixed 64-point rule (worst relative error 3.4e-15 against a
+    50-digit mpmath quadrature over s in [1, 700], |w| in [1e-3, 10]).  The
+    log is formed from one exp per node, log(2 + e^(2 log(phi|w|)) xi^2), and
+    from max(x2, log 2) + log1p(e^(-|x2 - log 2|)), x2 = log(phi^2 w^2 xi^2),
+    on nodes where that exp would overflow.  Reduces to |w|^(p+1)/(p+1) at
+    a = 0.  Even in w and nonnegative.
     """
     if not np.isfinite(s) or s < 1.0:
         raise DomainError(f"rescaled_F requires s >= 1, got {s}")
     arr = np.asarray(w, dtype=float)
     _check_finite(arr, "rescaled_F")
     p, a = params.p, params.a
+    aw = np.abs(arr).ravel()  # 1-d: a scalar runs the same ufunc loops as an array
     with np.errstate(over="ignore"):
-        amp = np.abs(arr) ** (p + 1.0)
+        amp = aw ** (p + 1.0)
         if a == 0.0:
             out = amp / (p + 1.0)
-            return float(out) if arr.ndim == 0 else out
-        lp = log_phi(s, params)
-        with np.errstate(divide="ignore"):
-            lw = np.log(np.abs(arr)).ravel()
-        x2 = 2.0 * (lp + lw[:, None] + _LOG_XI[None, :])
-        ell = np.logaddexp(LOG2, x2)
-        base = _XI**p * 2.0 * _ETA * _ETA_W
-        integral = (ell**a) @ base
-        out = float(s) ** (-a) * amp * integral.reshape(np.shape(arr))
+        else:
+            with np.errstate(divide="ignore"):
+                lc = log_phi(s, params) + np.log(aw)  # log(phi|w|)
+            big = lc > _LC_EXPAND
+            c2 = np.exp(2.0 * np.where(big, 0.0, lc))  # phi^2 w^2
+            ell = np.log(2.0 + c2[:, None] * _XI_SQ)
+            if big.any():
+                x2 = 2.0 * (lc[big, None] + _LOG_XI)
+                ell[big] = np.maximum(x2, LOG2) + np.log1p(np.exp(-np.abs(x2 - LOG2)))
+            base = _XI**p * 2.0 * _ETA * _ETA_W
+            # einsum sums each row in the same order whatever the row count
+            # (matmul's BLAS kernels do not), so an array call equals the
+            # per-element calls bit for bit.
+            out = float(s) ** (-a) * amp * np.einsum("ij,j->i", ell**a, base)
+    out = out.reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out

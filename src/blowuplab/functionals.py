@@ -76,8 +76,9 @@ class FunctionalSnapshot:
 def _check_field(field: SimField, rule: QuadratureRule) -> None:
     if field.s < 1.0:
         raise DomainError(f"functional requires s >= 1, got {field.s}")
-    if rule.nodes.shape != field.nodes.shape or not np.allclose(
-        rule.nodes, field.nodes
+    if rule.nodes is not field.nodes and (
+        rule.nodes.shape != field.nodes.shape
+        or not np.allclose(rule.nodes, field.nodes)
     ):
         raise ContractViolation("functional: rule nodes do not match the field grid")
 

@@ -12,8 +12,9 @@ from blowuplab.analysis import (
 )
 from blowuplab.core_math import Params, kappa_a
 from blowuplab.errors import DomainError, FitError, ResolutionError
-from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot
+from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot, eval_L
 from blowuplab.initial_data import line_grid, profile_shape, sim_field
+from blowuplab.similarity_solver import step_w
 
 P31 = Params(3.0, 1.0)
 
@@ -213,6 +214,22 @@ class TestRunSimilarity:
         assert run.fields[-1].s == pytest.approx(5.0)
         rep = lyapunov_audit(run.snapshots, run.dissipation, run.step_L)
         assert rep.passed
+
+    def test_boundary_L_is_the_snapshot_L(self):
+        nodes = line_grid(20.0, 201)
+        w0 = sim_field(0.3 * np.exp(-nodes**2 / 8.0), nodes, 2.0, P31)
+        run = run_similarity(w0, 5.0, 0.01, FunctionalConfig())
+        per_unit = int(round(1.0 / run.ds))
+        for k, sn in enumerate(run.snapshots):
+            assert run.step_L[k * per_unit] == sn.L
+        w = w0
+        for j in range(1, per_unit):  # between boundaries: eval_L of each step
+            w = step_w(w, run.ds)
+            assert run.step_L[j] == eval_L(w, run.rule, run.cfg)
+        bare = run_similarity(w0, 5.0, 0.01, FunctionalConfig(), record_L=False)
+        assert bare.step_L.size == 0
+        assert np.array_equal(bare.step_mass, run.step_mass)
+        assert np.array_equal(bare.dissipation, run.dissipation)
 
     def test_requires_unit_span(self):
         nodes = line_grid(20.0, 201)

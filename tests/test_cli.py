@@ -348,10 +348,13 @@ class TestMain:
         argv = ["similarity", "--set", "grid.resolution=201", "--set", "initial_data.floor=0",
                 "--set", "solver.s_end=4", "--output", str(sim)]
         assert main(argv) == 0
-        res = json.loads((sim / "report.json").read_text())["results"]
+        report = json.loads((sim / "report.json").read_text())
+        res = report["results"]
         ledger = np.loadtxt(sim / "step_ledger.csv", delimiter=",", skiprows=1)
         assert res["ds_effective"] == 0.01
         assert res["steps"] == ledger.shape[0] - 1 == 200
+        assert res["time_stepping_s"] > 0.0 and res["time_functionals_s"] > 0.0
+        assert res["time_stepping_s"] + res["time_functionals_s"] <= report["wall_time_s"]
 
     def test_csv_float_format_roundtrip(self, tmp_path):
         vals = [np.pi, 1.0 / 3.0, 1e-17, 123456.789012345678]

@@ -324,6 +324,18 @@ class TestRescaledForms:
             assert np.allclose(v, v[::-1], rtol=1e-13)
             assert np.all(v >= 0.0)
 
+    def test_rescaled_F_batch_equals_scalar_calls_bitwise(self):
+        # log phi(600) is 296.8 for (3, 1) and 303.2 for (3, -1): the batch
+        # mixes w = 0, rows on the direct form and rows on the expanded form
+        # (log(phi|w|) > 300).
+        w = np.array([0.0, 1e-3, -0.5, 10.0, 50.0, -1e4, -0.0, 1e-30, 2.0])
+        for params, n_expanded in ((P31, 2), (P3m1, 5)):
+            lc = log_phi(600.0, params) + np.log(np.abs(w[w != 0.0]))
+            assert np.sum(lc > 300.0) == n_expanded
+            got = rescaled_F(600.0, w, params)
+            assert np.array_equal(got, [rescaled_F(600.0, x, params) for x in w])
+            assert np.count_nonzero(got) == w.size - 2
+
     def test_power_lower_bound_constant_exists(self):
         # |z|^(p-eps+1) <= rescaled_F(s, z) + C(eps) for one finite C(eps)
         eps = 0.5
@@ -355,9 +367,26 @@ def _literal_50_digits(s, w, params):
         return log_arg, mp.exp(-p * s / (p - 1)) * s ** (a / (p - 1)) * f
 
 
+def _rescaled_F_50_digits(s, w, params):
+    """s^(-a) |w|^(p+1) int_0^1 xi^p log^a(2 + phi^2 w^2 xi^2) dxi in 50-digit
+    arithmetic, the quadrature split at the knee xi = sqrt(2)/(phi|w|)."""
+    with mp.workdps(50):
+        s, w, p, a = mp.mpf(s), mp.mpf(w), mp.mpf(params.p), mp.mpf(params.a)
+        lc = s / (p - 1) - a / (p - 1) * mp.log(s) + mp.log(abs(w))  # log(phi|w|)
+        knee = mp.sqrt(2) * mp.exp(-lc)
+        integral = mp.quad(
+            lambda xi: xi**p * mp.log(2 + mp.exp(2 * (lc + mp.log(xi)))) ** a,
+            [0, knee, 1] if knee < 1 else [0, 1],
+        )
+        return s ** (-a) * abs(w) ** (p + 1) * integral
+
+
 # Worst relative error over 38,000 random (s, w, p, a) in this domain, some
 # of them on the log_term branch switch: 1.6e-15, at (p, a) = (5, -2).
 MPMATH_RTOL = 5e-15
+# Worst relative error of rescaled_F's 64-point rule over 6,000 random
+# (s, w, p, a) in this domain: 3.4e-15, at (p, a) = (1.5, 0.5).
+RESCALED_F_RTOL = 1e-14
 
 _pairs = st.sampled_from([Params(3.0, 1.0), Params(3.0, -1.0), Params(2.0, 2.0),
                           Params(1.5, 0.5), Params(5.0, -2.0)])
@@ -378,3 +407,9 @@ class TestCancellationFormsAgainstMpmath:
     def test_rescaled_nonlinearity(self, s, w, params):
         _, ref = _literal_50_digits(s, w, params)
         assert abs(rescaled_nonlinearity(s, w, params) / ref - 1) <= MPMATH_RTOL
+
+    @_mpmath_settings
+    @given(s=_s, w=_w, params=_pairs)
+    def test_rescaled_F(self, s, w, params):
+        ref = _rescaled_F_50_digits(s, w, params)
+        assert abs(rescaled_F(s, w, params) / ref - 1) <= RESCALED_F_RTOL

@@ -130,11 +130,12 @@ class TestImexStep:
         # the Neumann line Laplacian integrates to zero under the trapezoid
         # rule, and so does every Crank-Nicolson solve with it
         nodes = line_grid(5.0, 129)
+        h = nodes[1] - nodes[0]
         u = np.exp(-((nodes - 1.0) ** 2)) + 0.3 * np.sin(nodes)
-        mass = np.trapezoid(u, nodes)
+        mass = h * (u.sum() - 0.5 * (u[0] + u[-1]))
         for k in range(200):
             u = imex_step(nodes, "line", 1, u, k * 1e-2, 1e-2, lambda t, v: np.zeros_like(v))
-        assert abs(np.trapezoid(u, nodes) - mass) < 1e-12
+        assert abs(h * (u.sum() - 0.5 * (u[0] + u[-1])) - mass) < 1e-12
 
     @pytest.mark.parametrize("dt", [2e-5, 1.0 / 112.0])
     @pytest.mark.parametrize(
