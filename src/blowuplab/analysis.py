@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,6 +212,68 @@ def lyapunov_audit(
     )
 
 
+# The tuner brackets its multiplier in [0.5, 1.6] and stops once the bracket
+# is _SEPARATRIX_XTOL wide.  A forced bisection halves the bracket and at
+# most two other probes precede each one, which bounds the probe count.
+_SEPARATRIX_BRACKET = (0.5, 1.6)
+_SEPARATRIX_XTOL = 1e-10
+_SEPARATRIX_MAX_PROBES = 2 + 3 * math.ceil(
+    math.log2((_SEPARATRIX_BRACKET[1] - _SEPARATRIX_BRACKET[0]) / _SEPARATRIX_XTOL)
+)
+
+
+def _separatrix_root(g: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of an increasing signal g on [lo, hi] that is linear on each side
+    of its root, with a different slope on each side.
+
+    Each probe is the secant through the two probes nearest the root on one
+    side, so the slope of each side comes from its own probes.  The g > 0
+    side goes first: for the tuner that is the blow-up side, where the signal
+    is linear to within the step resolution.  When neither secant lands
+    strictly inside the bracket, the probe is regula falsi across it, else
+    its midpoint.  Two probes in a row that fail to halve the bracket force a
+    bisection.  g(x) == 0 returns x at once; otherwise the result is the
+    midpoint of the first bracket at most _SEPARATRIX_XTOL wide.  Raises
+    NumericError unless g(lo) < 0 < g(hi), and past _SEPARATRIX_MAX_PROBES.
+    """
+    g_lo, g_hi = g(lo), g(hi)
+    if not (g_lo < 0.0 < g_hi):
+        raise NumericError(
+            f"tune_blowup_amplitude: bracket [{lo}, {hi}] does not straddle the "
+            f"separatrix (signals {g_lo:.3g}, {g_hi:.3g})"
+        )
+    above, below = [(hi, g_hi)], [(lo, g_lo)]
+    misses, n_probes = 0, 2
+    while hi - lo > _SEPARATRIX_XTOL:
+        if n_probes == _SEPARATRIX_MAX_PROBES:
+            raise NumericError(
+                f"tune_blowup_amplitude: bracket still {hi - lo:.3g} wide after "
+                f"{n_probes} probes"
+            )
+        forced = misses == 2
+        candidates = []
+        if not forced:
+            for pts in (above, below):
+                if len(pts) > 1 and pts[-2][1] != pts[-1][1]:
+                    (x1, g1), (x2, g2) = pts[-2:]
+                    candidates.append(x2 - g2 * (x2 - x1) / (g2 - g1))
+            candidates.append(lo - g_lo * (hi - lo) / (g_hi - g_lo))
+        x = next((c for c in candidates if lo < c < hi), 0.5 * (lo + hi))
+        width = hi - lo
+        gx = g(x)
+        n_probes += 1
+        if gx == 0.0:
+            return x
+        if gx > 0.0:
+            hi, g_hi = x, gx
+            above.append((x, gx))
+        else:
+            lo, g_lo = x, gx
+            below.append((x, gx))
+        misses = 0 if forced or hi - lo <= 0.5 * width else misses + 1
+    return 0.5 * (lo + hi)
+
+
 def tune_blowup_amplitude(
     shape: np.ndarray,
     nodes: np.ndarray,
@@ -218,17 +282,25 @@ def tune_blowup_amplitude(
     params: Params,
     ds: float = 0.01,
     geometry: str = "line",
-    iterations: int = 42,
+    probes: list | None = None,
 ) -> float:
-    """Bisect the amplitude multiplier that keeps lam * shape on the blow-up
+    """The amplitude multiplier that keeps lam * shape on the blow-up
     separatrix of the similarity flow up to s_end.
 
     The constant-amplitude equilibrium has unstable directions (shifting the
     blow-up time or point of the underlying physical solution), so an
-    untuned datum either quenches to zero or blows up in finite s.  Probes
-    classify each amplitude by whether max|w| crosses 2.5 kappa_a (blow-up)
-    or falls below 0.4 kappa_a (quench); the bisected multiplier tracks the
-    attractor over the whole window.
+    untuned datum either quenches to zero or blows up in finite s.  A probe
+    classifies an amplitude by whether max|w| crosses 2.5 kappa_a (blow-up,
+    class +1) or falls below 0.4 kappa_a (quench, class -1), at the escape
+    time s_esc.  The m=0 mode grows like e^(s - s0), so a datum off the
+    separatrix by d escapes at s_esc ~ s0 + log(C/|d|), and the signal
+    class * exp(-(s_esc - s0)) is linear in d on each side of the separatrix;
+    _separatrix_root finds its root.  A probe that stays within the
+    thresholds past the window (class 0) is on the separatrix and ends the
+    search.
+
+    When probes is a list, one (lam, class, s_esc, steps) record is appended
+    per probe; this observes the search and changes no result.
     """
     kap = kappa_a(params)
     ds_eff = cfl_step(nodes, ds)
@@ -236,39 +308,29 @@ def tune_blowup_amplitude(
     # thresholds over the window of interest yet already be drifting away.
     n_steps = int(round((s_end - s0 + 14.0) / ds_eff))
 
-    def classify(lam: float) -> int:
+    def classify(lam: float) -> tuple[int, float, int]:
         w = SimField(
             geometry=geometry, nodes=nodes, values=lam * shape, s=s0, params=params
         )
-        for _ in range(n_steps):
+        for k in range(1, n_steps + 1):
             try:
                 w = step_w(w, ds_eff)
             except BlowupOvershootError:
-                return +1
+                return +1, w.s + ds_eff, k
             peak = float(np.max(np.abs(w.values)))
             if peak > 2.5 * kap:
-                return +1
+                return +1, w.s, k
             if peak < 0.4 * kap:
-                return -1
-        return 0
+                return -1, w.s, k
+        return 0, w.s, n_steps
 
-    lo, hi = 0.5, 1.6
-    c_lo, c_hi = classify(lo), classify(hi)
-    if not (c_lo < 0 < c_hi):
-        raise NumericError(
-            "tune_blowup_amplitude: bracket [0.5, 1.6] does not straddle the "
-            f"separatrix (classified {c_lo}, {c_hi})"
-        )
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        c = classify(mid)
-        if c == 0:
-            return mid  # unresolved after the extended horizon: on separatrix
-        if c > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    def signal(lam: float) -> float:
+        cls, s_esc, steps = classify(lam)
+        if probes is not None:
+            probes.append((lam, cls, s_esc, steps))
+        return cls * math.exp(-(s_esc - s0))
+
+    return _separatrix_root(signal, *_SEPARATRIX_BRACKET)
 
 
 @dataclass

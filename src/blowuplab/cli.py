@@ -45,7 +45,7 @@ from .initial_data import (
 )
 from .ode_blowup import asymptotic_ratio, integrate_vT
 from .physical_solver import GridField, run_to_blowup
-from .verification import run_all_suites
+from .verification import RATE_PAIRS, AuditCorpus, build_audit_corpus, run_all_suites
 
 SCHEMA_VERSION = 1
 
@@ -279,6 +279,7 @@ def _scenario_physical(config: RunConfig, outdir: Path) -> dict:
     h2_cap = config.solver.dt_safety * u0.spacing**2  # the controller's dt off blow-up
     out = {
         "status": result.status,
+        "halt": result.halt,
         "T_hat": result.T_hat,
         "x0_hat": result.x0_hat,
         "t_halt": float(result.field.time),
@@ -359,10 +360,8 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
     }
 
 
-def _write_verify_artifacts(outdir: Path) -> None:
+def _write_verify_artifacts(outdir: Path, corpus: AuditCorpus) -> None:
     # trajectories behind criterion 1
-    from .verification import RATE_PAIRS, build_audit_corpus
-
     ode_dir = outdir / "ode_trajectories"
     ode_dir.mkdir(exist_ok=True)
     for p, a in RATE_PAIRS:
@@ -374,8 +373,7 @@ def _write_verify_artifacts(outdir: Path) -> None:
             ["s", "t", "v", "psi_T", "ratio"],
             zip(sr[:, 0], traj.t, traj.v, traj.v / sr[:, 1], sr[:, 1]),
         )
-    # functional ledgers behind criteria 4/6/7 (corpus is cached, so cheap)
-    corpus = build_audit_corpus()
+    # functional ledgers behind criteria 4/6/7
     led_dir = outdir / "corpus_ledgers"
     led_dir.mkdir(exist_ok=True)
     for name, run_ in corpus.runs:
@@ -389,13 +387,16 @@ def _write_verify_artifacts(outdir: Path) -> None:
 
 def _scenario_verify(config: RunConfig, outdir: Path) -> dict:
     histories: dict = {}
-    suites, corpus_time = run_all_suites(out_histories=histories)
+    t0 = time.perf_counter()
+    corpus = build_audit_corpus()
+    corpus_time = time.perf_counter() - t0
+    suites = run_all_suites(corpus, out_histories=histories)
     hist_dir = outdir / "sup_histories"
     hist_dir.mkdir(exist_ok=True)
     for tag, hist in histories.items():
         safe = tag.replace(",", "_").replace("=", "")
         write_csv(hist_dir / f"{safe}.csv", ["t", "sup_u"], hist)
-    _write_verify_artifacts(outdir)
+    _write_verify_artifacts(outdir, corpus)
     out = {
         "suites": [],
         "all_passed": True,

@@ -57,6 +57,7 @@ class PhysicalRunResult:
     T_hat: float | None
     x0_hat: float | None
     status: str  # "blown_up" or "no_blowup"
+    halt: str  # "m_stop", "t_resolution" (t + dt == t) or "t_max"
     dt_last: float = field(default=0.0)
 
 
@@ -104,10 +105,12 @@ def run_to_blowup(
     t_max: float = 10.0,
     safety: float = 0.05,
 ) -> PhysicalRunResult:
-    """Advance the field until max|u| >= M_stop or the time budget runs out.
+    """Advance the field until max|u| >= M_stop, until the next step falls
+    below float resolution in t (t + dt == t, which only the approach to
+    blow-up brings about), or until the time budget runs out.
 
     dt = safety * min(h^2, M/f(M)); the second argument is the reaction
-    timescale that dominates near blow-up.  On success
+    timescale that dominates near blow-up.  On blow-up
     T_hat = t_halt + time_to_blowup(max|u|), the ODE extrapolation of the
     remaining time.
     """
@@ -121,16 +124,20 @@ def run_to_blowup(
     while True:
         M = history[-1][1]
         if M >= M_stop:
-            status = "blown_up"
+            status, halt = "blown_up", "m_stop"
             break
         if field_now.time >= t_max:
-            status = "no_blowup"
+            status, halt = "no_blowup", "t_max"
             break
         if M > 0.0:
             ode_scale = M / abs(eval_f(M, params))
-            dt = safety * min(h2, ode_scale)
+            dt_next = safety * min(h2, ode_scale)
         else:
-            dt = safety * h2
+            dt_next = safety * h2
+        if field_now.time + dt_next == field_now.time:
+            status, halt = "blown_up", "t_resolution"
+            break
+        dt = dt_next
         field_now = step(field_now, params, dt)
         dts.append(dt)
         history.append((field_now.time, float(np.max(np.abs(field_now.values)))))
@@ -155,5 +162,6 @@ def run_to_blowup(
         T_hat=T_hat,
         x0_hat=x0_hat,
         status=status,
+        halt=halt,
         dt_last=dt,
     )

@@ -101,27 +101,6 @@ def to_similarity(
     )
 
 
-def from_similarity(
-    w: SimField, x0: float, T: float, target_nodes: np.ndarray
-) -> GridField:
-    """Inverse frame change: u(x) = psi_T(t) w((x - x0)/sqrt(T - t))."""
-    t = T - np.exp(-w.s)
-    scale = np.sqrt(T - t)
-    y_needed = (np.asarray(target_nodes) - x0) / scale
-    pad = 1e-12 * (w.nodes[-1] - w.nodes[0])
-    if y_needed.min() < w.nodes[0] - pad or y_needed.max() > w.nodes[-1] + pad:
-        raise TruncationError("from_similarity: target x-grid maps outside the y-grid")
-    spline = CubicSpline(w.nodes, w.values)
-    u = psi_T(t, T, w.params) * spline(np.clip(y_needed, w.nodes[0], w.nodes[-1]))
-    return GridField(
-        geometry=w.geometry,
-        dimension=w.params.N,
-        nodes=np.asarray(target_nodes, dtype=float),
-        values=u,
-        time=float(t),
-    )
-
-
 def _upwind_gradient(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
     """d w/d y biased against the outward drift y/2 (second order where two
     upwind neighbours exist, first order next to the origin, 0 at y = 0 and

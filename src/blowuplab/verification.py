@@ -236,21 +236,19 @@ class AuditCorpus:
     runs: list[tuple[str, SimilarityRun]]
     profile_runs: dict[tuple[float, float], SimilarityRun]
     cfg: FunctionalConfig
-
-
-_corpus_cache: AuditCorpus | None = None
+    # (p, a) -> (tuned multiplier, its (lam, class, s_esc, steps) probe records)
+    tuning: dict[tuple[float, float], tuple[float, list]]
 
 
 def build_audit_corpus(cfg: FunctionalConfig | None = None) -> AuditCorpus:
     """Five seeded random data plus the amplitude-tuned near-profile datum,
-    for each (p, a) in the audit set.  Cached: criteria 4, 6 and 7 share it."""
-    global _corpus_cache
-    if _corpus_cache is not None and cfg is None:
-        return _corpus_cache
+    for each (p, a) in the audit set.  Criteria 4, 6 and 7 take the corpus
+    as an argument, so one build serves all three."""
     cfg = cfg or FunctionalConfig()
     nodes = line_grid(GRID_RADIUS, GRID_NODES)
     runs: list[tuple[str, SimilarityRun]] = []
     profile_runs: dict[tuple[float, float], SimilarityRun] = {}
+    tuning: dict[tuple[float, float], tuple[float, list]] = {}
     for p, a in AUDIT_PAIRS:
         params = Params(p, a)
         for seed in CORPUS_SEEDS:
@@ -262,22 +260,22 @@ def build_audit_corpus(cfg: FunctionalConfig | None = None) -> AuditCorpus:
                  run_similarity(w0, S0 + AUDIT_UNITS, 0.01, cfg))
             )
         shape = profile_shape(nodes, S0, params)
-        lam = tune_blowup_amplitude(shape, nodes, S0, S0 + PROFILE_UNITS, params)
+        probes: list = []
+        lam = tune_blowup_amplitude(
+            shape, nodes, S0, S0 + PROFILE_UNITS, params, probes=probes
+        )
+        tuning[(p, a)] = (lam, probes)
         w0 = sim_field(lam * shape, nodes, S0, params)
         run = run_similarity(w0, S0 + PROFILE_UNITS, 0.01, cfg)
         profile_runs[(p, a)] = run
         runs.append((f"profile[p={p:g},a={a:g}]", run))
-    corpus = AuditCorpus(runs=runs, profile_runs=profile_runs, cfg=cfg)
-    if cfg == FunctionalConfig():
-        _corpus_cache = corpus
-    return corpus
+    return AuditCorpus(runs=runs, profile_runs=profile_runs, cfg=cfg, tuning=tuning)
 
 
-def criterion_4_lyapunov(corpus: AuditCorpus | None = None) -> SuiteResult:
+def criterion_4_lyapunov(corpus: AuditCorpus) -> SuiteResult:
     """Decrement inequality and per-step monotonicity of L along the corpus."""
     res = SuiteResult(4, "lyapunov_monotonicity")
     t0 = time.perf_counter()
-    corpus = corpus or build_audit_corpus()
     for name, run in corpus.runs:
         n = AUDIT_UNITS
         report = lyapunov_audit(
@@ -336,11 +334,10 @@ def criterion_5_rate_recovery(out_histories: dict | None = None) -> SuiteResult:
     return res
 
 
-def criterion_6_boundedness(corpus: AuditCorpus | None = None) -> SuiteResult:
+def criterion_6_boundedness(corpus: AuditCorpus) -> SuiteResult:
     """Lower bound on N, |L| control, and weighted-mass control along runs."""
     res = SuiteResult(6, "boundedness")
     t0 = time.perf_counter()
-    corpus = corpus or build_audit_corpus()
     for name, run in corpus.runs:
         n_min = min(sn.N_m for sn in run.snapshots)
         res.add(f"N_lower_bound[{name}]", n_min >= -1.0, n_min, -1.0)
@@ -358,16 +355,28 @@ def criterion_6_boundedness(corpus: AuditCorpus | None = None) -> SuiteResult:
     return res
 
 
-def criterion_7_profile(corpus: AuditCorpus | None = None) -> SuiteResult:
-    """Self-similar profile shape at s = s0 + 10 for the tuned datum."""
+def criterion_7_profile(corpus: AuditCorpus) -> SuiteResult:
+    """Self-similar profile shape at s = s0 + 10 for the tuned datum; the
+    artifacts carry the separatrix tuner's trace for every audit pair."""
     res = SuiteResult(7, "profile_shape")
     t0 = time.perf_counter()
-    corpus = corpus or build_audit_corpus()
     run = corpus.profile_runs[(3.0, 1.0)]
     report = profile_error(run.fields[-1], z_max=1.0)
     res.add("profile_sup_error[p=3,a=1]", report.sup_error <= 0.15,
             report.sup_error, 0.15)
     res.artifacts["profile"] = {"s": report.s, "sup_error": report.sup_error}
+    res.artifacts["tuning"] = {
+        f"p={p:g},a={a:g}": {
+            "lambda": lam,
+            "probes": len(probes),
+            "steps": sum(steps for *_, steps in probes),
+            "probe_list": [
+                {"lambda": x, "class": cls, "s_escape": s_esc, "steps": steps}
+                for x, cls, s_esc, steps in probes
+            ],
+        }
+        for (p, a), (lam, probes) in corpus.tuning.items()
+    }
     res.wall_time = time.perf_counter() - t0
     return res
 
@@ -411,39 +420,29 @@ def criterion_8_frame_equivalence() -> SuiteResult:
     return res
 
 
-ALL_SUITES = (
-    criterion_1_ode_rate,
-    criterion_2_nonlinearity,
-    criterion_3_quadrature,
-    criterion_4_lyapunov,
-    criterion_5_rate_recovery,
-    criterion_6_boundedness,
-    criterion_7_profile,
-    criterion_8_frame_equivalence,
-)
+def run_all_suites(
+    corpus: AuditCorpus, out_histories: dict | None = None
+) -> list[SuiteResult]:
+    """Execute every acceptance suite once; criteria 4, 6 and 7 share the
+    audit corpus, and criterion 5 stores its sup histories in out_histories.
 
-
-def run_all_suites(out_histories: dict | None = None) -> tuple[list[SuiteResult], float]:
-    """Execute every acceptance suite once, sharing the audit corpus.
-
-    Returns the suite results and the corpus build time (the dominant cost;
-    the corpus-backed suites then evaluate in milliseconds)."""
-    t0 = time.perf_counter()
-    corpus = build_audit_corpus()
-    corpus_time = time.perf_counter() - t0
+    A suite that raises a BlowupLabError is reported as one failed check."""
+    suites = (
+        (criterion_1_ode_rate, ()),
+        (criterion_2_nonlinearity, ()),
+        (criterion_3_quadrature, ()),
+        (criterion_4_lyapunov, (corpus,)),
+        (criterion_5_rate_recovery, (out_histories,)),
+        (criterion_6_boundedness, (corpus,)),
+        (criterion_7_profile, (corpus,)),
+        (criterion_8_frame_equivalence, ()),
+    )
     results = []
-    for fn in ALL_SUITES:
+    for criterion, (fn, args) in enumerate(suites, start=1):
         try:
-            if fn in (criterion_4_lyapunov, criterion_6_boundedness, criterion_7_profile):
-                results.append(fn(corpus))
-            elif fn is criterion_5_rate_recovery:
-                results.append(fn(out_histories=out_histories))
-            else:
-                results.append(fn())
+            results.append(fn(*args))
         except BlowupLabError as exc:
-            failed = SuiteResult(
-                criterion=ALL_SUITES.index(fn) + 1, name=fn.__name__
-            )
+            failed = SuiteResult(criterion=criterion, name=fn.__name__)
             failed.add("suite_execution", False, 1.0, 0.0, note=f"error: {exc}")
             results.append(failed)
-    return results, corpus_time
+    return results

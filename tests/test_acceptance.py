@@ -26,6 +26,11 @@ from blowuplab.verification import (
 )
 
 
+# The multipliers the 42-step threshold bisection tuned, before the tuner
+# became a root-finder on the escape time.
+BISECTED_LAMBDA = {(3.0, 1.0): 1.0956005521817134, (3.0, -1.0): 1.4412565836915743}
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return build_audit_corpus()
@@ -101,11 +106,23 @@ def test_criterion_6_boundedness(corpus):
 def test_criterion_7_profile(corpus):
     res = report(criterion_7_profile(corpus))
     assert_attainable(res)
+    for (p, a), (lam, probes) in corpus.tuning.items():
+        trace = res.artifacts["tuning"][f"p={p:g},a={a:g}"]
+        assert trace["lambda"] == lam
+        assert trace["probes"] == len(trace["probe_list"]) == len(probes)
+        assert trace["steps"] == sum(r["steps"] for r in trace["probe_list"])
     # convergence to the kappa_a amplitude band along the tuned runs
     for pa, run in corpus.profile_runs.items():
         kap = kappa_a(Params(*pa))
         sup_late = max(float(np.max(np.abs(f.values))) for f in run.fields[10:])
         assert 0.5 * kap <= sup_late <= 2.0 * kap
+
+
+def test_tuned_lambda_matches_bisection(corpus):
+    for pa, lam_bisect in BISECTED_LAMBDA.items():
+        lam, probes = corpus.tuning[pa]
+        assert abs(lam - lam_bisect) <= 5e-10
+        assert [r[0] for r in probes[:2]] == [0.5, 1.6]  # the bracket comes first
 
 
 def test_criterion_8_frame_equivalence():

@@ -1,9 +1,13 @@
-"""Rate fitting, profile comparison, Lyapunov auditing."""
+"""Rate fitting, profile comparison, Lyapunov auditing, separatrix tuning."""
+
+import math
 
 import numpy as np
 import pytest
 
+from blowuplab import analysis
 from blowuplab.analysis import (
+    _separatrix_root,
     fit_rate,
     lyapunov_audit,
     profile_error,
@@ -11,7 +15,7 @@ from blowuplab.analysis import (
     run_similarity,
 )
 from blowuplab.core_math import Params, kappa_a
-from blowuplab.errors import DomainError, FitError, ResolutionError
+from blowuplab.errors import DomainError, FitError, NumericError, ResolutionError
 from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot, eval_L
 from blowuplab.initial_data import line_grid, profile_shape, sim_field
 from blowuplab.similarity_solver import step_w
@@ -87,6 +91,79 @@ class TestFitRate:
         assert lo - 1e-6 <= 0.5 <= hi + 1e-6
         assert 1e-4 < hi - lo < 0.02
         assert set(band["fits"]) == {"base", "minus", "plus"}
+
+
+def kinked(root, slope_above, slope_below, calls, ds=0.009):
+    """The tuner's escape signal +-exp(-(s_esc - s0)) for a datum off the
+    separatrix by d = x - root, when s_esc - s0 = -log(slope |d|) is rounded
+    up to whole steps ds: linear in d on each side of root, with a different
+    slope on each side."""
+
+    def g(x):
+        calls.append(x)
+        d = x - root
+        if d == 0.0:
+            return 0.0
+        slope = slope_above if d > 0.0 else slope_below
+        s_esc = ds * math.ceil(-math.log(slope * abs(d)) / ds)
+        return math.copysign(math.exp(-s_esc), d)
+
+    return g
+
+
+class TestSeparatrixRoot:
+    # plain bisection of [0.5, 1.6] down to a 1e-10 bracket: 2 + 34 probes
+    BISECTION_PROBES = 2 + int(np.ceil(np.log2(1.1 / 1e-10)))
+
+    @pytest.mark.parametrize("slopes", [(3.37, 0.3), (0.3, 3.37)])
+    @pytest.mark.parametrize("root", [1.0956005522, 0.5 + 1e-9, 1.6 - 1e-9])
+    def test_kinked_signal_converges_before_bisection(self, root, slopes):
+        calls = []
+        x = _separatrix_root(kinked(root, *slopes, calls), 0.5, 1.6)
+        assert abs(x - root) <= 1e-10
+        assert len(calls) < self.BISECTION_PROBES
+        assert all(0.5 <= c <= 1.6 for c in calls)
+
+    def test_steep_signal_stays_within_twice_bisection(self):
+        # secants overshoot on a cube-root signal; forced bisections bound it
+        calls = []
+        root = 1.0956005522
+
+        def g(x):
+            calls.append(x)
+            return float(np.cbrt(x - root))
+
+        x = _separatrix_root(g, 0.5, 1.6)
+        assert abs(x - root) <= 1e-10
+        assert len(calls) <= 2 * self.BISECTION_PROBES
+
+    @pytest.mark.parametrize("root", [0.4, 1.7, 0.5, 1.6])
+    def test_bracket_that_does_not_straddle_raises(self, root):
+        calls = []
+        with pytest.raises(NumericError, match="does not straddle"):
+            _separatrix_root(kinked(root, 3.37, 0.3, calls), 0.5, 1.6)
+        assert len(calls) == 2
+
+    def test_zero_signal_returns_the_probe_at_once(self):
+        # a probe that never escapes (class 0) ends the search at that probe
+        root = 1.0956005522
+        escape = kinked(root, 3.37, 0.3, [])
+        signals = []
+
+        def g(x):
+            signals.append((x, 0.0 if abs(x - root) < 1e-3 else escape(x)))
+            return signals[-1][1]
+
+        x = _separatrix_root(g, 0.5, 1.6)
+        assert signals[-1] == (x, 0.0)
+        assert all(gx != 0.0 for _, gx in signals[:-1])
+
+    def test_probe_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_SEPARATRIX_MAX_PROBES", 5)
+        calls = []
+        with pytest.raises(NumericError, match="after 5 probes"):
+            _separatrix_root(kinked(1.0956005522, 3.37, 0.3, calls), 0.5, 1.6)
+        assert len(calls) == 5
 
 
 class TestProfileError:

@@ -207,7 +207,11 @@ class TestScenarios:
         hist = np.loadtxt(
             tmp_path / "phys" / "sup_history.csv", delimiter=",", skiprows=1
         )
-        assert hist[-1, 1] >= 1e8
+        # the run halts where the next step would leave t unchanged, before
+        # max|u| reaches the default m_stop = 1e8
+        assert report["results"]["halt"] == "t_resolution"
+        assert hist[-1, 1] >= 1e6
+        assert np.all(np.diff(hist[:, 0]) > 0.0)
 
     def test_numeric_failure_reported(self, tmp_path, monkeypatch):
         import blowuplab.cli as cli_mod
@@ -235,16 +239,19 @@ class TestVerifyReport:
     def test_every_suite_reported_once(self, tmp_path, monkeypatch):
         import blowuplab.cli as cli_mod
 
-        def fake_suites(out_histories=None):
+        def fake_suites(corpus, out_histories=None):
             out = []
             for k in range(1, 9):
                 s = SuiteResult(criterion=k, name=f"fake_{k}")
                 s.add("check", True, 0.0, 1.0)
                 out.append(s)
-            return out, 0.0
+            return out
 
+        monkeypatch.setattr(cli_mod, "build_audit_corpus", lambda: None)
         monkeypatch.setattr(cli_mod, "run_all_suites", fake_suites)
-        monkeypatch.setattr(cli_mod, "_write_verify_artifacts", lambda outdir: None)
+        monkeypatch.setattr(
+            cli_mod, "_write_verify_artifacts", lambda outdir, corpus: None
+        )
         cfg = RunConfig(scenario="verify", output_dir=str(tmp_path / "verify"))
         assert run(cfg) == 0
         report = json.loads((tmp_path / "verify" / "report.json").read_text())
@@ -306,7 +313,10 @@ class TestMain:
             (["similarity", "--set", "params.N=2"], "ConfigurationError"),
             (["similarity"], "BlowupOvershootError"),
             (
-                ["physical", "--set", "solver.m_stop=1e200", "--set", "grid.resolution=129"],
+                # from a constant 1e100, f(u) overflows long before t + dt == t
+                ["physical", "--set", "solver.m_stop=1e200",
+                 "--set", "grid.resolution=129", "--set", "initial_data.kind=constant",
+                 "--set", "initial_data.value=1e100"],
                 "BlowupOvershootError",
             ),
             (["similarity", "--set", "solver.ds=0"], "DomainError"),

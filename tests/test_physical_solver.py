@@ -217,6 +217,18 @@ class TestRunToBlowup:
         )
         assert res.T_hat <= time_to_blowup(1.0, P31)
 
+    def test_halts_at_float_resolution_in_t(self):
+        nodes = line_grid(5.0, 129)
+        u0 = physical_constant(nodes, 1.0, P31)
+        res = run_to_blowup(u0, P31, M_stop=1e200)
+        assert (res.status, res.halt) == ("blown_up", "t_resolution")
+        assert np.all(np.diff(res.sup_history[:, 0]) > 0.0)
+        t, M = res.sup_history[-1]
+        assert t + 0.05 * M / eval_f(M, P31) == t
+        res = run_to_blowup(u0, P31, M_stop=1e6)
+        assert (res.status, res.halt) == ("blown_up", "m_stop")
+        assert res.sup_history[-1, 1] >= 1e6
+
     def test_T_hat_beyond_last_sample(self):
         nodes = line_grid(5.0, 129)
         res = run_to_blowup(physical_constant(nodes, 1.0, P31), P31, M_stop=1e8)
@@ -230,7 +242,7 @@ class TestRunToBlowup:
             M_stop=1e6,
             t_max=0.1,
         )
-        assert res.status == "no_blowup"
+        assert (res.status, res.halt) == ("no_blowup", "t_max")
         assert res.T_hat is None
         assert np.all(np.diff(res.sup_history[:, 1]) <= 1e-12)
 
