@@ -89,26 +89,6 @@ def fit_rate(
     )
 
 
-def rate_fit_sensitivity(
-    sup_history: np.ndarray, T_hat: float, dt_last: float, **kwargs
-) -> dict:
-    """Refit with T_hat perturbed by +/- the last step; returns the exponent
-    spread as an uncertainty band."""
-    fits = {"base": fit_rate(sup_history, T_hat, **kwargs)}
-    for tag, T in (("minus", T_hat - dt_last), ("plus", T_hat + dt_last)):
-        try:
-            fits[tag] = fit_rate(sup_history, T, **kwargs)
-        except (FitError, DomainError):
-            continue
-    alphas = [f.alpha_hat for f in fits.values()]
-    betas = [f.beta_hat for f in fits.values()]
-    return {
-        "alpha_band": (min(alphas), max(alphas)),
-        "beta_band": (min(betas), max(betas)),
-        "fits": fits,
-    }
-
-
 def profile_error(field: SimField, z_max: float) -> ProfileReport:
     """Sup over |z| <= z_max of |w(z sqrt(s)) / kappa_a - (1 + (p-1) z^2 / (4p))^(-1/(p-1))|."""
     s = field.s

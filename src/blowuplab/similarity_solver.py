@@ -101,14 +101,21 @@ def to_similarity(
     )
 
 
-def _upwind_gradient(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _upwind_split(nodes: np.ndarray) -> tuple[int, int]:
+    """(neg, pos) with nodes[:neg] < 0 < nodes[pos:]; nodes ascend."""
+    neg = int(np.searchsorted(nodes, 0.0, side="left"))
+    pos = int(np.searchsorted(nodes, 0.0, side="right"))
+    return neg, pos
+
+
+def _upwind_gradient(nodes: np.ndarray, split: tuple[int, int], w: np.ndarray) -> np.ndarray:
     """d w/d y biased against the outward drift y/2 (second order where two
     upwind neighbours exist, first order next to the origin, 0 at y = 0 and
-    where no upwind neighbour exists).  nodes ascend uniformly."""
+    where no upwind neighbour exists).  nodes ascend uniformly and split is
+    their _upwind_split."""
     h = nodes[1] - nodes[0]
     n = w.size
-    neg = int(np.searchsorted(nodes, 0.0, side="left"))  # nodes[:neg] < 0
-    pos = int(np.searchsorted(nodes, 0.0, side="right"))  # nodes[pos:] > 0
+    neg, pos = split
     out = np.zeros_like(w)
     lo = max(pos, 2)  # y > 0: backward differences
     out[lo:] = (3.0 * w[lo:] - 4.0 * w[lo - 1 : -1] + w[lo - 2 : -2]) / (2.0 * h)
@@ -121,8 +128,10 @@ def _upwind_gradient(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _explicit_terms(nodes: np.ndarray, params: Params, s: float, w: np.ndarray) -> np.ndarray:
-    drift = -0.5 * nodes * _upwind_gradient(nodes, w)
+def _explicit_terms(
+    nodes: np.ndarray, split: tuple[int, int], params: Params, s: float, w: np.ndarray
+) -> np.ndarray:
+    drift = -0.5 * nodes * _upwind_gradient(nodes, split, w)
     linear = -(1.0 / (params.p - 1.0)) * (1.0 - params.a / s) * w
     return drift + linear + rescaled_nonlinearity(s, w, params)
 
@@ -144,7 +153,7 @@ def step_w(field_in: SimField, ds: float) -> SimField:
             f"step_w: ds={ds} violates the drift CFL bound {_CFL * h / c_max:.3e}"
         )
     params = field_in.params
-    explicit = partial(_explicit_terms, nodes, params)
+    explicit = partial(_explicit_terms, nodes, _upwind_split(nodes), params)
     w_new = imex_step(
         nodes, field_in.geometry, params.N, field_in.values, field_in.s, ds, explicit
     )

@@ -21,7 +21,6 @@ from .analysis import (
     fit_rate,
     lyapunov_audit,
     profile_error,
-    rate_fit_sensitivity,
     run_similarity,
     tune_blowup_amplitude,
 )
@@ -312,7 +311,6 @@ def criterion_5_rate_recovery(out_histories: dict | None = None) -> SuiteResult:
         u0 = physical_gaussian(nodes, 0.05, 4.0, params, floor=1.0)
         run = run_to_blowup(u0, params, M_stop=1e8)
         fit = fit_rate(run.sup_history, run.T_hat)
-        band = rate_fit_sensitivity(run.sup_history, run.T_hat, run.dt_last)
         a_true, b_true = 1.0 / (p - 1.0), a / (p - 1.0)
         a_err = abs(fit.alpha_hat / a_true - 1.0)
         b_err = abs((fit.beta_hat - b_true) / b_true)
@@ -325,8 +323,6 @@ def criterion_5_rate_recovery(out_histories: dict | None = None) -> SuiteResult:
             "log_kappa_hat": fit.log_kappa_hat,
             "residual": fit.residual,
             "T_hat": run.T_hat,
-            "alpha_band": band["alpha_band"],
-            "beta_band": band["beta_band"],
         }
         if out_histories is not None:
             out_histories[tag] = run.sup_history

@@ -11,7 +11,6 @@ from blowuplab.analysis import (
     fit_rate,
     lyapunov_audit,
     profile_error,
-    rate_fit_sensitivity,
     run_similarity,
 )
 from blowuplab.core_math import Params, kappa_a
@@ -81,16 +80,6 @@ class TestFitRate:
         fit = fit_rate(synthetic_history(0.5, 3.0, 1.0), 0.5)
         s_lo, s_hi = fit.window
         assert -np.log(1e-2) <= s_lo < s_hi <= -np.log(1e-7)
-
-    def test_sensitivity_band(self):
-        # the exponents are sharp in T_hat: a 1e-9 shift moves tau by 1% at
-        # the tau = 1e-7 end of the window, so the band is visibly wide
-        hist = synthetic_history(0.5, 3.0, 1.0)
-        band = rate_fit_sensitivity(hist, 0.5, 1e-9)
-        lo, hi = band["alpha_band"]
-        assert lo - 1e-6 <= 0.5 <= hi + 1e-6
-        assert 1e-4 < hi - lo < 0.02
-        assert set(band["fits"]) == {"base", "minus", "plus"}
 
 
 def kinked(root, slope_above, slope_below, calls, ds=0.009):

@@ -227,6 +227,20 @@ class TestScenarios:
         report = json.loads((tmp_path / "fail" / "report.json").read_text())
         assert "deliberate failure" in report["error"]
 
+    def test_any_exception_reported(self, tmp_path, monkeypatch):
+        import blowuplab.cli as cli_mod
+
+        def boom(config, outdir):
+            raise ValueError("not a lab error")
+
+        monkeypatch.setattr(cli_mod, "_scenario_ode", boom)
+        cfg = parse_config(MINIMAL)
+        cfg.output_dir = str(tmp_path / "fail")
+        assert run(cfg) == 1
+        report = json.loads((tmp_path / "fail" / "report.json").read_text())
+        assert report["error"] == "ValueError: not a lab error"
+        assert report["results"] is None
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BLOWUPLAB_OUTPUT_ROOT", str(tmp_path))
         cfg = parse_config(MINIMAL, overrides=["solver.s_max=12"])
@@ -343,7 +357,9 @@ class TestMain:
         argv = ["physical", "--set", "grid.extent=5", "--set", "grid.resolution=129",
                 "--set", "solver.m_stop=1e6", "--output", str(phys)]
         assert main(argv) == 0
-        res = json.loads((phys / "report.json").read_text())["results"]
+        report = json.loads((phys / "report.json").read_text())
+        res = report["results"]
+        assert 0.0 < res["time_stepping_s"] <= report["wall_time_s"]
         sup = np.loadtxt(phys / "sup_history.csv", delimiter=",", skiprows=1)[:-1, 1]
         # the controller's dt before each step: dt_safety min(h^2, M / f(M))
         h2_cap = 0.05 * (10.0 / 128) ** 2

@@ -7,7 +7,7 @@ Expected values marked as oracle constants were computed with mpmath
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowuplab.core_math import (
@@ -72,6 +72,18 @@ class TestKappa:
             assert kappa_a(params) > 0.0
 
 
+def _two_branch_f(u, params):
+    """f(u) with log(2 + u^2) composed as where(|u| > 1e150, 2 log|u|,
+    log(2 + u^2)), both branches on every entry."""
+    ax = np.abs(u)
+    big = ax > 1e150
+    safe = np.where(big, 1.0, ax)
+    ell = np.where(big, 2.0 * np.log(np.maximum(ax, 1.0)), np.log(2.0 + safe * safe))
+    with np.errstate(over="ignore"):
+        out = ax ** (params.p - 1.0) * u
+        return out * ell**params.a if params.a != 0.0 else out
+
+
 class TestEvalF:
     def test_zero(self):
         assert eval_f(0.0, P31) == 0.0
@@ -102,8 +114,24 @@ class TestEvalF:
         assert v == pytest.approx(1e270 * (2.0 * np.log(1e180)) ** 1.0, rel=1e-12)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            eval_f(np.nan, P31)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                eval_f(bad, P31)
+            with pytest.raises(DomainError):
+                eval_f(np.array([0.5, bad, 2.0]), P31)
+
+    @pytest.mark.parametrize("params", PA_GRID, ids=str)
+    def test_one_pass_log_equals_two_branch_bitwise(self, params):
+        # at max|u| <= 1e150 the log is log(2 + u*u) in one pass; the same
+        # array with entries above 1e150, where u*u overflows from 1.4e154,
+        # takes the two-branch form
+        rng = np.random.default_rng(7)
+        u = rng.choice([-1.0, 1.0], 600) * 10.0 ** rng.uniform(-300.0, 150.0, 600)
+        u = np.concatenate([u, [0.0, -0.0, 1e150, -1e150, 1.0, 1e-320]])
+        for arr in (u, np.append(u, [3.7e151, -1e200])):
+            np.testing.assert_array_equal(eval_f(arr, params), _two_branch_f(arr, params))
+        for x in (0.0, -2.5, 1e150, -1e150, 1e151, -1e200):
+            assert eval_f(x, params) == _two_branch_f(np.float64(x), params)
 
 
 class TestEvalF_antiderivative:
@@ -264,6 +292,17 @@ class TestLogTerm:
         with pytest.raises(DomainError):
             log_term(0.2, 1.0, P31)
 
+    @pytest.mark.parametrize("fn", [log_term, rescaled_nonlinearity, rescaled_F])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_w_rejected(self, fn, bad):
+        for w in (bad, np.array([0.5, bad, -2.0])):
+            for params in (P31, P30):
+                with pytest.raises(DomainError):
+                    fn(5.0, w, params)
+        for s in (0.5, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                fn(s, 1.0, P31)
+
 
 class TestRescaledForms:
     def test_source_zero(self):
@@ -395,18 +434,57 @@ _w = st.builds(lambda e, sign: sign * 10.0**e, st.floats(-3.0, 1.0), st.sampled_
 _mpmath_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
+# (s, w, params) on both sides of the switch from log(2 + u*u), u = phi w, to
+# the expanded form at log(phi max|w|) = 300.  Each comment gives log phi and
+# log(phi|w|); the last two take the expanded form because log phi > 300.
+_SWITCH_EXAMPLES = [
+    (606.0, 1.0, Params(3.0, 1.0)),  # 299.80, 299.80: direct
+    (607.0, 1.0, Params(3.0, 1.0)),  # 300.30, 300.30: expanded
+    (588.5, -10.0, Params(3.0, -1.0)),  # 297.44, 299.74: direct
+    (589.5, -10.0, Params(3.0, -1.0)),  # 297.94, 300.24: expanded
+    (311.0, 1.0, Params(2.0, 2.0)),  # 299.52, 299.52: direct
+    (312.0, -1.0, Params(2.0, 2.0)),  # 300.51, 300.51: expanded
+    (152.0, -1.0, Params(1.5, 0.5)),  # 298.98, 298.98: direct
+    (153.0, 1.0, Params(1.5, 0.5)),  # 300.97, 300.97: expanded
+    (155.5, 1e-3, Params(1.5, 0.5)),  # 305.95, 299.05: expanded
+    (606.0, 1e-3, Params(3.0, -1.0)),  # 306.20, 299.30: expanded
+]
+
+
+def _with_switch_examples(test):
+    for s, w, params in _SWITCH_EXAMPLES:
+        test = example(s=s, w=w, params=params)(test)
+    return test
+
+
 class TestCancellationFormsAgainstMpmath:
     @_mpmath_settings
     @given(s=_s, w=_w, params=_pairs)
+    @_with_switch_examples
     def test_log_term(self, s, w, params):
         ref, _ = _literal_50_digits(s, w, params)
         assert abs(log_term(s, w, params) / ref - 1) <= MPMATH_RTOL
 
     @_mpmath_settings
     @given(s=_s, w=_w, params=_pairs)
+    @_with_switch_examples
     def test_rescaled_nonlinearity(self, s, w, params):
         _, ref = _literal_50_digits(s, w, params)
         assert abs(rescaled_nonlinearity(s, w, params) / ref - 1) <= MPMATH_RTOL
+
+    @pytest.mark.parametrize("s", [606.0, 607.0])
+    def test_array_takes_one_form_for_all_nodes(self, s):
+        # max|w| = 1 sets the form of the whole array for (3, 1): direct at
+        # s = 606 and expanded at s = 607, where nodes down to |w| = 1e-3 and
+        # w = 0 are also on the expanded form
+        w = np.array([0.0, -1e-3, 0.02, -0.5, 1.0])
+        log_arg, source = log_term(s, w, P31), rescaled_nonlinearity(s, w, P31)
+        for k, x in enumerate(w):
+            ref_log, ref_source = _literal_50_digits(s, x, P31)
+            assert abs(log_arg[k] / ref_log - 1) <= MPMATH_RTOL
+            if x != 0.0:
+                assert abs(source[k] / ref_source - 1) <= MPMATH_RTOL
+        assert source[0] == 0.0
 
     @_mpmath_settings
     @given(s=_s, w=_w, params=_pairs)

@@ -181,6 +181,30 @@ class TestImexStep:
         info = imex._operator.cache_info()
         assert (info.misses, info.hits) == (12, 0)
 
+    @pytest.mark.parametrize("stage", ["predictor", "corrector"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "geometry, dimension, nodes",
+        [("line", 1, line_grid(5.0, 129)), ("radial", 3, radial_grid(5.0, 129))],
+        ids=["line", "radial-N3"],
+    )
+    def test_nonfinite_rhs_is_overshoot(self, geometry, dimension, nodes, where, bad, stage):
+        # _solve checks only its solution: one non-finite right-hand-side
+        # entry, anywhere, must still make that stage's solution non-finite
+        i = {"first": 0, "middle": nodes.size // 2, "last": nodes.size - 1}[where]
+        u = 1.0 + 0.5 * np.exp(-(nodes**2))
+        t0 = 0.25
+
+        def explicit(t, v):
+            g = eval_f(v, P31)
+            if (t == t0) == (stage == "predictor"):  # g0 feeds both, g1 only the corrector
+                g[i] = bad
+            return g
+
+        with pytest.raises(BlowupOvershootError, match=rf"non-finite {stage} at t=0\.25$"):
+            imex_step(nodes, geometry, dimension, u, t0, 1e-3, explicit)
+
 
 class TestRunToBlowup:
     def test_constant_data_recovers_ode_time(self):
