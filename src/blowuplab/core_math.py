@@ -10,8 +10,9 @@ phi(s) = e^(s/(p-1)) s^(-a/(p-1)).
 
 phi(s) overflows float64 near s ~ 700 (p-1), so every composition that
 contains it (log_term, rescaled_nonlinearity, rescaled_F) is evaluated in a
-cancellation form that never materialises phi itself.  All functions are pure
-and accept scalars or arrays where that is useful.
+cancellation form that forms phi |w| only while it stays below e^300 and works
+in log space above.  All functions are pure and accept scalars or arrays where
+that is useful.
 """
 
 from __future__ import annotations
