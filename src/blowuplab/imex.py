@@ -9,8 +9,8 @@ the diffusion, a backward-Euler predictor and Heun corrector on g,
     (I - dt/2 Lap) u_new = u + dt/2 Lap u + dt/2 (g(t, u) + g(t + dt, u*)),
 
 second order overall.  Both tridiagonal matrices are LU-factored once per
-(grid, dt) and kept in a small cache: a run steps one grid, and away from
-blow-up every step has the same dt.
+(grid, dt) and kept in a small cache: a run steps one node array, and away
+from blow-up every step has the same dt.
 """
 
 from __future__ import annotations
@@ -71,10 +71,29 @@ def _factor(bands: np.ndarray, alpha: float) -> tuple:
     return tuple(factors)
 
 
+class _Grid:
+    """A node array as a cache key, by identity: hashing it is O(1) whatever
+    the grid size.  The cache entry holds the array, so while the entry
+    lives no other array can take its id, and two distinct arrays never
+    share factors.  Like the frozen fields that carry them, node arrays are
+    not changed in place."""
+
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: np.ndarray) -> None:
+        self.nodes = nodes
+
+    def __hash__(self) -> int:
+        return id(self.nodes)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Grid) and other.nodes is self.nodes
+
+
 @lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-def _operator(nodes_key: bytes, geometry: str, dimension: int, dt: float) -> tuple:
+def _operator(grid: _Grid, geometry: str, dimension: int, dt: float) -> tuple:
     """(bands, predictor factors, corrector factors) for one grid and dt."""
-    bands = laplacian_bands(np.frombuffer(nodes_key), geometry, dimension)
+    bands = laplacian_bands(np.asarray(grid.nodes, dtype=float), geometry, dimension)
     bands.setflags(write=False)
     return bands, _factor(bands, dt), _factor(bands, 0.5 * dt)
 
@@ -108,8 +127,7 @@ def imex_step(
     """Advance u by dt on the grid (nodes, geometry, dimension) with the
     explicit terms g(t, u) = explicit(t, u).  Raises BlowupOvershootError on
     any non-finite value (the step went past the singularity)."""
-    nodes_key = np.asarray(nodes, dtype=float).tobytes()
-    bands, predictor, corrector = _operator(nodes_key, geometry, dimension, dt)
+    bands, predictor, corrector = _operator(_Grid(nodes), geometry, dimension, dt)
     g0 = explicit(t, u)
     with np.errstate(over="ignore"):  # an inf is reported by _solve
         rhs = u + dt * g0

@@ -31,6 +31,11 @@ class GridField:
     time: float
 
     def __post_init__(self) -> None:
+        self._check_grid()
+        if not np.isfinite(self.values).all():
+            raise ConfigurationError("GridField: non-finite values")
+
+    def _check_grid(self) -> None:
         if self.geometry not in ("line", "radial"):
             raise ConfigurationError(f"GridField: unknown geometry {self.geometry!r}")
         if self.geometry == "line" and self.dimension != 1:
@@ -41,8 +46,6 @@ class GridField:
             )
         if self.values.shape != self.nodes.shape:
             raise ConfigurationError("GridField: values/nodes shape mismatch")
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigurationError("GridField: non-finite values")
 
     @property
     def spacing(self) -> float:
@@ -79,13 +82,25 @@ def step(field_in: GridField, params: Params, dt: float) -> GridField:
         dt,
         lambda t, u: eval_f(u, params),
     )
-    return GridField(
+    return _stepped(field_in, u_new, field_in.time + dt)
+
+
+def _stepped(field_in: GridField, values: np.ndarray, t: float) -> GridField:
+    """field_in's grid with new values at a new time, as step returns it.
+
+    imex_step has already checked values for finiteness, so this runs every
+    GridField check except that one; the public constructor runs them all.
+    """
+    out = object.__new__(GridField)
+    out.__dict__.update(
         geometry=field_in.geometry,
         dimension=field_in.dimension,
         nodes=field_in.nodes,
-        values=u_new,
-        time=field_in.time + dt,
+        values=values,
+        time=t,
     )
+    out._check_grid()
+    return out
 
 
 def _reaction_timescale(M: float, params: Params) -> float:

@@ -17,6 +17,7 @@ int rho = (4 pi)^(N/2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,14 @@ def rule_for_grid(nodes: np.ndarray, N: int, geometry: str) -> QuadratureRule:
 
 
 def integrate(rule: QuadratureRule, g) -> float:
-    """Sum w_i g(node_i).  g may be a callable or an array sampled on the nodes."""
+    """Sum w_i g(node_i).  g may be a callable or an array sampled on the nodes.
+
+    A non-finite sample is a NumericError naming its node.  It always makes
+    the sum non-finite (a zero weight included: 0 * inf is NaN, and the
+    weights are never negative), so the samples are searched only when the
+    sum is not finite.  A sum that overflows from finite samples is returned
+    as it is, with numpy's overflow warning.
+    """
     if callable(g):
         values = np.asarray(g(rule.nodes), dtype=float)
     else:
@@ -153,10 +161,13 @@ def integrate(rule: QuadratureRule, g) -> float:
             f"integrate: sample shape {values.shape} does not match rule nodes "
             f"{rule.nodes.shape}"
         )
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NumericError(
-            f"integrate: non-finite sample at node {rule.nodes[i]:.6g} (index {i})"
-        )
-    return float(np.dot(rule.weights, values))
+    with np.errstate(invalid="ignore"):  # 0 * inf, inf - inf: named below
+        total = float(np.dot(rule.weights, values))
+    if not math.isfinite(total):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericError(
+                f"integrate: non-finite sample at node {rule.nodes[i]:.6g} (index {i})"
+            )
+    return total

@@ -44,6 +44,11 @@ class SimField:
     params: Params
 
     def __post_init__(self) -> None:
+        self._check_grid()
+        if not np.isfinite(self.values).all():
+            raise ConfigurationError("SimField: non-finite values")
+
+    def _check_grid(self) -> None:
         if self.geometry not in ("line", "radial"):
             raise ConfigurationError(f"SimField: unknown geometry {self.geometry!r}")
         if self.geometry == "line" and self.params.N != 1:
@@ -52,8 +57,6 @@ class SimField:
             raise DomainError(f"SimField requires s >= 1, got {self.s}")
         if self.values.shape != self.nodes.shape:
             raise ConfigurationError("SimField: values/nodes shape mismatch")
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigurationError("SimField: non-finite values")
 
     @property
     def spacing(self) -> float:
@@ -157,13 +160,25 @@ def step_w(field_in: SimField, ds: float) -> SimField:
     w_new = imex_step(
         nodes, field_in.geometry, params.N, field_in.values, field_in.s, ds, explicit
     )
-    return SimField(
+    return _stepped(field_in, w_new, field_in.s + ds)
+
+
+def _stepped(field_in: SimField, values: np.ndarray, s: float) -> SimField:
+    """field_in's grid with new values at a new s, as step_w returns it.
+
+    imex_step has already checked values for finiteness, so this runs every
+    SimField check except that one; the public constructor runs them all.
+    """
+    out = object.__new__(SimField)
+    out.__dict__.update(
         geometry=field_in.geometry,
-        nodes=nodes,
-        values=w_new,
-        s=field_in.s + ds,
-        params=params,
+        nodes=field_in.nodes,
+        values=values,
+        s=s,
+        params=field_in.params,
     )
+    out._check_grid()
+    return out
 
 
 def ds_dissipation(before: SimField, after: SimField, rule: QuadratureRule) -> float:

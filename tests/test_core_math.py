@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blowuplab import core_math
 from blowuplab.core_math import (
     Params,
     eval_F,
@@ -375,6 +376,34 @@ class TestRescaledForms:
             assert np.array_equal(got, [rescaled_F(600.0, x, params) for x in w])
             assert np.count_nonzero(got) == w.size - 2
 
+    def test_rescaled_F_batch_across_table_edges_equals_scalar_calls_bitwise(self):
+        # at s = 2, log(phi|w|) runs from -inf (w = 0, -0) and below the
+        # table's lower edge -20, through the table, to above its upper edge
+        # 44, where the rule runs
+        w = np.array([0.0, 1e-12, -5e-10, 2e-9, -0.0, 0.3, -1.5, 8.0, 1e15, -1e19, 5e19])
+        for params in (P31, P3m1):
+            lc = log_phi(2.0, params) + np.log(np.abs(w[w != 0.0]))
+            assert np.sum(lc < -20.0) == 2
+            assert np.sum(lc > 44.0) == 2
+            got = rescaled_F(2.0, w, params)
+            assert np.array_equal(got, [rescaled_F(2.0, x, params) for x in w])
+            assert np.count_nonzero(got) == w.size - 2
+
+    def test_table_built_once_per_pair_and_read_only(self):
+        core_math._G_table.cache_clear()
+        w = np.linspace(-3.0, 3.0, 41)
+        for s in (2.0, 5.0, 30.0):
+            for params in (P31, P3m1, P30):  # a = 0 takes the closed form
+                rescaled_F(s, w, params)
+                rescaled_F(s, 0.7, params)
+        info = core_math._G_table.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        for params in (P31, P3m1):
+            table = core_math._G_table(params.p, params.a)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
     def test_power_lower_bound_constant_exists(self):
         # |z|^(p-eps+1) <= rescaled_F(s, z) + C(eps) for one finite C(eps)
         eps = 0.5
@@ -425,8 +454,11 @@ def _rescaled_F_50_digits(s, w, params):
 # log_term, at (p, a) = (1.5, 0.5), and 8.9e-16 for rescaled_nonlinearity,
 # at (2, 2).
 MPMATH_RTOL = 5e-15
-# Worst relative error of rescaled_F's 64-point rule over 6,000 random
-# (s, w, p, a) in this domain: 3.4e-15, at (p, a) = (1.5, 0.5).
+# Worst relative error of rescaled_F over 800 random (s, w, p, a) in this
+# domain: 8.9e-16.  Over 1,500 with s in [1, 40], 1,392 of them on its table
+# of G: 1.1e-15 for the table and 1.1e-15 for its 96-point rule alone on the
+# same points.  The earlier 64-point rule reached 2.9e-15 on the first set
+# and 7.3e-15 on the second, at log(phi|w|) = 9.2, (p, a) = (1.5, 0.5).
 RESCALED_F_RTOL = 1e-14
 
 _pairs = st.sampled_from([Params(3.0, 1.0), Params(3.0, -1.0), Params(2.0, 2.0),
@@ -453,23 +485,43 @@ _SWITCH_EXAMPLES = [
 ]
 
 
-def _with_switch_examples(test):
-    for s, w, params in _SWITCH_EXAMPLES:
-        test = example(s=s, w=w, params=params)(test)
-    return test
+# (s, w, params) at the edges of rescaled_F's table of G on
+# log(phi|w|) in [-20, 44], on both sides of each, and on three panel edges
+# (panels are 1/4 wide).  Each comment gives log(phi|w|) as rescaled_F forms
+# it.
+_TABLE_EXAMPLES = [
+    (2.0, 1.0723359794666568e-09, Params(3.0, 1.0)),  # -20.0: table's lower edge
+    (2.0, -1.0616660581942132e-09, Params(3.0, 1.0)),  # -20.01: below, the value at -20
+    (2.0, 1.0831131352306635e-09, Params(3.0, 1.0)),  # -19.99: first panel
+    (23.0, 3.112711514442092, Params(1.5, 0.5)),  # 44.0: table's upper edge
+    (23.0, -3.08173951738252, Params(1.5, 0.5)),  # 43.99: last panel
+    (23.0, 3.1439947852470422, Params(1.5, 0.5)),  # 44.01: rule above
+    (7.0, -1.6939192476615401, Params(3.0, -1.0)),  # 5.0: panel edge
+    (12.0, 9.205612013765892, Params(2.0, 2.0)),  # 9.25: panel edge
+    (30.0, 0.49628809170113614, Params(5.0, -2.0)),  # 8.5: panel edge
+]
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for s, w, params in cases:
+            test = example(s=s, w=w, params=params)(test)
+        return test
+
+    return decorate
 
 
 class TestCancellationFormsAgainstMpmath:
     @_mpmath_settings
     @given(s=_s, w=_w, params=_pairs)
-    @_with_switch_examples
+    @_with_examples(_SWITCH_EXAMPLES)
     def test_log_term(self, s, w, params):
         ref, _ = _literal_50_digits(s, w, params)
         assert abs(log_term(s, w, params) / ref - 1) <= MPMATH_RTOL
 
     @_mpmath_settings
     @given(s=_s, w=_w, params=_pairs)
-    @_with_switch_examples
+    @_with_examples(_SWITCH_EXAMPLES)
     def test_rescaled_nonlinearity(self, s, w, params):
         _, ref = _literal_50_digits(s, w, params)
         assert abs(rescaled_nonlinearity(s, w, params) / ref - 1) <= MPMATH_RTOL
@@ -491,5 +543,13 @@ class TestCancellationFormsAgainstMpmath:
     @_mpmath_settings
     @given(s=_s, w=_w, params=_pairs)
     def test_rescaled_F(self, s, w, params):
+        ref = _rescaled_F_50_digits(s, w, params)
+        assert abs(rescaled_F(s, w, params) / ref - 1) <= RESCALED_F_RTOL
+
+    @_mpmath_settings
+    @given(s=st.floats(1.0, 40.0), w=_w, params=_pairs)
+    @_with_examples(_TABLE_EXAMPLES)
+    def test_rescaled_F_table(self, s, w, params):
+        # s <= 40 puts log(phi|w|) inside the table for most examples
         ref = _rescaled_F_50_digits(s, w, params)
         assert abs(rescaled_F(s, w, params) / ref - 1) <= RESCALED_F_RTOL

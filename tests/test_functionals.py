@@ -9,7 +9,13 @@ import pytest
 
 from blowuplab.core_math import Params
 from blowuplab.errors import ConfigurationError, ContractViolation
-from blowuplab.functionals import FunctionalConfig, cutoff_psi, eval_L, snapshot
+from blowuplab.functionals import (
+    FunctionalConfig,
+    _gradient,
+    cutoff_psi,
+    eval_L,
+    snapshot,
+)
 from blowuplab.initial_data import line_grid, sim_field
 from blowuplab.quadrature import rule_for_grid
 
@@ -119,6 +125,18 @@ class TestSnapshot:
         for seed, s in ((9, 5.0), (10, 2.0), (11, 40.0)):
             f = random_field(seed, s=s)
             assert eval_L(f, RULE, CFG) == snapshot(f, RULE, CFG).L
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [NODES, line_grid(7.5, 129), np.linspace(0.0, 20.0, 257), np.linspace(0.0, 3.0, 64)],
+        ids=["line-401", "line-129", "radial-257", "radial-64"],
+    )
+    def test_gradient_equals_np_gradient_bitwise(self, nodes):
+        rng = np.random.default_rng(nodes.size)
+        h = float(nodes[1] - nodes[0])
+        for w in (np.exp(-nodes**2 / 5.0) + 1e-3 * rng.standard_normal(nodes.size),
+                  1e6 * rng.standard_normal(nodes.size)):
+            np.testing.assert_array_equal(_gradient(w, h), np.gradient(w, h))
 
     def test_b_exponent(self):
         assert CFG.b(P31) == CFG.m0 * 3.0

@@ -21,6 +21,23 @@ def radial_grid(extent, n):
     return np.linspace(0.0, extent, n)
 
 
+class TestGridField:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_constructor_rejects_nonfinite_values(self, bad):
+        nodes = line_grid(5.0, 129)
+        values = np.ones(nodes.shape)
+        values[64] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            GridField("line", 1, nodes, values, 0.0)
+
+    def test_stepped_field_is_a_frozen_grid_field(self):
+        f = step(physical_constant(line_grid(5.0, 129), 1.0, P31), P31, 1e-3)
+        assert type(f) is GridField
+        assert (f.geometry, f.dimension, f.time) == ("line", 1, 1e-3)
+        with pytest.raises(AttributeError):
+            f.time = 0.0
+
+
 class TestStep:
     def test_zero_fixed_point(self):
         f = physical_constant(line_grid(5.0, 129), 0.0, P31)

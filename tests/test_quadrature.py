@@ -120,6 +120,31 @@ class TestIntegrate:
         with pytest.raises(NumericError, match="node"):
             integrate(rules[1], g)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("index", [0, 128, 255], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_nonfinite_sample_raises_at_its_node(self, rules, N, index, bad):
+        g = np.ones(rules[N].nodes.shape)
+        g[index] = bad
+        with pytest.raises(NumericError, match=rf"\(index {index}\)$"):
+            integrate(rules[N], g)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_nonfinite_sample_on_zero_weight_origin_raises(self, bad):
+        rule = rule_for_grid(np.linspace(0.0, 20.0, 257), 3, "radial")
+        assert rule.weights[0] == 0.0
+        g = np.ones(rule.nodes.shape)
+        g[0] = bad
+        with pytest.raises(NumericError, match=r"node 0 \(index 0\)$"):
+            integrate(rule, g)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_from_finite_samples_is_returned(self, rules, sign):
+        # sum of weights sqrt(4 pi) > 1: every sample finite, the sum is not
+        g = np.full(rules[1].nodes.shape, sign * 1e308)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert integrate(rules[1], g) == sign * np.inf
+
     def test_shape_mismatch(self, rules):
         with pytest.raises(ContractViolation):
             integrate(rules[1], np.ones(7))

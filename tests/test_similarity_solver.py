@@ -7,6 +7,7 @@ import pytest
 from blowuplab.core_math import Params, kappa_a, psi_T
 from blowuplab.errors import (
     BlowupOvershootError,
+    ConfigurationError,
     ContractViolation,
     DomainError,
     TruncationError,
@@ -215,3 +216,20 @@ class TestSimField:
         y = line_grid(20.0, 201)
         with pytest.raises(DomainError):
             sim_field(np.zeros(y.shape), y, 0.5, P31)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_constructor_rejects_nonfinite_values(self, bad):
+        y = line_grid(20.0, 201)
+        values = np.zeros(y.shape)
+        values[100] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            SimField("line", y, values, 2.0, P31)
+
+    def test_stepped_field_is_a_frozen_sim_field(self):
+        y = line_grid(20.0, 201)
+        f = step_w(sim_field(np.full(y.shape, 0.3), y, 2.0, P31), 0.01)
+        assert type(f) is SimField
+        assert (f.geometry, f.s, f.params) == ("line", 2.01, P31)
+        assert f.nodes is y
+        with pytest.raises(AttributeError):
+            f.s = 3.0
