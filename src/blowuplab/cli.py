@@ -44,7 +44,7 @@ from .initial_data import (
     sim_field,
 )
 from .ode_blowup import asymptotic_ratio, integrate_vT
-from .physical_solver import GridField, run_to_blowup
+from .physical_solver import STEP_LIMITS, GridField, run_to_blowup
 from .verification import RATE_PAIRS, AuditCorpus, build_audit_corpus, run_all_suites
 
 SCHEMA_VERSION = 1
@@ -276,7 +276,6 @@ def _scenario_physical(config: RunConfig, outdir: Path) -> dict:
         zip(result.field.nodes, result.field.values),
     )
     dts = result.dts
-    h2_cap = config.solver.dt_safety * u0.spacing**2  # the controller's dt off blow-up
     out = {
         "status": result.status,
         "halt": result.halt,
@@ -286,7 +285,9 @@ def _scenario_physical(config: RunConfig, outdir: Path) -> dict:
         "sup_final": float(np.max(np.abs(result.field.values))),
         "steps": int(dts.size),
         "time_stepping_s": result.time_stepping,
-        "h2_capped_frac": float(np.mean(dts == h2_cap)) if dts.size else None,
+        # what set each accepted dt, and the attempts the controller rejected
+        **{limit: int(np.sum(result.limits == limit)) for limit in STEP_LIMITS},
+        "rejected_steps": result.rejected,
         "dt_min": float(dts.min()) if dts.size else None,
         "dt_max": float(dts.max()) if dts.size else None,
     }

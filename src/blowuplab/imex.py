@@ -8,9 +8,11 @@ the diffusion, a backward-Euler predictor and Heun corrector on g,
     (I - dt Lap) u*      = u + dt g(t, u)
     (I - dt/2 Lap) u_new = u + dt/2 Lap u + dt/2 (g(t, u) + g(t + dt, u*)),
 
-second order overall.  Both tridiagonal matrices are LU-factored once per
-(grid, dt) and kept in a small cache: a run steps one node array, and away
-from blow-up every step has the same dt.
+second order overall.  The step returns u* next to u_new: their gap is the
+local error of the first-order predictor, which the physical frame's step
+controller uses.  Both tridiagonal matrices are LU-factored once per
+(grid, dt) and kept in a small cache: a run steps one node array, and a
+similarity run keeps one ds.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import BlowupOvershootError, NumericError
 
-# Operators kept, one per (grid, dt).  A run steps one grid with one dt until
-# a physical run nears blow-up and sets a new dt on every step; those entries
-# cycle out instead of accumulating.
+# Operators kept, one per (grid, dt).  A similarity run steps one grid with
+# one ds; the physical step controller sets a new dt on nearly every step, and
+# those entries cycle out instead of accumulating.
 _OPERATOR_CACHE_SIZE = 4
 
 
@@ -123,19 +125,23 @@ def imex_step(
     t: float,
     dt: float,
     explicit: Callable[[float, np.ndarray], np.ndarray],
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Advance u by dt on the grid (nodes, geometry, dimension) with the
-    explicit terms g(t, u) = explicit(t, u).  Raises BlowupOvershootError on
-    any non-finite value (the step went past the singularity)."""
+    explicit terms g(t, u) = explicit(t, u).  Returns (u_new, u*): the
+    second-order result and the first-order predictor, whose gap is an
+    embedded estimate of the predictor's local error.  Raises
+    BlowupOvershootError on any non-finite value (the step went past the
+    singularity)."""
     bands, predictor, corrector = _operator(_Grid(nodes), geometry, dimension, dt)
     g0 = explicit(t, u)
-    with np.errstate(over="ignore"):  # an inf is reported by _solve
-        rhs = u + dt * g0
-    u_star = _solve(predictor, rhs, t, "predictor")
-    g1 = explicit(t + dt, u_star)
+    # One error state for both stages: an overflow anywhere leaves an inf in
+    # a right-hand side, and _solve reports it.
     with np.errstate(over="ignore"):
+        rhs = u + dt * g0
+        u_star = _solve(predictor, rhs, t, "predictor")
+        g1 = explicit(t + dt, u_star)
         lap_u = bands[1] * u
         lap_u[:-1] += bands[0][1:] * u[1:]
         lap_u[1:] += bands[2][:-1] * u[:-1]
         rhs = u + 0.5 * dt * lap_u + 0.5 * dt * (g0 + g1)
-    return _solve(corrector, rhs, t, "corrector")
+    return _solve(corrector, rhs, t, "corrector"), u_star

@@ -1,7 +1,10 @@
 """Method-of-lines solver for  du/dt = Lap(u) + f(u)  on a truncated domain,
 stepped by imex.imex_step with the reaction f(u) as the explicit term.
 
-Near blow-up the step controller follows the reaction timescale M/f(M) with
+run_to_blowup chooses each dt by error control: the gap between imex_step's
+first-order predictor and its second-order result estimates the local error,
+and a PI controller accepts or rejects each step and proposes the next dt.
+dt never exceeds a fixed fraction of the reaction timescale M/f(M) with
 M = max|u|, so the singularity is approached geometrically and the remaining
 time is recovered from the ODE quadrature.
 """
@@ -57,23 +60,27 @@ class PhysicalRunResult:
     """Outcome of a run toward blow-up."""
 
     field: GridField
-    sup_history: np.ndarray  # rows (t, max|u|)
-    dts: np.ndarray  # the dt of every step; near blow-up it falls below ulp(t)
+    sup_history: np.ndarray  # rows (t, max|u|), one per accepted step
+    dts: np.ndarray  # the dt of every accepted step
+    limits: np.ndarray  # what set each accepted dt: one of STEP_LIMITS
+    rejected: int  # attempts whose error estimate exceeded the tolerance
     T_hat: float | None
     x0_hat: float | None
     status: str  # "blown_up" or "no_blowup"
     halt: str  # "m_stop", "t_resolution" (t + dt == t) or "t_max"
-    time_stepping: float = 0.0  # wall seconds in step
+    time_stepping: float = 0.0  # wall seconds in step, rejected attempts included
 
 
-def step(field_in: GridField, params: Params, dt: float) -> GridField:
+def step(field_in: GridField, params: Params, dt: float) -> tuple[GridField, float]:
     """One imex_step of size dt with the reaction f(u) as the explicit term.
 
+    Returns the new field and max|u_new - u*|, the gap to the step's
+    first-order predictor: an estimate of the local error, O(dt^2).
     Raises BlowupOvershootError if the step produces non-finite values.
     """
     if not (dt > 0.0):
         raise DomainError(f"step: dt must be positive, got {dt}")
-    u_new = imex_step(
+    u_new, u_star = imex_step(
         field_in.nodes,
         field_in.geometry,
         field_in.dimension,
@@ -82,7 +89,8 @@ def step(field_in: GridField, params: Params, dt: float) -> GridField:
         dt,
         lambda t, u: eval_f(u, params),
     )
-    return _stepped(field_in, u_new, field_in.time + dt)
+    error = float(np.max(np.abs(u_new - u_star)))
+    return _stepped(field_in, u_new, field_in.time + dt), error
 
 
 def _stepped(field_in: GridField, values: np.ndarray, t: float) -> GridField:
@@ -101,6 +109,22 @@ def _stepped(field_in: GridField, values: np.ndarray, t: float) -> GridField:
     )
     out._check_grid()
     return out
+
+
+# What set an accepted step's dt: the reaction-timescale cap, the error
+# controller's proposal, or the bound on growth (or the first attempt).
+STEP_LIMITS = ("reaction_capped", "error_limited", "growth_limited")
+
+# Step-size control on an error estimate of order dt^2 (Hairer, Norsett and
+# Wanner, Solving ODEs I, II.4, with Gustafsson's PI form): _FAC shrinks each
+# proposal below the one that would just meet the tolerance, dt grows at most
+# _GROWTH_MAX-fold and shrinks at most to _SHRINK_MIN of itself per attempt,
+# and an err/tol below _RATIO_FLOOR (a field that barely changes) counts as
+# _RATIO_FLOOR.
+_FAC = 0.9
+_GROWTH_MAX = 2.0
+_SHRINK_MIN = 0.2
+_RATIO_FLOOR = 1e-8
 
 
 def _reaction_timescale(M: float, params: Params) -> float:
@@ -138,42 +162,71 @@ def run_to_blowup(
     t_max: float = 10.0,
     safety: float = 0.05,
 ) -> PhysicalRunResult:
-    """Advance the field until max|u| >= M_stop, until the next step falls
+    """Advance the field until max|u| >= M_stop, until the next dt falls
     below float resolution in t (t + dt == t, which only the approach to
     blow-up brings about), or until the time budget runs out.
 
-    dt = safety * min(h^2, M/f(M)); the second argument is the reaction
-    timescale that dominates near blow-up.  On blow-up
+    Each step is error-controlled.  With M = max|u| at the step's start, an
+    attempt is accepted when step's error estimate is at most
+    tol = safety^2/2 max(M, 1), and rejected and retried with a smaller dt
+    otherwise.  After an accepted step a PI rule proposes the next dt,
+    growing it at most _GROWTH_MAX-fold (not at all right after a
+    rejection), and dt never exceeds safety M/f(M), the reaction timescale
+    that dominates near blow-up.  The first attempt takes
+    safety min(h^2, M/f(M)).  On blow-up
     T_hat = t_halt + time_to_blowup(max|u|), the ODE extrapolation of the
     remaining time.
     """
     if M_stop < 1e6:
         raise ConfigurationError(f"run_to_blowup: M_stop must be >= 1e6, got {M_stop}")
+    if not safety > 0.0:
+        raise ConfigurationError(f"run_to_blowup: safety must be positive, got {safety}")
     field_now = u0
-    h2 = u0.spacing ** 2
-    history = [(u0.time, float(np.max(np.abs(u0.values))))]
-    dts = []
+    M = float(np.max(np.abs(u0.values)))
+    history = [(u0.time, M)]
+    dts, limits = [], []
+    rejected = 0
     t_step = 0.0
+    dt, limit = safety * u0.spacing**2, "growth_limited"
+    ratio_prev = 1.0  # err/tol of the last accepted step
+    grow_max = _GROWTH_MAX
     while True:
-        M = history[-1][1]
         if M >= M_stop:
             status, halt = "blown_up", "m_stop"
             break
         if field_now.time >= t_max:
             status, halt = "no_blowup", "t_max"
             break
-        if M > 0.0:
-            dt = safety * min(h2, _reaction_timescale(M, params))
-        else:
-            dt = safety * h2
+        cap = safety * _reaction_timescale(M, params) if M > 0.0 else math.inf
+        if dt >= cap:
+            dt, limit = cap, "reaction_capped"
         if field_now.time + dt == field_now.time:
             status, halt = "blown_up", "t_resolution"
             break
         t0 = time.perf_counter()
-        field_now = step(field_now, params, dt)
+        trial, err = step(field_now, params, dt)
         t_step += time.perf_counter() - t0
-        dts.append(dt)
-        history.append((field_now.time, float(np.max(np.abs(field_now.values)))))
+        ratio = err / (0.5 * safety**2 * max(M, 1.0))
+        if ratio > 1.0:
+            rejected += 1
+            dt *= max(_SHRINK_MIN, _FAC * ratio**-0.5)
+            limit = "error_limited"
+            grow_max = 1.0  # no growth on the step after a rejection
+        else:
+            field_now = trial
+            M = float(np.max(np.abs(trial.values)))
+            history.append((field_now.time, M))
+            dts.append(dt)
+            limits.append(limit)
+            # PI rule: err ~ dt^2, so the exponents are 0.7/2 and 0.4/2
+            ratio = max(ratio, _RATIO_FLOOR)
+            grow = _FAC * ratio**-0.35 * ratio_prev**0.2
+            if grow >= grow_max:
+                grow, limit = grow_max, "growth_limited"
+            else:
+                limit = "error_limited"
+            dt *= max(grow, _SHRINK_MIN)
+            ratio_prev, grow_max = ratio, _GROWTH_MAX
 
     sup_history = np.asarray(history)
     if status == "blown_up":
@@ -192,6 +245,8 @@ def run_to_blowup(
         field=field_now,
         sup_history=sup_history,
         dts=np.asarray(dts),
+        limits=np.asarray(limits, dtype=str),
+        rejected=rejected,
         T_hat=T_hat,
         x0_hat=x0_hat,
         status=status,

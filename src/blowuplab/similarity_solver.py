@@ -157,7 +157,7 @@ def step_w(field_in: SimField, ds: float) -> SimField:
         )
     params = field_in.params
     explicit = partial(_explicit_terms, nodes, _upwind_split(nodes), params)
-    w_new = imex_step(
+    w_new, _ = imex_step(
         nodes, field_in.geometry, params.N, field_in.values, field_in.s, ds, explicit
     )
     return _stepped(field_in, w_new, field_in.s + ds)

@@ -13,8 +13,10 @@ from blowuplab.cli import (
     run,
     write_csv,
 )
-from blowuplab.core_math import Params, eval_f
+from blowuplab.core_math import Params
 from blowuplab.errors import ParseError
+from blowuplab.initial_data import line_grid, physical_gaussian
+from blowuplab.physical_solver import STEP_LIMITS, run_to_blowup
 from blowuplab.verification import SuiteResult
 
 MINIMAL = """
@@ -333,6 +335,8 @@ class TestMain:
                  "--set", "initial_data.value=1e100"],
                 "BlowupOvershootError",
             ),
+            (["physical", "--set", "solver.dt_safety=0", "--set", "grid.resolution=129"],
+             "ConfigurationError"),
             (["similarity", "--set", "solver.ds=0"], "DomainError"),
             (["similarity", "--set", "solver.ds=-1"], "DomainError"),
             (["similarity", "--set", "solver.ds=nan"], "DomainError"),
@@ -341,6 +345,7 @@ class TestMain:
             "similarity-N=2",
             "similarity-default",
             "physical-m_stop-1e200",
+            "physical-dt_safety=0",
             "ds=0",
             "ds=-1",
             "ds=nan",
@@ -360,16 +365,23 @@ class TestMain:
         report = json.loads((phys / "report.json").read_text())
         res = report["results"]
         assert 0.0 < res["time_stepping_s"] <= report["wall_time_s"]
-        sup = np.loadtxt(phys / "sup_history.csv", delimiter=",", skiprows=1)[:-1, 1]
-        # the controller's dt before each step: dt_safety min(h^2, M / f(M))
-        h2_cap = 0.05 * (10.0 / 128) ** 2
-        dts = np.minimum(h2_cap, 0.05 * sup / eval_f(sup, Params(3.0, 1.0)))
-        assert res["steps"] == dts.size
-        assert res["h2_capped_frac"] == pytest.approx(np.mean(dts == h2_cap), abs=1.5 / dts.size)
-        assert 0.5 < res["h2_capped_frac"] < 1.0  # the reaction caps the last steps
-        assert res["dt_max"] == pytest.approx(h2_cap, rel=1e-12)
-        assert res["dt_min"] == pytest.approx(dts.min(), rel=1e-12)
-        assert res["dt_min"] < 0.1 * h2_cap
+        sup = np.loadtxt(phys / "sup_history.csv", delimiter=",", skiprows=1)
+        # the same run outside the CLI: the default Gaussian datum
+        params = Params(3.0, 1.0)
+        u0 = physical_gaussian(line_grid(5.0, 129), 0.2, 2.0, params, floor=1.0)
+        run = run_to_blowup(u0, params, M_stop=1e6, safety=0.05)
+        assert res["steps"] == run.dts.size == sup.shape[0] - 1
+        counts = {limit: int(np.sum(run.limits == limit)) for limit in STEP_LIMITS}
+        assert {limit: res[limit] for limit in STEP_LIMITS} == counts
+        assert sum(counts.values()) == res["steps"]
+        assert res["rejected_steps"] == run.rejected
+        # the first dt is dt_safety h^2 and the controller grows it; the error
+        # estimate sets almost every later dt
+        assert counts["growth_limited"] >= 1
+        assert counts["error_limited"] > 0.9 * res["steps"]
+        assert (res["dt_min"], res["dt_max"]) == (run.dts.min(), run.dts.max())
+        assert res["dt_max"] > 10.0 * 0.05 * (10.0 / 128) ** 2
+        assert "h2_capped_frac" not in res
 
         argv = ["similarity", "--set", "grid.resolution=201", "--set", "initial_data.floor=0",
                 "--set", "solver.s_end=4", "--output", str(sim)]

@@ -5,13 +5,13 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
-from blowuplab import imex
+from blowuplab import imex, physical_solver
 from blowuplab.core_math import Params, eval_f
 from blowuplab.errors import BlowupOvershootError, ConfigurationError, DomainError
 from blowuplab.imex import imex_step, laplacian_bands
 from blowuplab.initial_data import line_grid, physical_constant, physical_gaussian
 from blowuplab.ode_blowup import time_to_blowup
-from blowuplab.physical_solver import GridField, run_to_blowup, step
+from blowuplab.physical_solver import STEP_LIMITS, GridField, run_to_blowup, step
 
 P30 = Params(3.0, 0.0)
 P31 = Params(3.0, 1.0)
@@ -31,7 +31,7 @@ class TestGridField:
             GridField("line", 1, nodes, values, 0.0)
 
     def test_stepped_field_is_a_frozen_grid_field(self):
-        f = step(physical_constant(line_grid(5.0, 129), 1.0, P31), P31, 1e-3)
+        f, _ = step(physical_constant(line_grid(5.0, 129), 1.0, P31), P31, 1e-3)
         assert type(f) is GridField
         assert (f.geometry, f.dimension, f.time) == ("line", 1, 1e-3)
         with pytest.raises(AttributeError):
@@ -42,7 +42,7 @@ class TestStep:
     def test_zero_fixed_point(self):
         f = physical_constant(line_grid(5.0, 129), 0.0, P31)
         for _ in range(20):
-            f = step(f, P31, 1e-3)
+            f, _ = step(f, P31, 1e-3)
         assert np.all(f.values == 0.0)
 
     def test_constant_matches_ode(self):
@@ -50,7 +50,7 @@ class TestStep:
         f = physical_constant(line_grid(5.0, 129), 1.0, P31)
         dt = 5e-4
         for _ in range(200):
-            f = step(f, P31, dt)
+            f, _ = step(f, P31, dt)
         sol = solve_ivp(
             lambda t, v: eval_f(v, P31),
             (0.0, f.time),
@@ -66,7 +66,7 @@ class TestStep:
         f = GridField("radial", 3, radial_grid(5.0, 129), np.full(129, 0.8), 0.0)
         dt = 5e-4
         for _ in range(100):
-            f = step(f, P31, dt)
+            f, _ = step(f, P31, dt)
         sol = solve_ivp(
             lambda t, v: eval_f(v, P31), (0.0, f.time), [0.8], rtol=1e-12, atol=1e-14
         )
@@ -77,7 +77,7 @@ class TestStep:
         f = physical_gaussian(nodes, 0.01, 1.0, P30, floor=0.0)
         sups = [0.01]
         for _ in range(400):
-            f = step(f, P30, 5e-4)
+            f, _ = step(f, P30, 5e-4)
             sups.append(float(np.max(np.abs(f.values))))
         assert np.all(np.diff(sups) < 0.0)
 
@@ -85,8 +85,19 @@ class TestStep:
         nodes = line_grid(8.0, 257)
         f = physical_gaussian(nodes, 1.0, 2.0, P31, floor=0.5)
         for _ in range(100):
-            f = step(f, P31, 2e-4)
+            f, _ = step(f, P31, 2e-4)
         assert np.max(np.abs(f.values - f.values[::-1])) < 1e-12
+
+    def test_error_estimate_is_second_order_in_dt(self):
+        # max|u_new - u*| is the predictor's local error: O(dt^2)
+        f = physical_gaussian(line_grid(8.0, 257), 1.0, 2.0, P31, floor=0.5)
+        errs = [step(f, P31, dt)[1] for dt in (4e-4, 2e-4, 1e-4)]
+        u_new, u_star = imex_step(
+            f.nodes, "line", 1, f.values, 0.0, 1e-4, lambda t, v: eval_f(v, P31)
+        )
+        assert errs[2] == float(np.max(np.abs(u_new - u_star)))
+        assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.05)
+        assert np.log2(errs[1] / errs[2]) == pytest.approx(2.0, abs=0.05)
 
     def test_rejects_nonpositive_dt(self):
         f = physical_constant(line_grid(5.0, 129), 1.0, P31)
@@ -113,7 +124,7 @@ class TestStep:
             nodes = line_grid(6.0, n)
             f = physical_gaussian(nodes, 2.0, 1.0, P31, floor=0.5)
             for _ in range(int(round(t_end / dt))):
-                f = step(f, P31, dt)
+                f, _ = step(f, P31, dt)
             sups.append(float(np.max(np.abs(f.values))))
         e1 = abs(sups[1] - sups[0])
         e2 = abs(sups[2] - sups[1])
@@ -139,7 +150,8 @@ def _reference_step(nodes, geometry, dimension, u, t, dt, explicit):
     lap_u = bands[1] * u
     lap_u[:-1] += bands[0][1:] * u[1:]
     lap_u[1:] += bands[2][:-1] * u[:-1]
-    return solve(0.5 * dt, u + 0.5 * dt * lap_u + 0.5 * dt * (g0 + explicit(t + dt, u_star)))
+    rhs = u + 0.5 * dt * lap_u + 0.5 * dt * (g0 + explicit(t + dt, u_star))
+    return solve(0.5 * dt, rhs), u_star
 
 
 class TestImexStep:
@@ -151,7 +163,7 @@ class TestImexStep:
         u = np.exp(-((nodes - 1.0) ** 2)) + 0.3 * np.sin(nodes)
         mass = h * (u.sum() - 0.5 * (u[0] + u[-1]))
         for k in range(200):
-            u = imex_step(nodes, "line", 1, u, k * 1e-2, 1e-2, lambda t, v: np.zeros_like(v))
+            u, _ = imex_step(nodes, "line", 1, u, k * 1e-2, 1e-2, lambda t, v: np.zeros_like(v))
         assert abs(h * (u.sum() - 0.5 * (u[0] + u[-1])) - mass) < 1e-12
 
     @pytest.mark.parametrize("dt", [2e-5, 1.0 / 112.0])
@@ -165,9 +177,10 @@ class TestImexStep:
         # on the miss that builds them and on the hits that reuse them
         u = 1.0 + 0.5 * np.exp(-nodes**2) + 0.1 * np.cos(nodes)
         for k in range(4):
-            ref = _reference_step(nodes, geometry, dimension, u, k * dt, dt, _reaction)
-            out = imex_step(nodes, geometry, dimension, u, k * dt, dt, _reaction)
+            ref, ref_star = _reference_step(nodes, geometry, dimension, u, k * dt, dt, _reaction)
+            out, out_star = imex_step(nodes, geometry, dimension, u, k * dt, dt, _reaction)
             np.testing.assert_array_equal(out, ref)
+            np.testing.assert_array_equal(out_star, ref_star)
             u = ref
 
     def test_same_size_grids_do_not_share_factors(self):
@@ -176,24 +189,24 @@ class TestImexStep:
         imex._operator.cache_clear()
         for k in range(3):
             for i, nodes in enumerate(grids):
-                ref = _reference_step(nodes, "line", 1, us[i], k * 1e-3, 1e-3, _reaction)
+                ref, _ = _reference_step(nodes, "line", 1, us[i], k * 1e-3, 1e-3, _reaction)
                 np.testing.assert_array_equal(
-                    imex_step(nodes, "line", 1, us[i], k * 1e-3, 1e-3, _reaction), ref
+                    imex_step(nodes, "line", 1, us[i], k * 1e-3, 1e-3, _reaction)[0], ref
                 )
                 us[i] = ref
         info = imex._operator.cache_info()
         assert (info.misses, info.hits) == (2, 4)
 
     def test_changing_dt_rebuilds_every_step(self):
-        # near blow-up the reaction timescale sets a new dt on every step
+        # the physical step controller sets a new dt on nearly every step
         nodes = line_grid(10.0, 513)
         u = 1.0 + 0.5 * np.exp(-nodes**2)
         imex._operator.cache_clear()
         t = 0.0
         for k in range(12):
             dt = 1e-4 * 0.8**k
-            ref = _reference_step(nodes, "line", 1, u, t, dt, _reaction)
-            np.testing.assert_array_equal(imex_step(nodes, "line", 1, u, t, dt, _reaction), ref)
+            ref, _ = _reference_step(nodes, "line", 1, u, t, dt, _reaction)
+            np.testing.assert_array_equal(imex_step(nodes, "line", 1, u, t, dt, _reaction)[0], ref)
             u, t = ref, t + dt
         info = imex._operator.cache_info()
         assert (info.misses, info.hits) == (12, 0)
@@ -258,14 +271,18 @@ class TestRunToBlowup:
         )
         assert res.T_hat <= time_to_blowup(1.0, P31)
 
-    def test_halts_at_float_resolution_in_t(self):
+    def test_halts_at_float_resolution_in_t(self, monkeypatch):
+        attempts = _record_steps(monkeypatch)
         nodes = line_grid(5.0, 129)
         u0 = physical_constant(nodes, 1.0, P31)
         res = run_to_blowup(u0, P31, M_stop=1e200)
         assert (res.status, res.halt) == ("blown_up", "t_resolution")
+        # the halt tests the dt about to be taken: no attempt leaves t unchanged
+        assert all(f.time + dt > f.time for f, dt, _, _ in attempts)
         assert np.all(np.diff(res.sup_history[:, 0]) > 0.0)
-        t, M = res.sup_history[-1]
-        assert t + 0.05 * M / eval_f(M, P31) == t
+        # dt shrinks by a few percent a step near blow-up, so the last one
+        # taken is within an ulp of t
+        assert res.dts[-1] <= np.spacing(res.sup_history[-1, 0])
         res = run_to_blowup(u0, P31, M_stop=1e6)
         assert (res.status, res.halt) == ("blown_up", "m_stop")
         assert res.sup_history[-1, 1] >= 1e6
@@ -292,12 +309,96 @@ class TestRunToBlowup:
         with pytest.raises(ConfigurationError):
             run_to_blowup(physical_constant(nodes, 1.0, P31), P31, M_stop=1e4)
 
+    @pytest.mark.parametrize("safety", [0.0, -0.05, np.nan])
+    def test_safety_must_be_positive(self, safety):
+        # safety sets the tolerance and every cap: at 0 the run would halt at
+        # once and report blow-up
+        nodes = line_grid(5.0, 129)
+        with pytest.raises(ConfigurationError, match="safety must be positive"):
+            run_to_blowup(physical_constant(nodes, 1.0, P31), P31, safety=safety)
+
     def test_radial_blowup(self):
         nodes = radial_grid(10.0, 257)
         u0 = GridField("radial", 3, nodes, 1.0 + 0.2 * np.exp(-nodes**2), 0.0)
         res = run_to_blowup(u0, P31, M_stop=1e7)
         assert res.status == "blown_up"
         assert res.x0_hat == pytest.approx(0.0, abs=0.1)
+
+
+def _record_steps(monkeypatch):
+    """Route run_to_blowup's steps through a recorder; returns the list of
+    (field_in, dt, field_out, err) of every attempt, rejected ones included."""
+    attempts = []
+
+    def recording_step(field_in, params, dt):
+        out, err = step(field_in, params, dt)
+        attempts.append((field_in, dt, out, err))
+        return out, err
+
+    monkeypatch.setattr(physical_solver, "step", recording_step)
+    return attempts
+
+
+# T_hat of the criterion 5 runs under the former rule dt = 0.05 min(h^2, M/f(M))
+T_HAT_H2_CAPPED = {(3.0, 1.0): 0.2989133999396779, (3.0, -1.0): 0.7762773472871769}
+
+
+class TestStepControl:
+    @pytest.mark.parametrize(
+        "u0, params, kwargs, counted",
+        [
+            # a narrow spike: the first attempts overshoot the tolerance
+            (physical_gaussian(line_grid(10.0, 513), 20.0, 0.2, P31, floor=0.0),
+             P31, {}, "rejected"),
+            # from a small constant the reaction timescale is long, and the
+            # cap sets dt until M nears 1
+            (physical_constant(line_grid(5.0, 129), 0.1, P31), P31,
+             {"M_stop": 1e6, "t_max": 100.0}, "reaction_capped"),
+        ],
+        ids=["spike", "small-constant"],
+    )
+    def test_accepted_steps_meet_tolerance_or_are_reaction_capped(
+        self, monkeypatch, u0, params, kwargs, counted
+    ):
+        attempts = _record_steps(monkeypatch)
+        safety = 0.05
+        res = run_to_blowup(u0, params, safety=safety, **kwargs)
+        assert res.status == "blown_up"
+        # an attempt was accepted when its output is stepped on or returned
+        kept = {id(f) for f, _, _, _ in attempts} | {id(res.field)}
+        accepted = [a for a in attempts if id(a[2]) in kept]
+        assert len(accepted) == res.dts.size == res.limits.size
+        assert len(attempts) - len(accepted) == res.rejected
+        assert np.array_equal([dt for _, dt, _, _ in accepted], res.dts)
+        assert set(res.limits) <= set(STEP_LIMITS)
+        assert {"rejected": res.rejected, "reaction_capped": np.sum(
+            res.limits == "reaction_capped")}[counted] > 0
+        for f, dt, out, err in attempts:
+            M = float(np.max(np.abs(f.values)))
+            tol = 0.5 * safety**2 * max(M, 1.0)
+            cap = safety * M / eval_f(M, params)
+            assert dt <= cap * (1.0 + 1e-12)
+            if id(out) not in kept:
+                assert err > tol
+        for (f, dt, _, err), limit in zip(accepted, res.limits):
+            M = float(np.max(np.abs(f.values)))
+            cap = safety * M / eval_f(M, params)
+            assert err <= 0.5 * safety**2 * max(M, 1.0) or limit == "reaction_capped"
+            if limit == "reaction_capped":
+                assert dt == pytest.approx(cap, rel=1e-12)
+
+    @pytest.mark.parametrize("pair", sorted(T_HAT_H2_CAPPED), ids=["a=-1", "a=1"])
+    def test_halving_safety_moves_T_hat_toward_h2_capped(self, pair):
+        params = Params(*pair)
+        nodes = line_grid(10.0, 513)
+        u0 = physical_gaussian(nodes, 0.05, 4.0, params, floor=1.0)
+        ref = T_HAT_H2_CAPPED[pair]
+        gaps = [
+            abs(run_to_blowup(u0, params, M_stop=1e8, safety=safety).T_hat - ref) / ref
+            for safety in (0.05, 0.025)
+        ]
+        assert gaps[0] <= 1e-3
+        assert gaps[1] < 0.5 * gaps[0]
 
 
 class TestGridField:
