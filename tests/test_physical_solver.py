@@ -345,45 +345,46 @@ T_HAT_H2_CAPPED = {(3.0, 1.0): 0.2989133999396779, (3.0, -1.0): 0.77627734728717
 
 class TestStepControl:
     @pytest.mark.parametrize(
-        "u0, params, kwargs, counted",
+        "u0, kwargs, counted",
         [
             # a narrow spike: the first attempts overshoot the tolerance
             (physical_gaussian(line_grid(10.0, 513), 20.0, 0.2, P31, floor=0.0),
-             P31, {}, "rejected"),
+             {}, "rejected"),
             # from a small constant the reaction timescale is long, and the
             # cap sets dt until M nears 1
-            (physical_constant(line_grid(5.0, 129), 0.1, P31), P31,
+            (physical_constant(line_grid(5.0, 129), 0.1, P31),
              {"M_stop": 1e6, "t_max": 100.0}, "reaction_capped"),
         ],
         ids=["spike", "small-constant"],
     )
     def test_accepted_steps_meet_tolerance_or_are_reaction_capped(
-        self, monkeypatch, u0, params, kwargs, counted
+        self, monkeypatch, u0, kwargs, counted
     ):
         attempts = _record_steps(monkeypatch)
         safety = 0.05
-        res = run_to_blowup(u0, params, safety=safety, **kwargs)
+        res = run_to_blowup(u0, P31, safety=safety, **kwargs)
         assert res.status == "blown_up"
         # an attempt was accepted when its output is stepped on or returned
         kept = {id(f) for f, _, _, _ in attempts} | {id(res.field)}
-        accepted = [a for a in attempts if id(a[2]) in kept]
-        assert len(accepted) == res.dts.size == res.limits.size
+        accepted = [dt for _, dt, out, _ in attempts if id(out) in kept]
+        assert np.array_equal(accepted, res.dts) and res.limits.size == res.dts.size
         assert len(attempts) - len(accepted) == res.rejected
-        assert np.array_equal([dt for _, dt, _, _ in accepted], res.dts)
+        assert np.all(res.dts[1:] <= 2.0 * res.dts[:-1])  # growth is clamped
         assert set(res.limits) <= set(STEP_LIMITS)
-        assert {"rejected": res.rejected, "reaction_capped": np.sum(
-            res.limits == "reaction_capped")}[counted] > 0
+        counts = {"rejected": res.rejected,
+                  "reaction_capped": int(np.sum(res.limits == "reaction_capped"))}
+        assert counts[counted] > 0
+        limits = iter(res.limits)
         for f, dt, out, err in attempts:
             M = float(np.max(np.abs(f.values)))
             tol = 0.5 * safety**2 * max(M, 1.0)
-            cap = safety * M / eval_f(M, params)
+            cap = safety * M / eval_f(M, P31)
             assert dt <= cap * (1.0 + 1e-12)
             if id(out) not in kept:
                 assert err > tol
-        for (f, dt, _, err), limit in zip(accepted, res.limits):
-            M = float(np.max(np.abs(f.values)))
-            cap = safety * M / eval_f(M, params)
-            assert err <= 0.5 * safety**2 * max(M, 1.0) or limit == "reaction_capped"
+                continue
+            limit = next(limits)
+            assert err <= tol or limit == "reaction_capped"
             if limit == "reaction_capped":
                 assert dt == pytest.approx(cap, rel=1e-12)
 
