@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -34,6 +34,12 @@ class RateFit:
     log_kappa_hat: float
     residual: float
     window: tuple[float, float]  # (s_lo, s_hi) actually used
+
+    def report(self) -> dict:
+        """The fit as a report entry, its window under the key window_s."""
+        out = asdict(self)
+        out["window_s"] = out.pop("window")
+        return out
 
 
 @dataclass(frozen=True)
@@ -321,7 +327,7 @@ class SimilarityRun:
     snapshots: list[FunctionalSnapshot]
     dissipation: np.ndarray  # per unit interval
     step_s: np.ndarray
-    step_L: np.ndarray  # empty unless record_L
+    step_L: np.ndarray
     step_mass: np.ndarray
     rule: QuadratureRule
     cfg: FunctionalConfig
@@ -336,7 +342,6 @@ def run_similarity(
     s_end: float,
     ds: float,
     cfg: FunctionalConfig,
-    record_L: bool = True,
 ) -> SimilarityRun:
     """Evolve w from w0.s to s_end, collecting the functional ledger.
 
@@ -355,7 +360,7 @@ def run_similarity(
     snaps = [snapshot(w0, rule, cfg)]
     diss = np.zeros(n_units)
     step_s: list[float] = [w0.s]
-    step_L: list[float] = [snaps[0].L] if record_L else []
+    step_L: list[float] = [snaps[0].L]
     step_mass: list[float] = [integrate(rule, w0.values**2)]
 
     current = w0
@@ -369,13 +374,12 @@ def run_similarity(
             current = nxt
             step_s.append(current.s)
             step_mass.append(integrate(rule, current.values**2))
-            if record_L and j < per_unit - 1:  # the boundary L comes from its snapshot
+            if j < per_unit - 1:  # the boundary L comes from its snapshot
                 step_L.append(eval_L(current, rule, cfg))
         diss[k] = acc
         fields.append(current)
         snaps.append(snapshot(current, rule, cfg))
-        if record_L:
-            step_L.append(snaps[-1].L)
+        step_L.append(snaps[-1].L)
     return SimilarityRun(
         fields=fields,
         snapshots=snaps,

@@ -4,7 +4,7 @@ Configuration documents are flat INI sections; every key is validated against
 the schema derived from RunConfig (each section is a dataclass field, and the
 dataclasses hold every default) and unknown keys are rejected by name.  All
 numeric output uses 17 significant digits so doubles round-trip losslessly,
-and a run is a pure function of (config, seed): identical inputs produce
+and a run is a pure function of its config: identical configs produce
 byte-identical ledgers.
 
 Subcommands: ``ode``, ``physical``, ``similarity``, ``verify``,
@@ -32,20 +32,14 @@ from scipy.interpolate import CubicSpline
 
 from . import __version__
 from .analysis import fit_rate, lyapunov_audit, run_similarity
-from .core_math import Params, kappa_a
+from .core_math import Params, kappa_a, psi_T
 from .errors import BlowupLabError, ParseError
 from .functionals import FunctionalConfig, FunctionalSnapshot
-from .initial_data import (
-    line_grid,
-    physical_constant,
-    physical_from_profile,
-    physical_gaussian,
-    profile_shape,
-    sim_field,
-)
-from .ode_blowup import asymptotic_ratio, integrate_vT
+from .initial_data import line_grid, profile_shape
+from .ode_blowup import integrate_vT, trajectory_table
 from .physical_solver import STEP_LIMITS, GridField, run_to_blowup
-from .verification import RATE_PAIRS, AuditCorpus, build_audit_corpus, run_all_suites
+from .similarity_solver import SimField
+from .verification import build_audit_corpus, run_all_suites
 
 SCHEMA_VERSION = 1
 
@@ -85,7 +79,6 @@ class SolverSpec:
 class RunConfig:
     params: Params = field(default_factory=lambda: Params(3.0, 1.0, 1))
     scenario: str = "similarity"
-    seed: int = 0
     initial_data: InitialData = field(default_factory=InitialData)
     grid: GridSpec = field(default_factory=GridSpec)
     solver: SolverSpec = field(default_factory=SolverSpec)
@@ -193,7 +186,8 @@ def _resolve_outdir(config: RunConfig) -> Path:
     return out
 
 
-def _initial_sim_values(config: RunConfig, nodes: np.ndarray, s0: float) -> np.ndarray:
+def _initial_values(config: RunConfig, nodes: np.ndarray, s0: float) -> np.ndarray:
+    """The configured datum on the nodes; s0 is the frame time of a profile."""
     init = config.initial_data
     if init.kind == "constant":
         return np.full(nodes.shape, init.value)
@@ -218,23 +212,21 @@ def _initial_sim_values(config: RunConfig, nodes: np.ndarray, s0: float) -> np.n
 
 
 def _initial_physical(config: RunConfig, nodes: np.ndarray) -> GridField:
-    init = config.initial_data
-    params = config.params
-    if init.kind == "constant":
-        return physical_constant(nodes, init.value, params)
-    if init.kind == "gaussian":
-        return physical_gaussian(
-            nodes, init.amplitude, init.width, params, floor=init.floor
-        )
-    if init.kind == "profile":
-        if config.solver.T > np.exp(-1.0):
+    """The datum at t = 0.  A profile is the similarity-frame datum at
+    s0 = -log T, mapped to x = sqrt(T) y and scaled by psi_T(0)."""
+    if config.initial_data.kind == "profile":
+        T = config.solver.T
+        if T > np.exp(-1.0):
             raise ParseError(
                 "initial_data.kind=profile (physical scenario) needs "
                 "solver.T <= exp(-1) so the frame starts at s0 = -log T >= 1"
             )
-        return physical_from_profile(nodes, 0.0, config.solver.T, params)
-    values = _initial_sim_values(config, nodes, 2.0)  # file branch only
-    return GridField("line", params.N, nodes, values, 0.0)
+        values = psi_T(0.0, T, config.params) * _initial_values(
+            config, nodes / np.sqrt(T), -np.log(T)
+        )
+    else:
+        values = _initial_values(config, nodes, 0.0)
+    return GridField("line", config.params.N, nodes, values, 0.0)
 
 
 def _scenario_ode(config: RunConfig, outdir: Path) -> dict:
@@ -242,20 +234,15 @@ def _scenario_ode(config: RunConfig, outdir: Path) -> dict:
     traj = integrate_vT(
         params, config.solver.T, config.solver.s_max, config.solver.rel_tol
     )
-    sr = asymptotic_ratio(traj, params)
-    psi = traj.v / sr[:, 1]
-    write_csv(
-        outdir / "trajectory.csv",
-        ["s", "t", "v", "psi_T", "ratio"],
-        zip(sr[:, 0], traj.t, traj.v, psi, sr[:, 1]),
-    )
+    header, table = trajectory_table(traj, params)
+    write_csv(outdir / "trajectory.csv", header, table)
     kap = kappa_a(params)
-    dev = abs(sr[-1, 1] / kap - 1.0)
+    ratio = table[-1, 4]
     return {
         "kappa_a": kap,
-        "final_ratio": float(sr[-1, 1]),
-        "final_deviation": float(dev),
-        "samples": int(sr.shape[0]),
+        "final_ratio": float(ratio),
+        "final_deviation": float(abs(ratio / kap - 1.0)),
+        "samples": int(table.shape[0]),
     }
 
 
@@ -293,14 +280,7 @@ def _scenario_physical(config: RunConfig, outdir: Path) -> dict:
     }
     if result.status == "blown_up":
         try:
-            fit = fit_rate(result.sup_history, result.T_hat)
-            out["rate_fit"] = {
-                "alpha_hat": fit.alpha_hat,
-                "beta_hat": fit.beta_hat,
-                "log_kappa_hat": fit.log_kappa_hat,
-                "residual": fit.residual,
-                "window_s": fit.window,
-            }
+            out["rate_fit"] = fit_rate(result.sup_history, result.T_hat).report()
         except BlowupLabError as exc:
             out["rate_fit"] = {"error": str(exc)}
     return out
@@ -310,7 +290,13 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
     params = config.params
     s0 = max(-np.log(config.solver.T), 2.0)
     nodes = line_grid(config.grid.extent, config.grid.resolution)
-    w0 = sim_field(_initial_sim_values(config, nodes, s0), nodes, s0, params)
+    w0 = SimField(
+        geometry="line",
+        nodes=nodes,
+        values=_initial_values(config, nodes, s0),
+        s=s0,
+        params=params,
+    )
     n_units = max(1, int(round(config.solver.s_end - s0)))
     run = run_similarity(w0, s0 + n_units, config.solver.ds, config.functionals)
     write_csv(
@@ -359,43 +345,16 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
     }
 
 
-def _write_verify_artifacts(outdir: Path, corpus: AuditCorpus) -> None:
-    # trajectories behind criterion 1
-    ode_dir = outdir / "ode_trajectories"
-    ode_dir.mkdir(exist_ok=True)
-    for p, a in RATE_PAIRS:
-        params = Params(p, a)
-        traj = integrate_vT(params, T=1.0, s_max=31.0)
-        sr = asymptotic_ratio(traj, params)
-        write_csv(
-            ode_dir / f"p{p:g}_a{a:g}.csv",
-            ["s", "t", "v", "psi_T", "ratio"],
-            zip(sr[:, 0], traj.t, traj.v, traj.v / sr[:, 1], sr[:, 1]),
-        )
-    # functional ledgers behind criteria 4/6/7
-    led_dir = outdir / "corpus_ledgers"
-    led_dir.mkdir(exist_ok=True)
-    for name, run_ in corpus.runs:
-        safe = name.replace("[", "_").replace("]", "").replace(",", "_").replace("=", "")
-        write_csv(
-            led_dir / f"{safe}.csv",
-            list(FunctionalSnapshot.FIELDS),
-            (sn.row() for sn in run_.snapshots),
-        )
-
-
 def _scenario_verify(config: RunConfig, outdir: Path) -> dict:
-    histories: dict = {}
     t0 = time.perf_counter()
     corpus = build_audit_corpus()
     corpus_time = time.perf_counter() - t0
-    suites = run_all_suites(corpus, out_histories=histories)
-    hist_dir = outdir / "sup_histories"
-    hist_dir.mkdir(exist_ok=True)
-    for tag, hist in histories.items():
-        safe = tag.replace(",", "_").replace("=", "")
-        write_csv(hist_dir / f"{safe}.csv", ["t", "sup_u"], hist)
-    _write_verify_artifacts(outdir, corpus)
+    suites = run_all_suites(corpus)
+    for suite in suites:
+        for rel, (header, rows) in suite.ledgers.items():
+            path = outdir / rel
+            path.parent.mkdir(exist_ok=True)
+            write_csv(path, header, rows)
     out = {
         "suites": [],
         "all_passed": True,
@@ -409,17 +368,7 @@ def _scenario_verify(config: RunConfig, outdir: Path) -> dict:
             "passed": suite.passed,
             "passed_attainable": suite.passed_attainable,
             "wall_time_s": suite.wall_time,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "measured": c.measured,
-                    "bound": c.bound,
-                    "known_defect": c.known_defect,
-                    "note": c.note,
-                }
-                for c in suite.checks
-            ],
+            "checks": [asdict(c) for c in suite.checks],
             "artifacts": suite.artifacts,
         }
         out["suites"].append(entry)
@@ -482,14 +431,7 @@ def _cmd_rate_fit(args) -> int:
             raise ParseError(
                 f"rate-fit csv {args.csv!r}: need t,sup_u rows after a header"
             )
-        fit = fit_rate(data, args.t_hat)
-        out = {
-            "alpha_hat": fit.alpha_hat,
-            "beta_hat": fit.beta_hat,
-            "log_kappa_hat": fit.log_kappa_hat,
-            "residual": fit.residual,
-            "window_s": fit.window,
-        }
+        out = fit_rate(data, args.t_hat).report()
     except BlowupLabError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

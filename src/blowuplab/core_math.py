@@ -79,11 +79,6 @@ def kappa_a(params: Params) -> float:
     return float((2.0 ** (-a) / (p - 1.0) ** (1.0 - a)) ** (1.0 / (p - 1.0)))
 
 
-def _check_finite(x: np.ndarray, name: str) -> None:
-    if not np.isfinite(x).all():
-        raise DomainError(f"{name}: non-finite input")
-
-
 def _abs_max(x: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     """|x| and max|x|.  NaN and inf propagate through the max, so it is also
     the finiteness check."""
@@ -167,12 +162,12 @@ def eval_F(u: float, params: Params) -> float:
 def eval_F1(x, params: Params):
     """F1(x) = -(2a/(p+1)^2) |x|^(p+1) log^(a-1)(2 + x^2); identically 0 at a = 0."""
     arr = np.asarray(x, dtype=float)
-    _check_finite(arr, "eval_F1")
+    ax, _ = _abs_max(arr, "eval_F1")
     p, a = params.p, params.a
     if a == 0.0:
         out = np.zeros_like(arr)
         return float(out) if arr.ndim == 0 else out
-    out = -(2.0 * a / (p + 1.0) ** 2) * np.abs(arr) ** (p + 1.0) * _log_2_plus_sq(
+    out = -(2.0 * a / (p + 1.0) ** 2) * ax ** (p + 1.0) * _log_2_plus_sq(
         arr
     ) ** (a - 1.0)
     return float(out) if arr.ndim == 0 else out
@@ -403,9 +398,9 @@ def rescaled_F(s: float, w, params: Params):
     """
     _check_s(s, "rescaled_F")
     arr = np.asarray(w, dtype=float)
-    _check_finite(arr, "rescaled_F")
+    aw, _ = _abs_max(arr, "rescaled_F")
     p, a = params.p, params.a
-    aw = np.abs(arr).ravel()  # 1-d: a scalar runs the same ufunc loops as an array
+    aw = aw.ravel()  # 1-d: a scalar runs the same ufunc loops as an array
     # |w|^(p+1) may overflow to inf, and w = 0 gives lc = log 0 = -inf
     with np.errstate(over="ignore", divide="ignore"):
         amp = aw ** (p + 1.0)

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core_math import Params, kappa_a, psi_T
+from .core_math import Params, kappa_a
 from .physical_solver import GridField
-from .similarity_solver import SimField
 
 
 def profile_shape(y: np.ndarray, s: float, params: Params) -> np.ndarray:
@@ -33,11 +32,6 @@ def random_smooth_shape(
     if peak > 0.0:
         bump *= amplitude / peak
     return kappa_a(params) * (1.0 + bump)
-
-
-def sim_field(values: np.ndarray, nodes: np.ndarray, s: float, params: Params,
-              geometry: str = "line") -> SimField:
-    return SimField(geometry=geometry, nodes=nodes, values=values, s=s, params=params)
 
 
 def line_grid(extent: float, resolution: int) -> np.ndarray:
@@ -73,16 +67,4 @@ def physical_gaussian(
         nodes=nodes,
         values=values,
         time=0.0,
-    )
-
-
-def physical_from_profile(
-    nodes: np.ndarray, x0: float, T: float, params: Params, geometry: str = "line"
-) -> GridField:
-    """Physical-frame snapshot at t = 0 of the near-profile similarity datum."""
-    s0 = -np.log(T)
-    y = (nodes - x0) / np.sqrt(T)
-    values = psi_T(0.0, T, params) * profile_shape(y, s0, params)
-    return GridField(
-        geometry=geometry, dimension=params.N, nodes=nodes, values=values, time=0.0
     )

@@ -36,10 +36,6 @@ class OdeTrajectory:
     s: np.ndarray
 
     @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.t.tolist(), self.v.tolist()))
-
-    @property
     def time_gap(self) -> np.ndarray:
         """T - t of each sample, computed from s without cancellation."""
         return np.exp(-self.s)
@@ -140,3 +136,15 @@ def asymptotic_ratio(trajectory: OdeTrajectory, params: Params) -> np.ndarray:
     (s, ratio) rows.  psi_T(t(s)) = phi(s), evaluated from the stored s."""
     s = trajectory.s
     return np.column_stack([s, trajectory.v / np.exp(log_phi(s, params))])
+
+
+def trajectory_table(
+    trajectory: OdeTrajectory, params: Params
+) -> tuple[list[str], np.ndarray]:
+    """The trajectory ledger: header and one (s, t, v, psi_T, ratio) row per
+    sample, with psi_T = v / ratio."""
+    s, ratio = asymptotic_ratio(trajectory, params).T
+    v = trajectory.v
+    return ["s", "t", "v", "psi_T", "ratio"], np.column_stack(
+        [s, trajectory.t, v, v / ratio, ratio]
+    )

@@ -2,7 +2,8 @@
 batch (CLI ``verify`` scenario) or individually from the test suite.
 
 Each suite returns a SuiteResult whose checks carry their measured values, so
-the JSON report records not just pass/fail but the numbers behind them.
+the JSON report records not just pass/fail but the numbers behind them.  Its
+ledgers hold the data the checks were measured on; ``verify`` writes them.
 Checks whose stated tolerance is mathematically unreachable (the measured
 convergence rate cannot meet it at the stated point) are flagged
 ``known_defect`` and do not gate the exit code, but their literal outcome is
@@ -38,18 +39,17 @@ from .core_math import (
     rescaled_nonlinearity,
 )
 from .errors import BlowupLabError
-from .functionals import FunctionalConfig
+from .functionals import FunctionalConfig, FunctionalSnapshot
 from .initial_data import (
     line_grid,
     physical_gaussian,
     profile_shape,
     random_smooth_shape,
-    sim_field,
 )
-from .ode_blowup import asymptotic_ratio, integrate_vT, time_to_blowup
+from .ode_blowup import integrate_vT, time_to_blowup, trajectory_table
 from .physical_solver import GridField, run_to_blowup, step
-from .quadrature import build_rule, gaussian_mass, integrate
-from .similarity_solver import cfl_step, step_w, to_similarity
+from .quadrature import build_rule, gaussian_mass, integrate, rule_for_grid
+from .similarity_solver import SimField, cfl_step, step_w, to_similarity
 
 
 @dataclass
@@ -69,6 +69,7 @@ class SuiteResult:
     checks: list[CheckResult] = dc_field(default_factory=list)
     wall_time: float = 0.0
     artifacts: dict = dc_field(default_factory=dict)
+    ledgers: dict = dc_field(default_factory=dict)  # CSV path -> (header, rows)
 
     @property
     def passed(self) -> bool:
@@ -97,6 +98,12 @@ GRID_RADIUS = 20.0
 GRID_NODES = 401
 
 
+def _file_stem(name: str) -> str:
+    """A run or pair name as a file name: "random[p=3,a=1,seed=0]" becomes
+    "random_p3_a1_seed0" and "p=3,a=1" becomes "p3_a1"."""
+    return name.replace("[", "_").replace("]", "").replace(",", "_").replace("=", "")
+
+
 def criterion_1_ode_rate() -> SuiteResult:
     """ODE amplitude and rate: ratio v/psi_T against kappa_a."""
     res = SuiteResult(1, "ode_rate")
@@ -104,11 +111,12 @@ def criterion_1_ode_rate() -> SuiteResult:
     for p, a in RATE_PAIRS:
         params = Params(p, a)
         traj = integrate_vT(params, T=1.0, s_max=31.0)
-        sr = asymptotic_ratio(traj, params)
-        s, ratio = sr[:, 0], sr[:, 1]
+        header, table = trajectory_table(traj, params)
+        s, ratio = table[:, 0], table[:, 4]
         dev = np.abs(ratio / kappa_a(params) - 1.0)
         d30 = float(np.interp(30.0, s, dev))
         tag = f"p={p:g},a={a:g}"
+        res.ledgers[f"ode_trajectories/{_file_stem(tag)}.csv"] = (header, table)
         # (2,2) converges like a^2 log(s)/s and cannot reach 15% before
         # s ~ 155; reported as stated, flagged as a documented defect.
         res.add(
@@ -210,12 +218,20 @@ def criterion_2_nonlinearity() -> SuiteResult:
 
 
 def criterion_3_quadrature() -> SuiteResult:
-    """Gaussian mass and moments for N in {1, 2, 3}."""
+    """Gaussian mass and moments for N in {1, 2, 3}, and of the grid rule
+    every ledger integrates with, on the audit corpus grid and a radial N=3
+    grid."""
     res = SuiteResult(3, "quadrature_exactness")
     t0 = time.perf_counter()
-    for N in (1, 2, 3):
-        mode = "line" if N == 1 else "radial"
-        rule = build_rule(N, mode, 256, 20.0)
+    rules = [
+        (f"N={N}", build_rule(N, "line" if N == 1 else "radial", 256, 20.0))
+        for N in (1, 2, 3)
+    ] + [
+        ("grid,N=1", rule_for_grid(line_grid(GRID_RADIUS, GRID_NODES), 1, "line")),
+        ("grid,N=3", rule_for_grid(np.linspace(0.0, GRID_RADIUS, 201), 3, "radial")),
+    ]
+    for tag, rule in rules:
+        N = rule.dimension
         mass = gaussian_mass(N)
         checks = (
             ("mass", float(np.sum(rule.weights)), mass),
@@ -224,7 +240,7 @@ def criterion_3_quadrature() -> SuiteResult:
         )
         for name, got, want in checks:
             rel = abs(got / want - 1.0)
-            res.add(f"{name}[N={N}]", rel <= 1e-8, rel, 1e-8)
+            res.add(f"{name}[{tag}]", rel <= 1e-8, rel, 1e-8)
     res.wall_time = time.perf_counter() - t0
     return res
 
@@ -252,8 +268,12 @@ def build_audit_corpus(cfg: FunctionalConfig | None = None) -> AuditCorpus:
     for p, a in AUDIT_PAIRS:
         params = Params(p, a)
         for seed in CORPUS_SEEDS:
-            w0 = sim_field(
-                0.7 * random_smooth_shape(nodes, params, seed), nodes, S0, params
+            w0 = SimField(
+                geometry="line",
+                nodes=nodes,
+                values=0.7 * random_smooth_shape(nodes, params, seed),
+                s=S0,
+                params=params,
             )
             runs.append(
                 (f"random[p={p:g},a={a:g},seed={seed}]",
@@ -265,7 +285,9 @@ def build_audit_corpus(cfg: FunctionalConfig | None = None) -> AuditCorpus:
             shape, nodes, S0, S0 + PROFILE_UNITS, params, probes=probes
         )
         tuning[(p, a)] = (lam, probes)
-        w0 = sim_field(lam * shape, nodes, S0, params)
+        w0 = SimField(
+            geometry="line", nodes=nodes, values=lam * shape, s=S0, params=params
+        )
         run = run_similarity(w0, S0 + PROFILE_UNITS, 0.01, cfg)
         profile_runs[(p, a)] = run
         runs.append((f"profile[p={p:g},a={a:g}]", run))
@@ -273,10 +295,15 @@ def build_audit_corpus(cfg: FunctionalConfig | None = None) -> AuditCorpus:
 
 
 def criterion_4_lyapunov(corpus: AuditCorpus) -> SuiteResult:
-    """Decrement inequality and per-step monotonicity of L along the corpus."""
+    """Decrement inequality and per-step monotonicity of L along the corpus;
+    the ledgers are the functionals of every audited run."""
     res = SuiteResult(4, "lyapunov_monotonicity")
     t0 = time.perf_counter()
     for name, run in corpus.runs:
+        res.ledgers[f"corpus_ledgers/{_file_stem(name)}.csv"] = (
+            list(FunctionalSnapshot.FIELDS),
+            [sn.row() for sn in run.snapshots],
+        )
         n = AUDIT_UNITS
         report = lyapunov_audit(
             run.snapshots[: n + 1],
@@ -306,9 +333,9 @@ def _ode_control_fit(M: np.ndarray, params: Params) -> RateFit:
     return fit_rate(np.column_stack([-tau, M]), 0.0)
 
 
-def criterion_5_rate_recovery(out_histories: dict | None = None) -> SuiteResult:
+def criterion_5_rate_recovery() -> SuiteResult:
     """Type-I rate: synthetic exact-model recovery plus end-to-end runs,
-    each against its ODE control."""
+    each against its ODE control; the ledgers are the runs' sup histories."""
     res = SuiteResult(5, "rate_recovery")
     t0 = time.perf_counter()
 
@@ -338,19 +365,17 @@ def criterion_5_rate_recovery(out_histories: dict | None = None) -> SuiteResult:
         res.add(f"alpha_ode_gap[{tag}]", a_gap <= 5e-4, a_gap, 5e-4)
         res.add(f"beta_ode_gap[{tag}]", b_gap <= 0.04, b_gap, 0.04)
         res.artifacts[tag] = {
-            "alpha_hat": fit.alpha_hat,
-            "beta_hat": fit.beta_hat,
-            "log_kappa_hat": fit.log_kappa_hat,
-            "residual": fit.residual,
-            "window_s": fit.window,
+            **fit.report(),
             "T_hat": run.T_hat,
             "steps": int(run.dts.size),
             "ode_alpha_hat": ode.alpha_hat,
             "ode_beta_hat": ode.beta_hat,
             "ode_window_s": ode.window,
         }
-        if out_histories is not None:
-            out_histories[tag] = run.sup_history
+        res.ledgers[f"sup_histories/{_file_stem(tag)}.csv"] = (
+            ["t", "sup_u"],
+            run.sup_history,
+        )
     res.wall_time = time.perf_counter() - t0
     return res
 
@@ -430,7 +455,7 @@ def criterion_8_frame_equivalence() -> SuiteResult:
         f, _ = step(f, params, dt)
     w_phys = to_similarity(f, 0.0, T, params, y)
 
-    ws = sim_field(w0, y, S0, params)
+    ws = SimField(geometry="line", nodes=y, values=w0, s=S0, params=params)
     ds = cfl_step(y, 0.01)
     for _ in range(int(round(1.0 / ds))):
         ws = step_w(ws, ds)
@@ -441,11 +466,9 @@ def criterion_8_frame_equivalence() -> SuiteResult:
     return res
 
 
-def run_all_suites(
-    corpus: AuditCorpus, out_histories: dict | None = None
-) -> list[SuiteResult]:
+def run_all_suites(corpus: AuditCorpus) -> list[SuiteResult]:
     """Execute every acceptance suite once; criteria 4, 6 and 7 share the
-    audit corpus, and criterion 5 stores its sup histories in out_histories.
+    audit corpus.
 
     A suite that raises a BlowupLabError is reported as one failed check."""
     suites = (
@@ -453,7 +476,7 @@ def run_all_suites(
         (criterion_2_nonlinearity, ()),
         (criterion_3_quadrature, ()),
         (criterion_4_lyapunov, (corpus,)),
-        (criterion_5_rate_recovery, (out_histories,)),
+        (criterion_5_rate_recovery, ()),
         (criterion_6_boundedness, (corpus,)),
         (criterion_7_profile, (corpus,)),
         (criterion_8_frame_equivalence, ()),

@@ -32,7 +32,6 @@ N = 1
 # One non-default value per config key, typed as its dataclass field.
 SET_VALUES = {
     "run.scenario": "ode",
-    "run.seed": 7,
     "run.output_dir": "elsewhere",
     "params.p": 2.5,
     "params.a": -0.5,
@@ -65,7 +64,6 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL)
         assert cfg.scenario == "ode"
         assert cfg.params.p == 3.0 and cfg.params.a == 1.0 and cfg.params.N == 1
-        assert cfg.seed == 0
         assert cfg.grid.resolution == 401
         assert cfg.functionals.m0 == 10.0
 
@@ -97,6 +95,11 @@ class TestParseConfig:
     def test_unknown_key_named(self):
         with pytest.raises(ParseError, match="foo"):
             parse_config("[params]\nfoo = 1\n")
+
+    def test_run_seed_refused(self):
+        # a run is a function of its config alone; there is no seed key
+        with pytest.raises(ParseError, match="unknown key 'seed'"):
+            parse_config("", overrides=["run.seed=7"])
 
     def test_unknown_section_named(self):
         with pytest.raises(ParseError, match="mystery"):
@@ -255,7 +258,7 @@ class TestVerifyReport:
     def test_every_suite_reported_once(self, tmp_path, monkeypatch):
         import blowuplab.cli as cli_mod
 
-        def fake_suites(corpus, out_histories=None):
+        def fake_suites(corpus):
             out = []
             for k in range(1, 9):
                 s = SuiteResult(criterion=k, name=f"fake_{k}")
@@ -265,9 +268,6 @@ class TestVerifyReport:
 
         monkeypatch.setattr(cli_mod, "build_audit_corpus", lambda: None)
         monkeypatch.setattr(cli_mod, "run_all_suites", fake_suites)
-        monkeypatch.setattr(
-            cli_mod, "_write_verify_artifacts", lambda outdir, corpus: None
-        )
         cfg = RunConfig(scenario="verify", output_dir=str(tmp_path / "verify"))
         assert run(cfg) == 0
         report = json.loads((tmp_path / "verify" / "report.json").read_text())
@@ -275,6 +275,22 @@ class TestVerifyReport:
         assert sorted(crits) == list(range(1, 9))
         assert len(crits) == len(set(crits))
         assert report["results"]["all_passed"]
+
+    def test_suite_ledgers_written(self, tmp_path, monkeypatch):
+        import blowuplab.cli as cli_mod
+
+        def fake_suites(corpus):
+            s = SuiteResult(criterion=1, name="fake")
+            s.ledgers["sub/a.csv"] = (["x", "y"], [(1.0, 0.1)])
+            s.ledgers["b.csv"] = (["t"], np.array([[2.0], [3.0]]))
+            return [s]
+
+        monkeypatch.setattr(cli_mod, "build_audit_corpus", lambda: None)
+        monkeypatch.setattr(cli_mod, "run_all_suites", fake_suites)
+        out = tmp_path / "verify"
+        assert run(RunConfig(scenario="verify", output_dir=str(out))) == 0
+        assert (out / "sub" / "a.csv").read_text() == "x,y\n1,0.10000000000000001\n"
+        assert (out / "b.csv").read_text() == "t\n2\n3\n"
 
 
 class TestMain:

@@ -16,8 +16,9 @@ from blowuplab.functionals import (
     eval_L,
     snapshot,
 )
-from blowuplab.initial_data import line_grid, sim_field
+from blowuplab.initial_data import line_grid
 from blowuplab.quadrature import rule_for_grid
+from blowuplab.similarity_solver import SimField
 
 P30 = Params(3.0, 0.0)
 P31 = Params(3.0, 1.0)
@@ -28,7 +29,13 @@ ROOT4PI = np.sqrt(4.0 * np.pi)
 
 
 def const_field(c, s, params):
-    return sim_field(np.full(NODES.shape, float(c)), NODES, s, params)
+    return SimField(
+        geometry="line",
+        nodes=NODES,
+        values=np.full(NODES.shape, float(c)),
+        s=s,
+        params=params,
+    )
 
 
 def random_field(seed, s=10.0, params=P31):
@@ -36,7 +43,7 @@ def random_field(seed, s=10.0, params=P31):
     vals = 0.5 * np.exp(-NODES**2 / 9.0) * rng.standard_normal() + 0.1 * np.sin(
         NODES / 2.0
     )
-    return sim_field(vals, NODES, s, params)
+    return SimField(geometry="line", nodes=NODES, values=vals, s=s, params=params)
 
 
 def snap(field, cfg=CFG):
@@ -172,12 +179,18 @@ class TestLocalized:
     def test_equals_global_on_supported_field(self):
         # field supported inside B_R: psi == 1 there, so E_psi == E
         vals = 0.7 * np.exp(-NODES**2)  # numerically zero beyond |y| ~ 4.3
-        f = sim_field(vals, NODES, 6.0, P31)
+        f = SimField(geometry="line", nodes=NODES, values=vals, s=6.0, params=P31)
         sn = snap(f)
         assert sn.E_psi == pytest.approx(sn.E, rel=1e-10)
 
     def test_localization_converges(self):
-        f = sim_field(0.7 * np.exp(-NODES**2 / 4.0), NODES, 6.0, P31)
+        f = SimField(
+            geometry="line",
+            nodes=NODES,
+            values=0.7 * np.exp(-NODES**2 / 4.0),
+            s=6.0,
+            params=P31,
+        )
         e_global = snap(f).E
         errs = []
         for R in (2.0, 5.0, 9.0):

@@ -12,7 +12,7 @@ from blowuplab.errors import (
     DomainError,
     TruncationError,
 )
-from blowuplab.initial_data import line_grid, sim_field
+from blowuplab.initial_data import line_grid
 from blowuplab.physical_solver import GridField
 from blowuplab.quadrature import rule_for_grid
 from blowuplab.similarity_solver import (
@@ -89,7 +89,9 @@ class TestFrameChange:
 class TestStepW:
     def test_zero_fixed_point(self):
         y = line_grid(20.0, 201)
-        w = sim_field(np.zeros(y.shape), y, 2.0, P31)
+        w = SimField(
+            geometry="line", nodes=y, values=np.zeros(y.shape), s=2.0, params=P31
+        )
         for _ in range(10):
             w = step_w(w, 0.005)
         assert np.all(w.values == 0.0)
@@ -98,7 +100,9 @@ class TestStepW:
         # constant kappa_0 solves the a=0 equation exactly
         y = line_grid(20.0, 401)
         kap = kappa_a(P30)
-        w = sim_field(np.full(y.shape, kap), y, 2.0, P30)
+        w = SimField(
+            geometry="line", nodes=y, values=np.full(y.shape, kap), s=2.0, params=P30
+        )
         ds = cfl_step(y, 0.01)
         for _ in range(int(round(1.0 / ds))):
             w = step_w(w, ds)
@@ -112,7 +116,9 @@ class TestStepW:
         s = 20.0
         y = line_grid(20.0, 401)
         kap = kappa_a(P31)
-        w0 = sim_field(np.full(y.shape, kap), y, s, P31)
+        w0 = SimField(
+            geometry="line", nodes=y, values=np.full(y.shape, kap), s=s, params=P31
+        )
         ds = cfl_step(y, 0.005)
         w1 = step_w(w0, ds)
         center = y.size // 2
@@ -135,19 +141,25 @@ class TestStepW:
 
     def test_cfl_guard(self):
         y = line_grid(20.0, 401)
-        w = sim_field(np.zeros(y.shape), y, 2.0, P31)
+        w = SimField(
+            geometry="line", nodes=y, values=np.zeros(y.shape), s=2.0, params=P31
+        )
         with pytest.raises(DomainError):
             step_w(w, 0.1)
 
     def test_overshoot_raises(self):
         y = line_grid(20.0, 201)
-        w = sim_field(np.full(y.shape, 1e150), y, 2.0, P31)
+        w = SimField(
+            geometry="line", nodes=y, values=np.full(y.shape, 1e150), s=2.0, params=P31
+        )
         with pytest.raises(BlowupOvershootError):
             step_w(w, 0.004)
 
     def test_s_advances(self):
         y = line_grid(20.0, 201)
-        w = sim_field(np.zeros(y.shape), y, 3.0, P31)
+        w = SimField(
+            geometry="line", nodes=y, values=np.zeros(y.shape), s=3.0, params=P31
+        )
         assert step_w(w, 0.004).s == pytest.approx(3.004)
 
     def test_radial_step_runs(self):
@@ -164,8 +176,12 @@ class TestDissipation:
     def test_identical_fields(self):
         y = line_grid(20.0, 201)
         rule = rule_for_grid(y, 1, "line")
-        a = sim_field(np.ones(y.shape), y, 2.0, P31)
-        b = sim_field(np.ones(y.shape), y, 2.5, P31)
+        a = SimField(
+            geometry="line", nodes=y, values=np.ones(y.shape), s=2.0, params=P31
+        )
+        b = SimField(
+            geometry="line", nodes=y, values=np.ones(y.shape), s=2.5, params=P31
+        )
         assert ds_dissipation(a, b, rule) == 0.0
 
     def test_definition(self):
@@ -173,8 +189,12 @@ class TestDissipation:
         rule = rule_for_grid(y, 1, "line")
         g = np.sin(y / 3.0)
         ds = 0.25
-        a = sim_field(np.ones(y.shape), y, 2.0, P31)
-        b = sim_field(a.values + ds * g, y, 2.0 + ds, P31)
+        a = SimField(
+            geometry="line", nodes=y, values=np.ones(y.shape), s=2.0, params=P31
+        )
+        b = SimField(
+            geometry="line", nodes=y, values=a.values + ds * g, s=2.0 + ds, params=P31
+        )
         from blowuplab.quadrature import integrate
 
         assert ds_dissipation(a, b, rule) == pytest.approx(
@@ -185,7 +205,9 @@ class TestDissipation:
         y = line_grid(20.0, 401)
         rule = rule_for_grid(y, 1, "line")
         kap = kappa_a(P30)
-        w = sim_field(np.full(y.shape, kap), y, 2.0, P30)
+        w = SimField(
+            geometry="line", nodes=y, values=np.full(y.shape, kap), s=2.0, params=P30
+        )
         ds = cfl_step(y, 0.01)
         total = 0.0
         for _ in range(int(round(1.0 / ds))):
@@ -197,16 +219,26 @@ class TestDissipation:
     def test_grid_mismatch(self):
         y = line_grid(20.0, 201)
         rule = rule_for_grid(y, 1, "line")
-        a = sim_field(np.ones(201), y, 2.0, P31)
-        b = sim_field(np.ones(101), line_grid(20.0, 101), 2.5, P31)
+        a = SimField(geometry="line", nodes=y, values=np.ones(201), s=2.0, params=P31)
+        b = SimField(
+            geometry="line",
+            nodes=line_grid(20.0, 101),
+            values=np.ones(101),
+            s=2.5,
+            params=P31,
+        )
         with pytest.raises(ContractViolation):
             ds_dissipation(a, b, rule)
 
     def test_time_order(self):
         y = line_grid(20.0, 201)
         rule = rule_for_grid(y, 1, "line")
-        a = sim_field(np.ones(y.shape), y, 3.0, P31)
-        b = sim_field(np.ones(y.shape), y, 2.0, P31)
+        a = SimField(
+            geometry="line", nodes=y, values=np.ones(y.shape), s=3.0, params=P31
+        )
+        b = SimField(
+            geometry="line", nodes=y, values=np.ones(y.shape), s=2.0, params=P31
+        )
         with pytest.raises(ContractViolation):
             ds_dissipation(a, b, rule)
 
@@ -215,7 +247,9 @@ class TestSimField:
     def test_requires_s_at_least_one(self):
         y = line_grid(20.0, 201)
         with pytest.raises(DomainError):
-            sim_field(np.zeros(y.shape), y, 0.5, P31)
+            SimField(
+                geometry="line", nodes=y, values=np.zeros(y.shape), s=0.5, params=P31
+            )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_constructor_rejects_nonfinite_values(self, bad):
@@ -227,7 +261,9 @@ class TestSimField:
 
     def test_stepped_field_is_a_frozen_sim_field(self):
         y = line_grid(20.0, 201)
-        f = step_w(sim_field(np.full(y.shape, 0.3), y, 2.0, P31), 0.01)
+        f = step_w(SimField(
+            geometry="line", nodes=y, values=np.full(y.shape, 0.3), s=2.0, params=P31
+        ), 0.01)
         assert type(f) is SimField
         assert (f.geometry, f.s, f.params) == ("line", 2.01, P31)
         assert f.nodes is y
