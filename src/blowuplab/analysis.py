@@ -345,8 +345,8 @@ def run_similarity(
 ) -> SimilarityRun:
     """Evolve w from w0.s to s_end, collecting the functional ledger.
 
-    The step is CFL-capped and chosen to divide each unit of s exactly, so
-    snapshots and dissipation integrals land on unit boundaries.
+    The step is the largest at most ds that divides each unit of s exactly,
+    so snapshots and dissipation integrals land on unit boundaries.
     """
     n_units = int(round(s_end - w0.s))
     if n_units < 1 or abs(s_end - w0.s - n_units) > 1e-9:

@@ -35,7 +35,7 @@ from .analysis import fit_rate, lyapunov_audit, run_similarity
 from .core_math import Params, kappa_a, psi_T
 from .errors import BlowupLabError, ParseError
 from .functionals import FunctionalConfig, FunctionalSnapshot
-from .initial_data import line_grid, profile_shape
+from .initial_data import gaussian, line_grid, profile_shape
 from .ode_blowup import integrate_vT, trajectory_table
 from .physical_solver import STEP_LIMITS, GridField, run_to_blowup
 from .similarity_solver import SimField
@@ -192,7 +192,7 @@ def _initial_values(config: RunConfig, nodes: np.ndarray, s0: float) -> np.ndarr
     if init.kind == "constant":
         return np.full(nodes.shape, init.value)
     if init.kind == "gaussian":
-        return init.floor + init.amplitude * np.exp(-((nodes / init.width) ** 2))
+        return gaussian(nodes, init.amplitude, init.width, init.floor)
     if init.kind == "profile":
         return profile_shape(nodes, s0, config.params)
     try:

@@ -2,17 +2,19 @@
 
 Space: second-order centered Laplacian on a uniform grid, homogeneous Neumann
 at the outer boundary; radial geometry uses u'' + (N-1) u'/r with the origin
-regularised to N u''(0).  Time, for du/dt = Lap u + g(t, u): Crank-Nicolson on
-the diffusion, a backward-Euler predictor and Heun corrector on g,
+regularised to N u''(0); the similarity frame adds the central drift
+-(y/2) u', so its operator A is Lap - (y/2).grad.  Time, for
+du/dt = A u + g(t, u): Crank-Nicolson on A, a backward-Euler predictor and
+Heun corrector on g,
 
-    (I - dt Lap) u*      = u + dt g(t, u)
-    (I - dt/2 Lap) u_new = u + dt/2 Lap u + dt/2 (g(t, u) + g(t + dt, u*)),
+    (I - dt A) u*      = u + dt g(t, u)
+    (I - dt/2 A) u_new = u + dt/2 A u + dt/2 (g(t, u) + g(t + dt, u*)),
 
 second order overall.  The step returns u* next to u_new: their gap is the
 local error of the first-order predictor, which the physical frame's step
-controller uses.  Both tridiagonal matrices are LU-factored once per
-(grid, dt) and kept in a small cache: a run steps one node array, and a
-similarity run keeps one ds.
+controller uses.  A's bands are built once per grid, and both tridiagonal
+matrices are LU-factored once per (grid, dt): a run steps one node array,
+and a similarity run keeps one ds.
 """
 
 from __future__ import annotations
@@ -25,14 +27,20 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import BlowupOvershootError, NumericError
 
-# Operators kept, one per (grid, dt).  A similarity run steps one grid with
-# one ds; the physical step controller sets a new dt on nearly every step, and
-# those entries cycle out instead of accumulating.
-_OPERATOR_CACHE_SIZE = 4
+# Entries kept per cache: bands per (grid, operator), factors per
+# (grid, operator, dt).  The physical step controller sets a new dt on nearly
+# every step; those factors cycle out instead of accumulating.
+_CACHE_SIZE = 4
 
 
-def laplacian_bands(nodes: np.ndarray, geometry: str, dimension: int) -> np.ndarray:
-    """Banded (3, n) representation of the Neumann Laplacian on the grid."""
+def laplacian_bands(
+    nodes: np.ndarray, geometry: str, dimension: int, drift: bool = False
+) -> np.ndarray:
+    """Banded (3, n) representation of the Neumann Laplacian on the grid;
+    with drift, of Lap - (y/2) d/dy (radial: - (r/2) d/dr).  The boundary
+    rows carry no drift: the Neumann ghost makes the central gradient 0.
+    Off-diagonals turn negative once (R - h) h > 4, R the outer radius, yet
+    the spectrum stays in Re <= 0 (measured up to R h = 312)."""
     n = nodes.size
     h = nodes[1] - nodes[0]
     upper = np.zeros(n)
@@ -48,25 +56,29 @@ def laplacian_bands(nodes: np.ndarray, geometry: str, dimension: int) -> np.ndar
     else:
         N = dimension
         r = nodes[1:-1]
-        drift = (N - 1) / (2.0 * h * r)
-        upper[2:] += drift
-        lower[:-2] -= drift
+        radial = (N - 1) / (2.0 * h * r)
+        upper[2:] += radial
+        lower[:-2] -= radial
         # r = 0: Lap u = N u''(0) with even extension u(-h) = u(h)
         diag[0] = -2.0 * N * inv_h2
         upper[1] = 2.0 * N * inv_h2
         # outer Neumann: mirrored ghost, first-derivative term vanishes
         lower[-2] = 2.0 * inv_h2
+    if drift:
+        c = nodes[1:-1] / (4.0 * h)
+        upper[2:] -= c
+        lower[:-2] += c
     return np.vstack([upper, diag, lower])
 
 
 def _factor(bands: np.ndarray, alpha: float) -> tuple:
-    """dgttrf factors (dl, d, du, du2, ipiv) of I - alpha Lap."""
+    """dgttrf factors (dl, d, du, du2, ipiv) of I - alpha A."""
     m = -alpha * bands
     m[1] += 1.0
     *factors, info = dgttrf(m[2, :-1], m[1], m[0, 1:])
-    if info != 0:  # pragma: no cover - CN matrix is diagonally dominant
+    if info != 0:  # pragma: no cover - A's spectrum lies in Re <= 0
         raise NumericError(
-            f"imex_step: I - {alpha} Lap is singular (dgttrf info {info})"
+            f"imex_step: I - {alpha} A is singular (dgttrf info {info})"
         )
     for arr in factors:
         arr.setflags(write=False)  # shared by every step that hits the cache
@@ -92,16 +104,23 @@ class _Grid:
         return isinstance(other, _Grid) and other.nodes is self.nodes
 
 
-@lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-def _operator(grid: _Grid, geometry: str, dimension: int, dt: float) -> tuple:
-    """(bands, predictor factors, corrector factors) for one grid and dt."""
-    bands = laplacian_bands(np.asarray(grid.nodes, dtype=float), geometry, dimension)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _bands(grid: _Grid, geometry: str, dimension: int, drift: bool) -> np.ndarray:
+    """The read-only laplacian_bands of one grid and operator."""
+    bands = laplacian_bands(np.asarray(grid.nodes, dtype=float), geometry, dimension, drift)
     bands.setflags(write=False)
+    return bands
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _operator(grid: _Grid, geometry: str, dimension: int, drift: bool, dt: float) -> tuple:
+    """(bands, predictor factors, corrector factors) for one grid, A and dt."""
+    bands = _bands(grid, geometry, dimension, drift)
     return bands, _factor(bands, dt), _factor(bands, 0.5 * dt)
 
 
 def _solve(factors: tuple, rhs: np.ndarray, t: float, stage: str) -> np.ndarray:
-    """Solve (I - alpha Lap) x = rhs from that matrix's dgttrf factors; a
+    """Solve (I - alpha A) x = rhs from that matrix's dgttrf factors; a
     non-finite value is an overshoot.
 
     Only the solution is checked.  The substitutions reach every entry of
@@ -125,14 +144,15 @@ def imex_step(
     t: float,
     dt: float,
     explicit: Callable[[float, np.ndarray], np.ndarray],
+    drift: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance u by dt on the grid (nodes, geometry, dimension) with the
-    explicit terms g(t, u) = explicit(t, u).  Returns (u_new, u*): the
-    second-order result and the first-order predictor, whose gap is an
-    embedded estimate of the predictor's local error.  Raises
-    BlowupOvershootError on any non-finite value (the step went past the
-    singularity)."""
-    bands, predictor, corrector = _operator(_Grid(nodes), geometry, dimension, dt)
+    explicit terms g(t, u) = explicit(t, u), A carrying the drift if drift
+    is set.  Returns (u_new, u*): the second-order result and the
+    first-order predictor, whose gap is an embedded estimate of the
+    predictor's local error.  Raises BlowupOvershootError on any non-finite
+    value (the step went past the singularity)."""
+    bands, predictor, corrector = _operator(_Grid(nodes), geometry, dimension, drift, dt)
     g0 = explicit(t, u)
     # One error state for both stages: an overflow anywhere leaves an inf in
     # a right-hand side, and _solve reports it.

@@ -1,11 +1,10 @@
-"""Initial-datum constructors shared by the CLI and the verification suites."""
+"""Initial data on a node array, shared by the CLI and the verification suites."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .core_math import Params, kappa_a
-from .physical_solver import GridField
 
 
 def profile_shape(y: np.ndarray, s: float, params: Params) -> np.ndarray:
@@ -40,31 +39,9 @@ def line_grid(extent: float, resolution: int) -> np.ndarray:
     return np.linspace(-extent, extent, n)
 
 
-def physical_constant(nodes: np.ndarray, c: float, params: Params,
-                      geometry: str = "line") -> GridField:
-    return GridField(
-        geometry=geometry,
-        dimension=params.N,
-        nodes=nodes,
-        values=np.full(nodes.shape, float(c)),
-        time=0.0,
-    )
-
-
-def physical_gaussian(
-    nodes: np.ndarray,
-    amplitude: float,
-    width: float,
-    params: Params,
-    floor: float = 0.0,
-    geometry: str = "line",
-) -> GridField:
-    """floor + amplitude exp(-(x/width)^2); floor > 0 gives constant-dominating data."""
-    values = floor + amplitude * np.exp(-((nodes / width) ** 2))
-    return GridField(
-        geometry=geometry,
-        dimension=params.N,
-        nodes=nodes,
-        values=values,
-        time=0.0,
-    )
+def gaussian(
+    nodes: np.ndarray, amplitude: float, width: float, floor: float = 0.0
+) -> np.ndarray:
+    """floor + amplitude exp(-(x/width)^2) on the nodes; floor > 0 gives
+    constant-dominating data."""
+    return floor + amplitude * np.exp(-((nodes / width) ** 2))

@@ -6,8 +6,10 @@ field w obeys
     dw/ds = Lap w - (y/2).grad w - (1/(p-1)) (1 - a/s) w + source(s, w),
 
 where the source is the cancellation form of e^(-ps/(p-1)) s^(a/(p-1))
-f(phi(s) w).  step_w advances it by imex.imex_step; the drift is explicit
-with second-order upwinding, which caps the step at ds <= ~2h/R_max.
+f(phi(s) w).  step_w advances it by imex.imex_step.  The linear part
+Lap - (y/2).grad, the Ornstein-Uhlenbeck operator with eigenvalues -m/2, is
+implicit in imex's factored matrix, so no CFL bound limits ds; the linear
+term in w and the source are explicit.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ from .errors import (
 from .imex import imex_step
 from .physical_solver import GridField
 from .quadrature import QuadratureRule, integrate
-
-_CFL = 0.9
-
 
 @dataclass(frozen=True)
 class SimField:
@@ -104,61 +103,25 @@ def to_similarity(
     )
 
 
-def _upwind_split(nodes: np.ndarray) -> tuple[int, int]:
-    """(neg, pos) with nodes[:neg] < 0 < nodes[pos:]; nodes ascend."""
-    neg = int(np.searchsorted(nodes, 0.0, side="left"))
-    pos = int(np.searchsorted(nodes, 0.0, side="right"))
-    return neg, pos
-
-
-def _upwind_gradient(nodes: np.ndarray, split: tuple[int, int], w: np.ndarray) -> np.ndarray:
-    """d w/d y biased against the outward drift y/2 (second order where two
-    upwind neighbours exist, first order next to the origin, 0 at y = 0 and
-    where no upwind neighbour exists).  nodes ascend uniformly and split is
-    their _upwind_split."""
-    h = nodes[1] - nodes[0]
-    n = w.size
-    neg, pos = split
-    out = np.zeros_like(w)
-    lo = max(pos, 2)  # y > 0: backward differences
-    out[lo:] = (3.0 * w[lo:] - 4.0 * w[lo - 1 : -1] + w[lo - 2 : -2]) / (2.0 * h)
-    if pos <= 1:
-        out[1] = (w[1] - w[0]) / h
-    hi = min(neg, n - 2)  # y < 0: forward differences
-    out[:hi] = (-3.0 * w[:hi] + 4.0 * w[1 : hi + 1] - w[2 : hi + 2]) / (2.0 * h)
-    if neg >= n - 1:
-        out[n - 2] = (w[-1] - w[-2]) / h
-    return out
-
-
-def _explicit_terms(
-    nodes: np.ndarray, split: tuple[int, int], params: Params, s: float, w: np.ndarray
-) -> np.ndarray:
-    drift = -0.5 * nodes * _upwind_gradient(nodes, split, w)
+def _explicit_terms(params: Params, s: float, w: np.ndarray) -> np.ndarray:
     linear = -(1.0 / (params.p - 1.0)) * (1.0 - params.a / s) * w
-    return drift + linear + rescaled_nonlinearity(s, w, params)
+    return linear + rescaled_nonlinearity(s, w, params)
 
 
 def step_w(field_in: SimField, ds: float) -> SimField:
-    """One imex_step of the similarity-frame equation, the drift, linear and
-    source terms explicit.
+    """One imex_step of the similarity-frame equation: Lap - (y/2).grad
+    implicit, the linear and source terms explicit.
 
-    Raises DomainError when ds violates the drift CFL bound and
-    BlowupOvershootError on non-finite values.
+    No CFL bound limits ds, since the drift is implicit.  Raises DomainError
+    unless ds > 0, and BlowupOvershootError on non-finite values.
     """
     if not (ds > 0.0):
         raise DomainError(f"step_w: ds must be positive, got {ds}")
-    nodes = field_in.nodes
-    h = field_in.spacing
-    c_max = 0.5 * max(abs(nodes[0]), abs(nodes[-1]))
-    if ds * c_max > _CFL * h:
-        raise DomainError(
-            f"step_w: ds={ds} violates the drift CFL bound {_CFL * h / c_max:.3e}"
-        )
     params = field_in.params
-    explicit = partial(_explicit_terms, nodes, _upwind_split(nodes), params)
+    explicit = partial(_explicit_terms, params)
     w_new, _ = imex_step(
-        nodes, field_in.geometry, params.N, field_in.values, field_in.s, ds, explicit
+        field_in.nodes, field_in.geometry, params.N, field_in.values, field_in.s,
+        ds, explicit, drift=True,
     )
     return _stepped(field_in, w_new, field_in.s + ds)
 
@@ -200,13 +163,14 @@ def ds_dissipation(before: SimField, after: SimField, rule: QuadratureRule) -> f
 
 
 def cfl_step(nodes: np.ndarray, ds_requested: float) -> float:
-    """Largest step <= ds_requested that satisfies the drift CFL bound and
-    divides 1 exactly (so runs land on unit-s boundaries).  Raises
-    DomainError unless ds_requested is finite and positive."""
+    """Largest step <= ds_requested that divides 1 exactly, so runs land on
+    unit-s boundaries.  Raises DomainError unless ds_requested is finite and
+    positive.
+
+    The name and the nodes argument are those of the time when the explicit
+    drift's CFL bound on the grid capped the step as well; the benchmark's
+    perfbench/workloads.py calls cfl_step(nodes, ds) to count a run's steps.
+    """
     if not (0.0 < ds_requested < np.inf):
         raise DomainError(f"cfl_step: ds must be finite and positive, got {ds_requested}")
-    h = float(nodes[1] - nodes[0])
-    c_max = 0.5 * max(abs(float(nodes[0])), abs(float(nodes[-1])))
-    ds_cap = _CFL * h / c_max if c_max > 0 else ds_requested
-    n_per_unit = int(np.ceil(1.0 / min(ds_requested, ds_cap)))
-    return 1.0 / n_per_unit
+    return 1.0 / int(np.ceil(1.0 / ds_requested))

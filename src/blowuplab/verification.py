@@ -40,13 +40,8 @@ from .core_math import (
 )
 from .errors import BlowupLabError
 from .functionals import FunctionalConfig, FunctionalSnapshot
-from .initial_data import (
-    line_grid,
-    physical_gaussian,
-    profile_shape,
-    random_smooth_shape,
-)
-from .ode_blowup import integrate_vT, time_to_blowup, trajectory_table
+from .initial_data import gaussian, line_grid, profile_shape, random_smooth_shape
+from .ode_blowup import integrate_vT, times_to_blowup, trajectory_table
 from .physical_solver import GridField, run_to_blowup, step
 from .quadrature import build_rule, gaussian_mass, integrate, rule_for_grid
 from .similarity_solver import SimField, cfl_step, step_w, to_similarity
@@ -329,8 +324,7 @@ def _ode_control_fit(M: np.ndarray, params: Params) -> RateFit:
     Same fitter, same window rule and the same sample spacing as the PDE
     fit, so the bias of the three-parameter model shows in both and cancels
     in their difference."""
-    tau = np.array([time_to_blowup(float(m), params) for m in M])
-    return fit_rate(np.column_stack([-tau, M]), 0.0)
+    return fit_rate(np.column_stack([-times_to_blowup(M, params), M]), 0.0)
 
 
 def criterion_5_rate_recovery() -> SuiteResult:
@@ -348,7 +342,7 @@ def criterion_5_rate_recovery() -> SuiteResult:
     nodes = line_grid(10.0, 513)
     for p, a in AUDIT_PAIRS:
         params = Params(p, a)
-        u0 = physical_gaussian(nodes, 0.05, 4.0, params, floor=1.0)
+        u0 = GridField("line", 1, nodes, gaussian(nodes, 0.05, 4.0, 1.0), 0.0)
         run = run_to_blowup(u0, params, M_stop=1e8)
         fit = fit_rate(run.sup_history, run.T_hat)
         a_true, b_true = 1.0 / (p - 1.0), a / (p - 1.0)

@@ -15,8 +15,8 @@ from blowuplab.cli import (
 )
 from blowuplab.core_math import Params
 from blowuplab.errors import ParseError
-from blowuplab.initial_data import line_grid, physical_gaussian
-from blowuplab.physical_solver import STEP_LIMITS, run_to_blowup
+from blowuplab.initial_data import gaussian, line_grid, random_smooth_shape
+from blowuplab.physical_solver import STEP_LIMITS, GridField, run_to_blowup
 from blowuplab.verification import SuiteResult
 
 MINIMAL = """
@@ -373,6 +373,23 @@ class TestMain:
         report = json.loads((out / "report.json").read_text())
         assert report["error"].startswith(error)
 
+    @pytest.mark.parametrize("a", [1.0, -1.0])
+    def test_coarsest_grid_similarity_audit_passes(self, tmp_path, a):
+        # resolution 64 at extent 20 has R h = 12.5, where the central drift
+        # in the implicit operator leaves some off-diagonals negative; the
+        # run still completes and its Lyapunov audit passes
+        y = line_grid(20.0, 801)
+        path = tmp_path / "w0.csv"
+        write_csv(path, ["y", "w"], zip(y, 0.7 * random_smooth_shape(y, Params(3.0, a), 0)))
+        out = tmp_path / "run"
+        argv = ["similarity", "--set", f"params.a={a:g}", "--set", "grid.resolution=64",
+                "--set", "initial_data.kind=file", "--set", f"initial_data.path={path}",
+                "--output", str(out)]
+        assert main(argv) == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["lyapunov"]["passed"] is True
+        assert res["steps"] == 600
+
     def test_run_counters_in_report(self, tmp_path):
         phys, sim = tmp_path / "phys", tmp_path / "sim"
         argv = ["physical", "--set", "grid.extent=5", "--set", "grid.resolution=129",
@@ -384,7 +401,8 @@ class TestMain:
         sup = np.loadtxt(phys / "sup_history.csv", delimiter=",", skiprows=1)
         # the same run outside the CLI: the default Gaussian datum
         params = Params(3.0, 1.0)
-        u0 = physical_gaussian(line_grid(5.0, 129), 0.2, 2.0, params, floor=1.0)
+        nodes = line_grid(5.0, 129)
+        u0 = GridField("line", 1, nodes, gaussian(nodes, 0.2, 2.0, floor=1.0), 0.0)
         run = run_to_blowup(u0, params, M_stop=1e6, safety=0.05)
         assert res["steps"] == run.dts.size == sup.shape[0] - 1
         counts = {limit: int(np.sum(run.limits == limit)) for limit in STEP_LIMITS}

@@ -7,7 +7,13 @@ from scipy.integrate import quad
 import blowuplab.ode_blowup as ode_mod
 from blowuplab.core_math import Params, eval_f, kappa_a, phi
 from blowuplab.errors import DomainError, NumericError
-from blowuplab.ode_blowup import asymptotic_ratio, integrate_vT, time_to_blowup
+from blowuplab.ode_blowup import (
+    asymptotic_ratio,
+    integrate_vT,
+    time_to_blowup,
+    times_to_blowup,
+)
+from blowuplab.verification import criterion_5_rate_recovery
 
 P30 = Params(3.0, 0.0)
 P31 = Params(3.0, 1.0)
@@ -40,6 +46,30 @@ class TestTimeToBlowup:
         monkeypatch.setattr(ode_mod, "quad", lambda *args, **kwargs: (0.0, 0.0))
         with pytest.raises(NumericError):
             time_to_blowup(10.0, P30)
+
+
+@pytest.fixture(scope="module")
+def criterion_5():
+    return criterion_5_rate_recovery()
+
+
+class TestTimesToBlowup:
+    @pytest.mark.parametrize("tag", ["p3_a1", "p3_a-1"])
+    def test_matches_per_sample_quadrature_on_criterion_5(self, criterion_5, tag):
+        # criterion 5's ODE control evaluates it at every sup sample
+        M = criterion_5.ledgers[f"sup_histories/{tag}.csv"][1][:, 1]
+        params = Params(3.0, 1.0 if tag == "p3_a1" else -1.0)
+        want = np.array([time_to_blowup(float(m), params) for m in M])
+        np.testing.assert_allclose(times_to_blowup(M, params), want, rtol=1e-12, atol=0)
+
+    def test_unsorted_and_repeated_samples(self):
+        M = np.array([1e6, 3.0, 1e6, 1.0, 42.0])
+        want = [time_to_blowup(m, P31) for m in M]
+        np.testing.assert_allclose(times_to_blowup(M, P31), want, rtol=1e-12, atol=0)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            times_to_blowup(np.array([2.0, 0.5]), P30)
 
 
 class TestTrajectories:

@@ -9,7 +9,7 @@ from blowuplab import imex, physical_solver
 from blowuplab.core_math import Params, eval_f
 from blowuplab.errors import BlowupOvershootError, ConfigurationError, DomainError
 from blowuplab.imex import imex_step, laplacian_bands
-from blowuplab.initial_data import line_grid, physical_constant, physical_gaussian
+from blowuplab.initial_data import gaussian, line_grid
 from blowuplab.ode_blowup import time_to_blowup
 from blowuplab.physical_solver import STEP_LIMITS, GridField, run_to_blowup, step
 
@@ -19,6 +19,11 @@ P31 = Params(3.0, 1.0)
 
 def radial_grid(extent, n):
     return np.linspace(0.0, extent, n)
+
+
+def line_field(nodes, values):
+    """A line GridField at t = 0; a scalar value gives a constant datum."""
+    return GridField("line", 1, nodes, np.full(nodes.shape, values, dtype=float), 0.0)
 
 
 class TestGridField:
@@ -31,7 +36,7 @@ class TestGridField:
             GridField("line", 1, nodes, values, 0.0)
 
     def test_stepped_field_is_a_frozen_grid_field(self):
-        f, _ = step(physical_constant(line_grid(5.0, 129), 1.0, P31), P31, 1e-3)
+        f, _ = step(line_field(line_grid(5.0, 129), 1.0), P31, 1e-3)
         assert type(f) is GridField
         assert (f.geometry, f.dimension, f.time) == ("line", 1, 1e-3)
         with pytest.raises(AttributeError):
@@ -40,14 +45,14 @@ class TestGridField:
 
 class TestStep:
     def test_zero_fixed_point(self):
-        f = physical_constant(line_grid(5.0, 129), 0.0, P31)
+        f = line_field(line_grid(5.0, 129), 0.0)
         for _ in range(20):
             f, _ = step(f, P31, 1e-3)
         assert np.all(f.values == 0.0)
 
     def test_constant_matches_ode(self):
         # Neumann + constant data reduce to v' = f(v); compare one interval
-        f = physical_constant(line_grid(5.0, 129), 1.0, P31)
+        f = line_field(line_grid(5.0, 129), 1.0)
         dt = 5e-4
         for _ in range(200):
             f, _ = step(f, P31, dt)
@@ -74,7 +79,7 @@ class TestStep:
 
     def test_small_single_mode_decays(self):
         nodes = line_grid(10.0, 257)
-        f = physical_gaussian(nodes, 0.01, 1.0, P30, floor=0.0)
+        f = line_field(nodes, gaussian(nodes, 0.01, 1.0, floor=0.0))
         sups = [0.01]
         for _ in range(400):
             f, _ = step(f, P30, 5e-4)
@@ -83,14 +88,15 @@ class TestStep:
 
     def test_even_data_stays_even(self):
         nodes = line_grid(8.0, 257)
-        f = physical_gaussian(nodes, 1.0, 2.0, P31, floor=0.5)
+        f = line_field(nodes, gaussian(nodes, 1.0, 2.0, floor=0.5))
         for _ in range(100):
             f, _ = step(f, P31, 2e-4)
         assert np.max(np.abs(f.values - f.values[::-1])) < 1e-12
 
     def test_error_estimate_is_second_order_in_dt(self):
         # max|u_new - u*| is the predictor's local error: O(dt^2)
-        f = physical_gaussian(line_grid(8.0, 257), 1.0, 2.0, P31, floor=0.5)
+        nodes = line_grid(8.0, 257)
+        f = line_field(nodes, gaussian(nodes, 1.0, 2.0, floor=0.5))
         errs = [step(f, P31, dt)[1] for dt in (4e-4, 2e-4, 1e-4)]
         u_new, u_star = imex_step(
             f.nodes, "line", 1, f.values, 0.0, 1e-4, lambda t, v: eval_f(v, P31)
@@ -100,7 +106,7 @@ class TestStep:
         assert np.log2(errs[1] / errs[2]) == pytest.approx(2.0, abs=0.05)
 
     def test_rejects_nonpositive_dt(self):
-        f = physical_constant(line_grid(5.0, 129), 1.0, P31)
+        f = line_field(line_grid(5.0, 129), 1.0)
         with pytest.raises(DomainError):
             step(f, P31, 0.0)
 
@@ -112,7 +118,7 @@ class TestStep:
         ],
     )
     def test_overshoot_raises(self, value, dt):
-        f = physical_constant(line_grid(5.0, 129), value, P31)
+        f = line_field(line_grid(5.0, 129), value)
         with pytest.raises(BlowupOvershootError):
             step(f, P31, dt)
 
@@ -122,7 +128,7 @@ class TestStep:
         sups = []
         for n, dt in ((129, 2e-4), (257, 1e-4), (513, 5e-5)):
             nodes = line_grid(6.0, n)
-            f = physical_gaussian(nodes, 2.0, 1.0, P31, floor=0.5)
+            f = line_field(nodes, gaussian(nodes, 2.0, 1.0, floor=0.5))
             for _ in range(int(round(t_end / dt))):
                 f, _ = step(f, P31, dt)
             sups.append(float(np.max(np.abs(f.values))))
@@ -187,6 +193,7 @@ class TestImexStep:
         grids = [line_grid(5.0, 129), line_grid(6.0, 129)]
         us = [1.0 + 0.5 * np.exp(-nodes**2) for nodes in grids]
         imex._operator.cache_clear()
+        imex._bands.cache_clear()
         for k in range(3):
             for i, nodes in enumerate(grids):
                 ref, _ = _reference_step(nodes, "line", 1, us[i], k * 1e-3, 1e-3, _reaction)
@@ -196,12 +203,15 @@ class TestImexStep:
                 us[i] = ref
         info = imex._operator.cache_info()
         assert (info.misses, info.hits) == (2, 4)
+        assert imex._bands.cache_info().misses == 2
 
     def test_changing_dt_rebuilds_every_step(self):
-        # the physical step controller sets a new dt on nearly every step
+        # the physical step controller sets a new dt on nearly every step:
+        # each step factors anew, from the bands built on the first
         nodes = line_grid(10.0, 513)
         u = 1.0 + 0.5 * np.exp(-nodes**2)
         imex._operator.cache_clear()
+        imex._bands.cache_clear()
         t = 0.0
         for k in range(12):
             dt = 1e-4 * 0.8**k
@@ -210,6 +220,8 @@ class TestImexStep:
             u, t = ref, t + dt
         info = imex._operator.cache_info()
         assert (info.misses, info.hits) == (12, 0)
+        info = imex._bands.cache_info()
+        assert (info.misses, info.hits) == (1, 11)
 
     @pytest.mark.parametrize("stage", ["predictor", "corrector"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
@@ -239,7 +251,7 @@ class TestImexStep:
 class TestRunToBlowup:
     def test_constant_data_recovers_ode_time(self):
         nodes = line_grid(5.0, 129)
-        res = run_to_blowup(physical_constant(nodes, 1.0, P31), P31, M_stop=1e8)
+        res = run_to_blowup(line_field(nodes, 1.0), P31, M_stop=1e8)
         assert res.status == "blown_up"
         T_ode = time_to_blowup(1.0, P31)
         assert res.T_hat == pytest.approx(T_ode, rel=0.02)
@@ -247,7 +259,7 @@ class TestRunToBlowup:
     def test_gaussian_blowup_detected(self):
         nodes = line_grid(10.0, 257)
         res = run_to_blowup(
-            physical_gaussian(nodes, 3.0, 1.5, P31, floor=0.0), P31, M_stop=1e8
+            line_field(nodes, gaussian(nodes, 3.0, 1.5, floor=0.0)), P31, M_stop=1e8
         )
         assert res.status == "blown_up"
         sup = res.sup_history[:, 1]
@@ -267,14 +279,14 @@ class TestRunToBlowup:
         # constant-dominating data blow up no later than the ODE through the floor
         nodes = line_grid(10.0, 257)
         res = run_to_blowup(
-            physical_gaussian(nodes, 0.2, 2.0, P31, floor=1.0), P31, M_stop=1e8
+            line_field(nodes, gaussian(nodes, 0.2, 2.0, floor=1.0)), P31, M_stop=1e8
         )
         assert res.T_hat <= time_to_blowup(1.0, P31)
 
     def test_halts_at_float_resolution_in_t(self, monkeypatch):
         attempts = _record_steps(monkeypatch)
         nodes = line_grid(5.0, 129)
-        u0 = physical_constant(nodes, 1.0, P31)
+        u0 = line_field(nodes, 1.0)
         res = run_to_blowup(u0, P31, M_stop=1e200)
         assert (res.status, res.halt) == ("blown_up", "t_resolution")
         # the halt tests the dt about to be taken: no attempt leaves t unchanged
@@ -289,13 +301,13 @@ class TestRunToBlowup:
 
     def test_T_hat_beyond_last_sample(self):
         nodes = line_grid(5.0, 129)
-        res = run_to_blowup(physical_constant(nodes, 1.0, P31), P31, M_stop=1e8)
+        res = run_to_blowup(line_field(nodes, 1.0), P31, M_stop=1e8)
         assert res.T_hat > res.sup_history[-1, 0]
 
     def test_small_data_no_blowup(self):
         nodes = line_grid(10.0, 129)
         res = run_to_blowup(
-            physical_gaussian(nodes, 0.01, 1.0, P31, floor=0.0),
+            line_field(nodes, gaussian(nodes, 0.01, 1.0, floor=0.0)),
             P31,
             M_stop=1e6,
             t_max=0.1,
@@ -307,7 +319,7 @@ class TestRunToBlowup:
     def test_m_stop_floor(self):
         nodes = line_grid(5.0, 129)
         with pytest.raises(ConfigurationError):
-            run_to_blowup(physical_constant(nodes, 1.0, P31), P31, M_stop=1e4)
+            run_to_blowup(line_field(nodes, 1.0), P31, M_stop=1e4)
 
     @pytest.mark.parametrize("safety", [0.0, -0.05, np.nan])
     def test_safety_must_be_positive(self, safety):
@@ -315,7 +327,7 @@ class TestRunToBlowup:
         # once and report blow-up
         nodes = line_grid(5.0, 129)
         with pytest.raises(ConfigurationError, match="safety must be positive"):
-            run_to_blowup(physical_constant(nodes, 1.0, P31), P31, safety=safety)
+            run_to_blowup(line_field(nodes, 1.0), P31, safety=safety)
 
     def test_radial_blowup(self):
         nodes = radial_grid(10.0, 257)
@@ -348,11 +360,11 @@ class TestStepControl:
         "u0, kwargs, counted",
         [
             # a narrow spike: the first attempts overshoot the tolerance
-            (physical_gaussian(line_grid(10.0, 513), 20.0, 0.2, P31, floor=0.0),
+            (line_field(line_grid(10.0, 513), gaussian(line_grid(10.0, 513), 20.0, 0.2)),
              {}, "rejected"),
             # from a small constant the reaction timescale is long, and the
             # cap sets dt until M nears 1
-            (physical_constant(line_grid(5.0, 129), 0.1, P31),
+            (line_field(line_grid(5.0, 129), 0.1),
              {"M_stop": 1e6, "t_max": 100.0}, "reaction_capped"),
         ],
         ids=["spike", "small-constant"],
@@ -392,7 +404,7 @@ class TestStepControl:
     def test_halving_safety_moves_T_hat_toward_h2_capped(self, pair):
         params = Params(*pair)
         nodes = line_grid(10.0, 513)
-        u0 = physical_gaussian(nodes, 0.05, 4.0, params, floor=1.0)
+        u0 = line_field(nodes, gaussian(nodes, 0.05, 4.0, floor=1.0))
         ref = T_HAT_H2_CAPPED[pair]
         gaps = [
             abs(run_to_blowup(u0, params, M_stop=1e8, safety=safety).T_hat - ref) / ref

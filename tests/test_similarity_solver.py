@@ -12,7 +12,8 @@ from blowuplab.errors import (
     DomainError,
     TruncationError,
 )
-from blowuplab.initial_data import line_grid
+from blowuplab.imex import laplacian_bands
+from blowuplab.initial_data import line_grid, random_smooth_shape
 from blowuplab.physical_solver import GridField
 from blowuplab.quadrature import rule_for_grid
 from blowuplab.similarity_solver import (
@@ -139,13 +140,23 @@ class TestStepW:
         ) * kap**p * mp.log(2 + phi**2 * kap**2) ** a
         assert float(rhs) == pytest.approx(-0.047533119480017496, rel=1e-12)
 
-    def test_cfl_guard(self):
+    @pytest.mark.parametrize("a", [1.0, -1.0])
+    def test_steps_above_the_old_cfl_cap_converge_second_order(self, a):
+        # ds = 1/20 lies above the 1/112 the explicit drift's CFL bound
+        # allowed on the corpus grid; one unit of s at ds, ds/2 and ds/4
+        # shows the IMEX step's second order
+        params = Params(3.0, a)
         y = line_grid(20.0, 401)
-        w = SimField(
-            geometry="line", nodes=y, values=np.zeros(y.shape), s=2.0, params=P31
-        )
-        with pytest.raises(DomainError):
-            step_w(w, 0.1)
+        w0 = 0.7 * random_smooth_shape(y, params, 0)
+        finals = []
+        for n in (20, 40, 80):
+            w = SimField("line", y, w0, 2.0, params)
+            for _ in range(n):
+                w = step_w(w, 1.0 / n)
+            finals.append(w.values)
+        e1 = np.max(np.abs(finals[0] - finals[1]))
+        e2 = np.max(np.abs(finals[1] - finals[2]))
+        assert np.log2(e1 / e2) >= 1.9
 
     def test_overshoot_raises(self):
         y = line_grid(20.0, 201)
@@ -170,6 +181,47 @@ class TestStepW:
         for _ in range(50):
             w = step_w(w, ds)
         assert np.all(np.isfinite(w.values))
+
+
+def _apply(bands, w):
+    """The banded operator applied to w, as imex_step forms it."""
+    out = bands[1] * w
+    out[:-1] += bands[0][1:] * w[1:]
+    out[1:] += bands[2][:-1] * w[:-1]
+    return out
+
+
+class TestDriftOperator:
+    @pytest.mark.parametrize(
+        "geometry, dimension, nodes, w, exact",
+        [
+            # Lap y = 0 and -(y/2) y' = -y/2
+            ("line", 1, line_grid(20.0, 401), lambda y: y, lambda y: -0.5 * y),
+            # N = 3: Lap r^2 = 2N = 6 and -(r/2) (r^2)' = -r^2
+            ("radial", 3, np.linspace(0.0, 20.0, 401), lambda r: r * r,
+             lambda r: 6.0 - r * r),
+        ],
+        ids=["line-y", "radial-N3-r2"],
+    )
+    def test_bands_exact_on_low_degree(self, geometry, dimension, nodes, w, exact):
+        # central differences are exact on these polynomials at every
+        # interior node
+        got = _apply(laplacian_bands(nodes, geometry, dimension, True), w(nodes))
+        np.testing.assert_allclose(got[1:-1], exact(nodes)[1:-1], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("extent, resolution", [(20.0, 401), (20.0, 64), (100.0, 64)])
+    def test_spectrum_in_closed_left_half_plane(self, extent, resolution):
+        # Crank-Nicolson is stable on the operator while no eigenvalue has a
+        # positive real part, also on grids (R h = 12.5 and 312) where the
+        # central drift makes off-diagonals negative; on the corpus grid the
+        # top of the spectrum is the Ornstein-Uhlenbeck one, -m/2
+        y = line_grid(extent, resolution)
+        b = laplacian_bands(y, "line", 1, True)
+        A = np.diag(b[1]) + np.diag(b[0][1:], 1) + np.diag(b[2][:-1], -1)
+        re = np.sort(np.linalg.eigvals(A).real)[::-1]
+        assert re[0] <= 1e-10
+        if resolution == 401:
+            np.testing.assert_allclose(re[:5], -0.5 * np.arange(5), atol=1e-9)
 
 
 class TestDissipation:
