@@ -38,7 +38,7 @@ from .functionals import FunctionalConfig, FunctionalSnapshot
 from .initial_data import gaussian, line_grid, profile_shape
 from .ode_blowup import integrate_vT, trajectory_table
 from .physical_solver import STEP_LIMITS, GridField, run_to_blowup
-from .similarity_solver import SimField
+from .similarity_solver import DEFAULT_DS, SimField
 from .verification import build_audit_corpus, run_all_suites
 
 SCHEMA_VERSION = 1
@@ -68,7 +68,7 @@ class SolverSpec:
     T: float = 1.0
     s_end: float = 8.0
     s_max: float = 30.0
-    ds: float = 0.01
+    ds: float = DEFAULT_DS
     dt_safety: float = 0.05
     rel_tol: float = 1e-10
     m_stop: float = 1e8

@@ -252,17 +252,21 @@ def rescaled_nonlinearity(s: float, w, params: Params):
     Returns s^(-a) |w|^(p-1) w log_term(s, w)^a, which equals
     e^(-ps/(p-1)) s^(a/(p-1)) f(phi(s) w) wherever the literal composition is
     representable, and stays finite for s up to (and beyond) 700.
+
+    It sets no floating-point error state of its own: the similarity step
+    calls it twice per step inside imex_step's.  Only a |w| near the float64
+    limit (|w|^p beyond 1.8e308) overflows; the result is then inf, with
+    numpy's overflow warning unless the caller has silenced it.
     """
     arr = np.asarray(w, dtype=float)
     aw, w_max = _abs_max(arr, "rescaled_nonlinearity")
     p, a = params.p, params.a
-    with np.errstate(over="ignore"):
-        out = aw ** (p - 1.0) * arr
-        if a != 0.0:
-            _check_s(s, "rescaled_nonlinearity")
-            ell = _log_2_plus_phi_sq(log_phi(float(s), params), arr, aw, w_max)
-            out *= float(s) ** (-a)
-            out *= ell**a
+    out = aw ** (p - 1.0) * arr
+    if a != 0.0:
+        _check_s(s, "rescaled_nonlinearity")
+        ell = _log_2_plus_phi_sq(log_phi(float(s), params), arr, aw, w_max)
+        out *= float(s) ** (-a)
+        out *= ell**a
     return float(out) if arr.ndim == 0 else out
 
 

@@ -148,15 +148,18 @@ def imex_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance u by dt on the grid (nodes, geometry, dimension) with the
     explicit terms g(t, u) = explicit(t, u), A carrying the drift if drift
-    is set.  Returns (u_new, u*): the second-order result and the
-    first-order predictor, whose gap is an embedded estimate of the
-    predictor's local error.  Raises BlowupOvershootError on any non-finite
-    value (the step went past the singularity)."""
+    is set.  explicit runs with floating-point overflow silenced, so it may
+    overflow to inf without a warning.  Returns (u_new, u*): the
+    second-order result and the first-order predictor, whose gap is an
+    embedded estimate of the predictor's local error.  Raises
+    BlowupOvershootError on any non-finite value (the step went past the
+    singularity)."""
     bands, predictor, corrector = _operator(_Grid(nodes), geometry, dimension, drift, dt)
-    g0 = explicit(t, u)
-    # One error state for both stages: an overflow anywhere leaves an inf in
-    # a right-hand side, and _solve reports it.
+    # One error state for the whole step, both explicit evaluations included:
+    # an overflow anywhere leaves an inf in a right-hand side, and _solve
+    # reports it.
     with np.errstate(over="ignore"):
+        g0 = explicit(t, u)
         rhs = u + dt * g0
         u_star = _solve(predictor, rhs, t, "predictor")
         g1 = explicit(t + dt, u_star)

@@ -151,6 +151,10 @@ def integrate(rule: QuadratureRule, g) -> float:
     weights are never negative), so the samples are searched only when the
     sum is not finite.  A sum that overflows from finite samples is returned
     as it is, with numpy's overflow warning.
+
+    The sum is np.vdot, the same BLAS dot product as np.dot, bit for bit,
+    but without numpy's floating-point checks, so the common finite case
+    needs no error state; the overflow path reruns np.dot for its warning.
     """
     if callable(g):
         values = np.asarray(g(rule.nodes), dtype=float)
@@ -161,8 +165,7 @@ def integrate(rule: QuadratureRule, g) -> float:
             f"integrate: sample shape {values.shape} does not match rule nodes "
             f"{rule.nodes.shape}"
         )
-    with np.errstate(invalid="ignore"):  # 0 * inf, inf - inf: named below
-        total = float(np.dot(rule.weights, values))
+    total = float(np.vdot(rule.weights, values))
     if not math.isfinite(total):
         bad = ~np.isfinite(values)
         if bad.any():
@@ -170,4 +173,6 @@ def integrate(rule: QuadratureRule, g) -> float:
             raise NumericError(
                 f"integrate: non-finite sample at node {rule.nodes[i]:.6g} (index {i})"
             )
+        with np.errstate(invalid="ignore"):  # inf - inf after the overflow
+            total = float(np.dot(rule.weights, values))
     return total

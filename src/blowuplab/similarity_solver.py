@@ -162,6 +162,13 @@ def ds_dissipation(before: SimField, after: SimField, rule: QuadratureRule) -> f
     return integrate(rule, rate * rate)
 
 
+# The similarity step every caller defaults to: the CLI's solver.ds, the
+# separatrix tuner, the audit corpus and criterion 8.  Only accuracy limits
+# ds, and at 1/50 the time error of the corpus runs stays below the spatial
+# error of the 401-node grid at every unit boundary (a test checks this).
+DEFAULT_DS = 1.0 / 50
+
+
 def cfl_step(nodes: np.ndarray, ds_requested: float) -> float:
     """Largest step <= ds_requested that divides 1 exactly, so runs land on
     unit-s boundaries.  Raises DomainError unless ds_requested is finite and

@@ -44,7 +44,7 @@ from .initial_data import gaussian, line_grid, profile_shape, random_smooth_shap
 from .ode_blowup import integrate_vT, times_to_blowup, trajectory_table
 from .physical_solver import GridField, run_to_blowup, step
 from .quadrature import build_rule, gaussian_mass, integrate, rule_for_grid
-from .similarity_solver import SimField, cfl_step, step_w, to_similarity
+from .similarity_solver import DEFAULT_DS, SimField, cfl_step, step_w, to_similarity
 
 
 @dataclass
@@ -272,7 +272,7 @@ def build_audit_corpus(cfg: FunctionalConfig | None = None) -> AuditCorpus:
             )
             runs.append(
                 (f"random[p={p:g},a={a:g},seed={seed}]",
-                 run_similarity(w0, S0 + AUDIT_UNITS, 0.01, cfg))
+                 run_similarity(w0, S0 + AUDIT_UNITS, DEFAULT_DS, cfg))
             )
         shape = profile_shape(nodes, S0, params)
         probes: list = []
@@ -283,7 +283,7 @@ def build_audit_corpus(cfg: FunctionalConfig | None = None) -> AuditCorpus:
         w0 = SimField(
             geometry="line", nodes=nodes, values=lam * shape, s=S0, params=params
         )
-        run = run_similarity(w0, S0 + PROFILE_UNITS, 0.01, cfg)
+        run = run_similarity(w0, S0 + PROFILE_UNITS, DEFAULT_DS, cfg)
         profile_runs[(p, a)] = run
         runs.append((f"profile[p={p:g},a={a:g}]", run))
     return AuditCorpus(runs=runs, profile_runs=profile_runs, cfg=cfg, tuning=tuning)
@@ -450,7 +450,7 @@ def criterion_8_frame_equivalence() -> SuiteResult:
     w_phys = to_similarity(f, 0.0, T, params, y)
 
     ws = SimField(geometry="line", nodes=y, values=w0, s=S0, params=params)
-    ds = cfl_step(y, 0.01)
+    ds = cfl_step(y, DEFAULT_DS)
     for _ in range(int(round(1.0 / ds))):
         ws = step_w(ws, ds)
 

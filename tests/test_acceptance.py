@@ -28,8 +28,8 @@ from blowuplab.verification import (
 
 # The multipliers the 42-step threshold bisection (the tuner before it became
 # a root-finder on the escape time) finds with the drift in the implicit
-# operator.
-BISECTED_LAMBDA = {(3.0, 1.0): 1.095666062098462, (3.0, -1.0): 1.441342740342952}
+# operator, at the default ds = 1/50.
+BISECTED_LAMBDA = {(3.0, 1.0): 1.0956590158981272, (3.0, -1.0): 1.4413467195816336}
 
 
 @pytest.fixture(scope="module")

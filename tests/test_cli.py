@@ -388,7 +388,7 @@ class TestMain:
         assert main(argv) == 0
         res = json.loads((out / "report.json").read_text())["results"]
         assert res["lyapunov"]["passed"] is True
-        assert res["steps"] == 600
+        assert res["steps"] == 300
 
     def test_run_counters_in_report(self, tmp_path):
         phys, sim = tmp_path / "phys", tmp_path / "sim"
@@ -423,8 +423,8 @@ class TestMain:
         report = json.loads((sim / "report.json").read_text())
         res = report["results"]
         ledger = np.loadtxt(sim / "step_ledger.csv", delimiter=",", skiprows=1)
-        assert res["ds_effective"] == 0.01
-        assert res["steps"] == ledger.shape[0] - 1 == 200
+        assert res["ds_effective"] == 0.02
+        assert res["steps"] == ledger.shape[0] - 1 == 100
         assert res["time_stepping_s"] > 0.0 and res["time_functionals_s"] > 0.0
         assert res["time_stepping_s"] + res["time_functionals_s"] <= report["wall_time_s"]
 

@@ -17,6 +17,7 @@ from blowuplab.initial_data import line_grid, random_smooth_shape
 from blowuplab.physical_solver import GridField
 from blowuplab.quadrature import rule_for_grid
 from blowuplab.similarity_solver import (
+    DEFAULT_DS,
     SimField,
     cfl_step,
     ds_dissipation,
@@ -157,6 +158,36 @@ class TestStepW:
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
         assert np.log2(e1 / e2) >= 1.9
+
+    @pytest.mark.parametrize("a", [1.0, -1.0])
+    def test_default_ds_time_error_below_spatial_error(self, a):
+        # on the corpus grid (401 nodes on [-20, 20]) the default step's time
+        # error (ds against ds/2) stays below the spatial error (401 against
+        # 801 nodes) at every unit boundary; both grids start from one datum,
+        # built on 801 nodes and read at every other node on 401
+        params = Params(3.0, a)
+        fine, coarse = line_grid(20.0, 801), line_grid(20.0, 401)
+        assert np.array_equal(coarse, fine[::2])
+        w0 = 0.7 * random_smooth_shape(fine, params, 0)
+
+        def unit_boundaries(nodes, values, ds):
+            w = SimField("line", nodes, values, 2.0, params)
+            out = []
+            for _ in range(2):
+                for _ in range(round(1.0 / ds)):
+                    w = step_w(w, ds)
+                out.append(w.values)
+            return out
+
+        ds = cfl_step(coarse, DEFAULT_DS)
+        runs = zip(
+            unit_boundaries(coarse, w0[::2], ds),
+            unit_boundaries(coarse, w0[::2], ds / 2),
+            unit_boundaries(fine, w0, ds),
+        )
+        for w, w_half_ds, w_fine in runs:
+            time_error = np.max(np.abs(w - w_half_ds))
+            assert time_error < np.max(np.abs(w - w_fine[::2]))
 
     def test_overshoot_raises(self):
         y = line_grid(20.0, 201)
