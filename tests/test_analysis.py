@@ -126,6 +126,26 @@ class TestSeparatrixRoot:
         assert abs(x - root) <= 1e-10
         assert len(calls) <= 2 * self.BISECTION_PROBES
 
+    def test_converging_one_sided_secant_runs_on(self):
+        # above the root the signal is convex, so the g > 0 probes close in on
+        # it from one side while the lower end of the bracket stays put; their
+        # steps shrink, so no bisection interrupts them, and the last probe
+        # crosses the root from _SEPARATRIX_XTOL/2 away
+        root = 1.0956005522
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            d = x - root
+            return d * (1.0 + 2.0 * d) if d > 0.0 else 3.0 * d
+
+        x = _separatrix_root(g, 0.5, 1.6)
+        assert abs(x - root) <= 1e-10
+        one_sided = calls[2:-1]
+        assert all(c > root for c in one_sided)
+        assert one_sided == sorted(one_sided, reverse=True)
+        assert root - 1e-10 < calls[-1] < root
+
     @pytest.mark.parametrize("root", [0.4, 1.7, 0.5, 1.6])
     def test_bracket_that_does_not_straddle_raises(self, root):
         calls = []
