@@ -22,7 +22,11 @@ from .functionals import FunctionalConfig, FunctionalSnapshot, eval_L, snapshot
 from .quadrature import QuadratureRule, integrate, rule_for_grid
 from .similarity_solver import DEFAULT_DS, SimField, cfl_step, ds_dissipation, step_w
 
-DEFAULT_TAU_WINDOW = (1e-7, 1e-2)
+# fit_rate takes the last _FIT_WINDOW_FRACTION of the samples whose remaining
+# time T_hat - t lies in _FIT_TAU_WINDOW, and needs _FIT_MIN_SAMPLES of them.
+_FIT_WINDOW_FRACTION = 0.6
+_FIT_TAU_WINDOW = (1e-7, 1e-2)
+_FIT_MIN_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -51,18 +55,12 @@ class ProfileReport:
     z_max: float
 
 
-def fit_rate(
-    sup_history: np.ndarray,
-    T_hat: float,
-    window_fraction: float = 0.6,
-    tau_window: tuple[float, float] = DEFAULT_TAU_WINDOW,
-    min_samples: int = 50,
-) -> RateFit:
+def fit_rate(sup_history: np.ndarray, T_hat: float) -> RateFit:
     """Fit log M = -alpha log(T_hat - t) - beta log(-log(T_hat - t)) + log kappa.
 
-    Uses the last window_fraction of the samples whose remaining time
-    T_hat - t lies inside tau_window; samples at or beyond T_hat fall outside
-    every window (the final step of a run can saturate float resolution in t).
+    Uses the last _FIT_WINDOW_FRACTION of the samples whose remaining time
+    T_hat - t lies inside _FIT_TAU_WINDOW; samples at or beyond T_hat fall
+    outside it (the final step of a run can saturate float resolution in t).
     Raises FitError for short or degenerate windows.
     """
     hist = np.asarray(sup_history, dtype=float)
@@ -70,13 +68,14 @@ def fit_rate(
     if T_hat <= float(t.min()):
         raise DomainError("fit_rate: T_hat precedes every sample")
     tau = T_hat - t
-    keep = (tau >= tau_window[0]) & (tau <= tau_window[1]) & (M > 0.0)
+    keep = (tau >= _FIT_TAU_WINDOW[0]) & (tau <= _FIT_TAU_WINDOW[1]) & (M > 0.0)
     idx = np.flatnonzero(keep)
     if idx.size:
-        idx = idx[int(idx.size * (1.0 - window_fraction)) :]
-    if idx.size < min_samples:
+        idx = idx[int(idx.size * (1.0 - _FIT_WINDOW_FRACTION)) :]
+    if idx.size < _FIT_MIN_SAMPLES:
         raise FitError(
-            f"fit_rate: only {idx.size} samples in the window, need >= {min_samples}"
+            f"fit_rate: only {idx.size} samples in the window, "
+            f"need >= {_FIT_MIN_SAMPLES}"
         )
     tau = tau[idx]
     s = -np.log(tau)
@@ -140,20 +139,25 @@ class LyapunovReport:
     passed: bool
 
 
+# lyapunov_audit's tolerances: per unit interval _AUDIT_TOL_SCALE (1 + |L|),
+# and _AUDIT_STEP_TOL for a rise of L over one unit or one step.
+_AUDIT_TOL_SCALE = 1e-3
+_AUDIT_STEP_TOL = 1e-6
+
+
 def lyapunov_audit(
     snapshots: list[FunctionalSnapshot],
     dissipation: np.ndarray,
     step_L: np.ndarray | None = None,
-    tol_scale: float = 1e-3,
-    step_tol: float = 1e-6,
 ) -> LyapunovReport:
     """Check L(s+1) - L(s) <= -1/2 int int (ds w)^2 rho + tol per unit interval.
 
     snapshots must be at consecutive unit-s boundaries; dissipation[k] is the
-    discrete double integral over [s_k, s_k + 1].  tol = tol_scale (1 + |L(s_k)|).
-    When the per-step L series is supplied, per-step monotonicity within
-    step_tol is checked as well; the series must span the snapshots at a
-    uniform step, and a step violation is placed at the s where L rose.
+    discrete double integral over [s_k, s_k + 1].
+    tol = _AUDIT_TOL_SCALE (1 + |L(s_k)|).  When the per-step L series is
+    supplied, per-step monotonicity within _AUDIT_STEP_TOL is checked as
+    well; the series must span the snapshots at a uniform step, and a step
+    violation is placed at the s where L rose.
     Violations are report content, not errors.
     """
     if len(snapshots) < 4:
@@ -164,30 +168,34 @@ def lyapunov_audit(
     for k in range(len(snapshots) - 1):
         lhs = snapshots[k + 1].L - snapshots[k].L
         rhs = -0.5 * dissipation[k]
-        tol = tol_scale * (1.0 + abs(snapshots[k].L))
+        tol = _AUDIT_TOL_SCALE * (1.0 + abs(snapshots[k].L))
         if lhs > rhs + tol:
             violations.append(
                 LyapunovViolation(
                     s=snapshots[k].s, magnitude=float(lhs - rhs - tol), kind="interval"
                 )
             )
-        if lhs > step_tol:  # non-increasing per unit of s as well
+        if lhs > _AUDIT_STEP_TOL:  # non-increasing per unit of s as well
             violations.append(
                 LyapunovViolation(
-                    s=snapshots[k].s, magnitude=float(lhs - step_tol), kind="unit"
+                    s=snapshots[k].s,
+                    magnitude=float(lhs - _AUDIT_STEP_TOL),
+                    kind="unit",
                 )
             )
     max_step_increase = 0.0
     if step_L is not None and len(step_L) > 1:
         diffs = np.diff(np.asarray(step_L))
         max_step_increase = float(max(0.0, diffs.max()))
-        if max_step_increase > step_tol:
+        if max_step_increase > _AUDIT_STEP_TOL:
             where = int(np.argmax(diffs))
             s0, s_last = snapshots[0].s, snapshots[-1].s
             s = s0 + (where + 1) * (s_last - s0) / (len(step_L) - 1)
             violations.append(
                 LyapunovViolation(
-                    s=float(s), magnitude=max_step_increase - step_tol, kind="step"
+                    s=float(s),
+                    magnitude=max_step_increase - _AUDIT_STEP_TOL,
+                    kind="step",
                 )
             )
     return LyapunovReport(
@@ -283,11 +291,10 @@ def tune_blowup_amplitude(
     s_end: float,
     params: Params,
     ds: float = DEFAULT_DS,
-    geometry: str = "line",
     probes: list | None = None,
 ) -> float:
-    """The amplitude multiplier that keeps lam * shape on the blow-up
-    separatrix of the similarity flow up to s_end.
+    """The amplitude multiplier that keeps lam * shape, sampled on the line
+    grid nodes, on the blow-up separatrix of the similarity flow up to s_end.
 
     The constant-amplitude equilibrium has unstable directions (shifting the
     blow-up time or point of the underlying physical solution), so an
@@ -312,7 +319,7 @@ def tune_blowup_amplitude(
 
     def classify(lam: float) -> tuple[int, float, int]:
         w = SimField(
-            geometry=geometry, nodes=nodes, values=lam * shape, s=s0, params=params
+            geometry="line", nodes=nodes, values=lam * shape, s=s0, params=params
         )
         for k in range(1, n_steps + 1):
             try:

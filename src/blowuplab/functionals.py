@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_math import Params, rescaled_F
-from .errors import ConfigurationError, ContractViolation, DomainError
-from .quadrature import QuadratureRule, integrate
+from .errors import ConfigurationError, DomainError
+from .quadrature import QuadratureRule, check_same_grid, integrate
 from .similarity_solver import SimField
 
 
@@ -76,11 +76,9 @@ class FunctionalSnapshot:
 def _check_field(field: SimField, rule: QuadratureRule) -> None:
     if field.s < 1.0:
         raise DomainError(f"functional requires s >= 1, got {field.s}")
-    if rule.nodes is not field.nodes and (
-        rule.nodes.shape != field.nodes.shape
-        or not np.allclose(rule.nodes, field.nodes)
-    ):
-        raise ContractViolation("functional: rule nodes do not match the field grid")
+    check_same_grid(
+        rule.nodes, field.nodes, "functional: rule nodes do not match the field grid"
+    )
 
 
 def _gradient(w: np.ndarray, h: float) -> np.ndarray:
@@ -140,11 +138,10 @@ def cutoff_psi(R: float):
     return psi
 
 
-def _psi_sq(field: SimField, cfg: FunctionalConfig, rule: QuadratureRule) -> np.ndarray:
-    if 2.0 * cfg.cutoff_radius > rule.truncation_radius:
+def _psi_sq(field: SimField, cfg: FunctionalConfig) -> np.ndarray:
+    if 2.0 * cfg.cutoff_radius > field.radius:
         raise ConfigurationError(
-            f"cutoff radius {cfg.cutoff_radius} needs 2R <= R_max = "
-            f"{rule.truncation_radius}"
+            f"cutoff radius {cfg.cutoff_radius} needs 2R <= R_max = {field.radius}"
         )
     psi = cutoff_psi(cfg.cutoff_radius)
     return psi(field.nodes) ** 2
@@ -155,7 +152,7 @@ def snapshot(field: SimField, rule: QuadratureRule, cfg: FunctionalConfig) -> Fu
     energy, w2 = _integrands(field, rule)
     s = field.s
     b = cfg.b(field.params)
-    psi2 = _psi_sq(field, cfg, rule)
+    psi2 = _psi_sq(field, cfg)
     E = integrate(rule, energy)
     mass = integrate(rule, w2)
     J = -mass / (2.0 * s)

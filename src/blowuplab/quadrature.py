@@ -1,18 +1,18 @@
 """Quadrature rules for integrals against the Gaussian weight rho(y) = e^(-|y|^2/4).
 
-Two rule modes:
+There is one rule, rule_for_grid: the rho-weighted trapezoid on the uniform
+nodes of a solver grid, so sampled fields integrate without interpolation.
+On a radial grid the weights carry the surface factor omega_{N-1} r^(N-1).
 
-* ``line`` (N = 1): uniform nodes on [-R_max, R_max] with trapezoidal weights
-  times rho.  For integrands with Gaussian decay the trapezoidal rule on a
-  uniform grid is accurate far beyond any polynomial order, and the nodes
-  coincide with the PDE solvers' grids, so sampled fields integrate without
-  interpolation.
-* ``radial`` (any N): composite Gauss-Legendre panels in r on [0, R_max] with
-  weights omega_{N-1} r^(N-1) e^(-r^2/4); used for radially symmetric
-  integrands supplied as callables (or fields interpolated to the nodes).
+* Line grids (N = 1) and radial grids of odd N: the integrand has Gaussian
+  decay and, at odd N, extends evenly through r = 0, so the trapezoid is
+  accurate far beyond any polynomial order.
+* Radial grids of even N: r^(N-1) rho is odd in r, so the trapezoid keeps
+  its h^2 end term at r = 0.  Gregory's end correction of order 7 (Davis &
+  Rabinowitz, Methods of Numerical Integration) removes it.
 
-Every rule is checked at construction against the exact Gaussian mass
-int rho = (4 pi)^(N/2).
+Acceptance criterion 3 checks the Gaussian mass and moments of the rule at
+N = 1, 2 and 3.
 """
 
 from __future__ import annotations
@@ -25,7 +25,12 @@ from scipy.special import gamma
 
 from .errors import ConfigurationError, ContractViolation, NumericError
 
-_PANEL_POINTS = 16
+# Gregory's order-7 end correction as node weights: h * _GREGORY[j] is added
+# to the trapezoid weight of node j.  The coefficients sum to zero.
+_GREGORY = np.array([
+    -3383 / 17280, 6961 / 15120, -66109 / 120960, 33 / 70,
+    -31523 / 120960, 1247 / 15120, -275 / 24192,
+])
 
 
 def gaussian_mass(N: int) -> float:
@@ -42,87 +47,22 @@ def sphere_area(N: int) -> float:
 class QuadratureRule:
     """Nodes and weights approximating int g(y) rho(y) dy.
 
-    In line mode the nodes are signed coordinates; in radial mode they are
-    radii r >= 0 and the weights absorb the surface factor
+    On a line grid the nodes are signed coordinates; on a radial grid they
+    are radii r >= 0 and the weights absorb the surface factor
     omega_{N-1} r^(N-1).
     """
 
     dimension: int
-    mode: str
     nodes: np.ndarray
     weights: np.ndarray
-    truncation_radius: float
-
-    @property
-    def spacing(self) -> float:
-        return float(self.nodes[1] - self.nodes[0])
-
-
-def build_rule(N: int, mode: str, resolution: int, R_max: float) -> QuadratureRule:
-    """Construct a rule and verify the Gaussian-mass invariant to 1e-10.
-
-    resolution is the total node count (>= 16); R_max >= 10 keeps the
-    truncated tail below e^(-25) relative.
-    """
-    if int(N) != N or N < 1:
-        raise ConfigurationError(f"build_rule: N must be a positive integer, got {N}")
-    if resolution < 16:
-        raise ConfigurationError(f"build_rule: resolution must be >= 16, got {resolution}")
-    if R_max < 10.0:
-        raise ConfigurationError(f"build_rule: R_max must be >= 10, got {R_max}")
-    if mode not in ("line", "radial"):
-        raise ConfigurationError(f"build_rule: unknown mode {mode!r}")
-    if mode == "line" and N != 1:
-        raise ConfigurationError("build_rule: line mode requires N = 1")
-
-    if mode == "line":
-        nodes = np.linspace(-R_max, R_max, resolution)
-        h = nodes[1] - nodes[0]
-        w = np.full(resolution, h)
-        w[0] = w[-1] = h / 2.0
-        weights = w * np.exp(-nodes * nodes / 4.0)
-    else:
-        n_panels = max(2, resolution // _PANEL_POINTS)
-        base = resolution // n_panels
-        extra = resolution - base * n_panels
-        xg, wg = np.polynomial.legendre.leggauss(base)
-        xg1, wg1 = np.polynomial.legendre.leggauss(base + 1)
-        edges = np.linspace(0.0, R_max, n_panels + 1)
-        nodes_l, wts_l = [], []
-        for k in range(n_panels):
-            x, wq = (xg1, wg1) if k < extra else (xg, wg)
-            lo, hi = edges[k], edges[k + 1]
-            nodes_l.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
-            wts_l.append(0.5 * (hi - lo) * wq)
-        nodes = np.concatenate(nodes_l)
-        wq = np.concatenate(wts_l)
-        weights = wq * sphere_area(N) * nodes ** (N - 1) * np.exp(-nodes * nodes / 4.0)
-
-    rule = QuadratureRule(
-        dimension=N,
-        mode=mode,
-        nodes=nodes,
-        weights=weights,
-        truncation_radius=float(R_max),
-    )
-    mass = float(np.sum(weights))
-    rel = abs(mass / gaussian_mass(N) - 1.0)
-    if rel > 1e-10:
-        raise ConfigurationError(
-            f"build_rule: mass invariant violated (relative error {rel:.3e} "
-            f"for N={N}, mode={mode}, resolution={resolution}, R_max={R_max})"
-        )
-    if np.any(weights < 0.0) or np.any(np.diff(nodes) <= 0.0):
-        raise ConfigurationError("build_rule: weights must be nonnegative and nodes increasing")
-    return rule
 
 
 def rule_for_grid(nodes: np.ndarray, N: int, geometry: str) -> QuadratureRule:
-    """Grid-coincident rule: rho-weighted trapezoid on the given uniform nodes.
+    """Grid-coincident rule: rho-weighted trapezoid on the given uniform nodes,
+    with Gregory's end correction at r = 0 on radial grids of even N.
 
-    Lets functionals integrate sampled fields without interpolation.  For
-    radial geometry the weights carry the surface factor; the origin node of
-    an N >= 2 radial grid receives weight zero (the measure vanishes there).
+    The origin node of an N >= 2 radial grid receives weight zero (the
+    measure vanishes there), and no weight is negative.
     """
     nodes = np.asarray(nodes, dtype=float)
     h = nodes[1] - nodes[0]
@@ -131,16 +71,26 @@ def rule_for_grid(nodes: np.ndarray, N: int, geometry: str) -> QuadratureRule:
     if geometry == "line":
         weights = w * np.exp(-nodes * nodes / 4.0)
     elif geometry == "radial":
+        if N % 2 == 0:
+            if nodes.size <= _GREGORY.size:
+                raise ConfigurationError(
+                    f"rule_for_grid: a radial grid of even N needs more than "
+                    f"{_GREGORY.size} nodes, got {nodes.size}"
+                )
+            w[: _GREGORY.size] += h * _GREGORY
         weights = w * sphere_area(N) * nodes ** (N - 1) * np.exp(-nodes * nodes / 4.0)
     else:
         raise ConfigurationError(f"rule_for_grid: unknown geometry {geometry!r}")
-    return QuadratureRule(
-        dimension=N,
-        mode="line" if geometry == "line" else "radial",
-        nodes=nodes,
-        weights=weights,
-        truncation_radius=float(abs(nodes[-1])),
-    )
+    return QuadratureRule(dimension=N, nodes=nodes, weights=weights)
+
+
+def check_same_grid(nodes: np.ndarray, other: np.ndarray, message: str) -> None:
+    """Raise ContractViolation(message) unless other is nodes, or the same
+    grid to np.allclose."""
+    if nodes is not other and (
+        nodes.shape != other.shape or not np.allclose(nodes, other)
+    ):
+        raise ContractViolation(message)
 
 
 def integrate(rule: QuadratureRule, g) -> float:

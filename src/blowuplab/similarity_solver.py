@@ -29,7 +29,7 @@ from .errors import (
 )
 from .imex import imex_step
 from .physical_solver import GridField
-from .quadrature import QuadratureRule, integrate
+from .quadrature import QuadratureRule, check_same_grid, integrate
 
 @dataclass(frozen=True)
 class SimField:
@@ -148,16 +148,12 @@ def ds_dissipation(before: SimField, after: SimField, rule: QuadratureRule) -> f
     """Discrete dissipation density int ((w_after - w_before)/ds)^2 rho dy."""
     if after.s <= before.s:
         raise ContractViolation("ds_dissipation: after.s must exceed before.s")
-    if before.nodes is not after.nodes and (
-        before.nodes.shape != after.nodes.shape
-        or not np.allclose(before.nodes, after.nodes)
-    ):
-        raise ContractViolation("ds_dissipation: grid mismatch between fields")
-    if rule.nodes is not before.nodes and (
-        rule.nodes.shape != before.nodes.shape
-        or not np.allclose(rule.nodes, before.nodes)
-    ):
-        raise ContractViolation("ds_dissipation: rule nodes do not match the grid")
+    check_same_grid(
+        before.nodes, after.nodes, "ds_dissipation: grid mismatch between fields"
+    )
+    check_same_grid(
+        rule.nodes, before.nodes, "ds_dissipation: rule nodes do not match the grid"
+    )
     rate = (after.values - before.values) / (after.s - before.s)
     return integrate(rule, rate * rate)
 

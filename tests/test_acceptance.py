@@ -83,7 +83,11 @@ def test_criterion_2_nonlinearity():
 
 
 def test_criterion_3_quadrature():
-    assert_attainable(report(criterion_3_quadrature()))
+    res = report(criterion_3_quadrature())
+    assert_attainable(res)
+    tags = sorted({c.name[c.name.index("[") + 1 : -1] for c in res.checks})
+    assert tags == ["grid,N=1", "grid,N=2", "grid,N=3"]
+    assert len(res.checks) == 9
 
 
 def test_criterion_4_lyapunov(corpus):

@@ -4,22 +4,27 @@ import numpy as np
 import pytest
 
 from blowuplab.errors import ConfigurationError, ContractViolation, NumericError
-from blowuplab.quadrature import (
-    build_rule,
-    gaussian_mass,
-    integrate,
-    rule_for_grid,
-    sphere_area,
-)
+from blowuplab.quadrature import gaussian_mass, integrate, rule_for_grid, sphere_area
 
 
 @pytest.fixture(scope="module")
 def rules():
+    radial = np.linspace(0.0, 20.0, 256)
     return {
-        1: build_rule(1, "line", 256, 20.0),
-        2: build_rule(2, "radial", 256, 20.0),
-        3: build_rule(3, "radial", 256, 20.0),
+        1: rule_for_grid(np.linspace(-20.0, 20.0, 256), 1, "line"),
+        2: rule_for_grid(radial, 2, "radial"),
+        3: rule_for_grid(radial, 3, "radial"),
     }
+
+
+def plain_trapezoid(nodes, N, geometry):
+    """The rho-weighted trapezoid, with the surface factor on radial grids."""
+    h = nodes[1] - nodes[0]
+    w = np.full(nodes.shape, h)
+    w[0] = w[-1] = h / 2.0
+    if geometry == "line":
+        return w * np.exp(-nodes * nodes / 4.0)
+    return w * sphere_area(N) * nodes ** (N - 1) * np.exp(-nodes * nodes / 4.0)
 
 
 class TestConstruction:
@@ -34,26 +39,29 @@ class TestConstruction:
         )
 
     def test_radial_mode_for_n1(self):
-        rule = build_rule(1, "radial", 64, 15.0)
+        rule = rule_for_grid(np.linspace(0.0, 15.0, 64), 1, "radial")
         assert np.sum(rule.weights) == pytest.approx(np.sqrt(4.0 * np.pi), rel=1e-10)
 
     def test_nodes_increasing_weights_positive(self, rules):
         for rule in rules.values():
             assert np.all(np.diff(rule.nodes) > 0.0)
-            assert np.all(rule.weights > 0.0)
-            assert np.max(np.abs(rule.nodes)) <= rule.truncation_radius
+            assert np.all(rule.weights >= 0.0)
+
+    @pytest.mark.parametrize("n", [64, 201, 801])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_radial_weights_nonnegative_with_zero_origin(self, N, n):
+        # integrate's finiteness argument needs both
+        rule = rule_for_grid(np.linspace(0.0, 20.0, n), N, "radial")
+        assert rule.weights[0] == 0.0
+        assert np.all(rule.weights[1:] > 0.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigurationError):
-            build_rule(0, "line", 256, 20.0)
-        with pytest.raises(ConfigurationError):
-            build_rule(1, "line", 8, 20.0)
-        with pytest.raises(ConfigurationError):
-            build_rule(1, "line", 256, 5.0)
-        with pytest.raises(ConfigurationError):
-            build_rule(2, "line", 256, 20.0)
-        with pytest.raises(ConfigurationError):
-            build_rule(1, "hexagonal", 256, 20.0)
+            rule_for_grid(np.linspace(-20.0, 20.0, 256), 1, "hexagonal")
+
+    def test_even_n_radial_grid_needs_the_correction_stencil(self):
+        with pytest.raises(ConfigurationError, match="more than 7 nodes"):
+            rule_for_grid(np.linspace(0.0, 20.0, 7), 2, "radial")
 
     def test_sphere_area(self):
         assert sphere_area(1) == pytest.approx(2.0)
@@ -105,10 +113,13 @@ class TestIntegrate:
         assert integrate(rules[2], g) >= 0.0
 
     def test_truncation_adequacy(self):
-        # doubling R_max changes nothing, for growth up to degree 8
-        for N, mode in ((1, "line"), (3, "radial")):
-            r15 = build_rule(N, mode, 512, 15.0)
-            r30 = build_rule(N, mode, 1024, 30.0)
+        # doubling R_max at equal h changes nothing, for growth up to degree 8
+        for N, lo in ((1, -1.0), (2, 0.0), (3, 0.0)):
+            geometry = "line" if N == 1 else "radial"
+            r15 = rule_for_grid(np.linspace(15.0 * lo, 15.0, 301), N, geometry)
+            r30 = rule_for_grid(np.linspace(30.0 * lo, 30.0, 601), N, geometry)
+            h15, h30 = r15.nodes[1] - r15.nodes[0], r30.nodes[1] - r30.nodes[0]
+            assert h15 == pytest.approx(h30, rel=1e-12)
             for deg in (2, 5, 8):
                 a = integrate(r15, lambda y: y**deg + 1.0)
                 b = integrate(r30, lambda y: y**deg + 1.0)
@@ -151,7 +162,7 @@ class TestIntegrate:
 
 
 class TestGridRule:
-    def test_line_grid_rule_matches_build_rule(self):
+    def test_line_grid_rule_keeps_the_grid(self):
         nodes = np.linspace(-20.0, 20.0, 401)
         rule = rule_for_grid(nodes, 1, "line")
         assert np.sum(rule.weights) == pytest.approx(np.sqrt(4.0 * np.pi), rel=1e-10)
@@ -164,3 +175,32 @@ class TestGridRule:
         # spectrally accurate here
         assert np.sum(rule.weights) == pytest.approx((4.0 * np.pi) ** 1.5, rel=1e-10)
         assert rule.weights[0] == 0.0  # measure vanishes at the origin
+
+    @pytest.mark.parametrize(
+        "N, geometry, lo",
+        [(1, "line", -20.0), (1, "radial", 0.0), (3, "radial", 0.0), (5, "radial", 0.0)],
+    )
+    def test_line_and_odd_n_weights_are_the_plain_trapezoid(self, N, geometry, lo):
+        for n in (64, 201, 401):
+            nodes = np.linspace(lo, 20.0, n)
+            rule = rule_for_grid(nodes, N, geometry)
+            assert np.array_equal(rule.weights, plain_trapezoid(nodes, N, geometry))
+
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_even_n_correction_touches_the_first_seven_weights(self, N):
+        nodes = np.linspace(0.0, 20.0, 201)
+        rule = rule_for_grid(nodes, N, "radial")
+        plain = plain_trapezoid(nodes, N, "radial")
+        assert np.array_equal(rule.weights[7:], plain[7:])
+        assert np.all(rule.weights[1:7] != plain[1:7])
+
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_even_n_mass_error_falls_at_high_order(self, N):
+        # Gregory's order-7 correction: halving h cuts the error by about 2^8,
+        # where the plain trapezoid's h^2 end term would cut it by 4
+        errs = []
+        for n in (201, 401):
+            rule = rule_for_grid(np.linspace(0.0, 20.0, n), N, "radial")
+            errs.append(abs(np.sum(rule.weights) / gaussian_mass(N) - 1.0))
+        assert errs[0] < 1e-8
+        assert errs[0] / errs[1] > 2.0**7
