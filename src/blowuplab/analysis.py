@@ -369,7 +369,9 @@ def run_similarity(
     """Evolve w from w0.s to s_end, collecting the functional ledger.
 
     The step is the largest at most ds that divides each unit of s exactly,
-    so snapshots and dissipation integrals land on unit boundaries.
+    so snapshots and dissipation integrals land on unit boundaries.  A w
+    that blows up ends the run in BlowupOvershootError naming s: in step_w,
+    or where w is still finite but its ledger integrals overflow float64.
     """
     n_units = int(round(s_end - w0.s))
     if n_units < 1 or abs(s_end - w0.s - n_units) > 1e-9:
@@ -387,22 +389,29 @@ def run_similarity(
     step_mass: list[float] = [integrate(rule, w0.values**2)]
 
     current = w0
-    for k in range(n_units):
-        acc = 0.0
-        for j in range(per_unit):
-            t0 = time.perf_counter()
-            nxt = step_w(current, ds_eff)
-            t_step += time.perf_counter() - t0
-            acc += ds_eff * ds_dissipation(current, nxt, rule)
-            current = nxt
-            step_s.append(current.s)
-            step_mass.append(integrate(rule, current.values**2))
-            if j < per_unit - 1:  # the boundary L comes from its snapshot
-                step_L.append(eval_L(current, rule, cfg))
-        diss[k] = acc
-        fields.append(current)
-        snaps.append(snapshot(current, rule, cfg))
-        step_L.append(snaps[-1].L)
+    try:
+        for k in range(n_units):
+            acc = 0.0
+            for j in range(per_unit):
+                t0 = time.perf_counter()
+                nxt = step_w(current, ds_eff)
+                t_step += time.perf_counter() - t0
+                acc += ds_eff * ds_dissipation(current, nxt, rule)
+                current = nxt
+                step_s.append(current.s)
+                step_mass.append(integrate(rule, current.values**2))
+                if j < per_unit - 1:  # the boundary L comes from its snapshot
+                    step_L.append(eval_L(current, rule, cfg))
+            diss[k] = acc
+            fields.append(current)
+            snaps.append(snapshot(current, rule, cfg))
+            step_L.append(snaps[-1].L)
+    except BlowupOvershootError:
+        raise
+    except NumericError as exc:  # integrate: a non-finite sample of a finite w
+        raise BlowupOvershootError(
+            f"run_similarity: w blew up by s={current.s}: its ledger overflows ({exc})"
+        ) from exc
     return SimilarityRun(
         fields=fields,
         snapshots=snaps,

@@ -70,7 +70,6 @@ class SolverSpec:
     s_max: float = 30.0
     ds: float = DEFAULT_DS
     dt_safety: float = 0.05
-    rel_tol: float = 1e-10
     m_stop: float = 1e8
     t_max: float = 10.0
 
@@ -231,9 +230,7 @@ def _initial_physical(config: RunConfig, nodes: np.ndarray) -> GridField:
 
 def _scenario_ode(config: RunConfig, outdir: Path) -> dict:
     params = config.params
-    traj = integrate_vT(
-        params, config.solver.T, config.solver.s_max, config.solver.rel_tol
-    )
+    traj = integrate_vT(params, config.solver.T, config.solver.s_max)
     header, table = trajectory_table(traj, params)
     write_csv(outdir / "trajectory.csv", header, table)
     kap = kappa_a(params)

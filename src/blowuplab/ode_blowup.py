@@ -1,9 +1,13 @@
 """The blow-up ODE v' = f(v), v(T) = infinity, and its rate asymptotics.
 
-Trajectories are built backward from the singularity: the blow-up time of a
-large anchor value is computed by quadrature, then the ODE is integrated in
-the slow variable s = -log(T - t), where d v/d s = e^(-s) f(v) has O(1)
-logarithmic derivative and adaptive Runge-Kutta stepping is effortless.
+One clock serves everything here: the remaining time
+
+    tau(M) = int_M^infinity dv/f(v) = int_(log M)^infinity e^((1-p)x) ell(x)^(-a) dx,
+
+ell(x) = log(2 + e^(2x)), summed over 16-point Gauss-Legendre panels in
+x = log v.  The blow-up trajectory is tau inverted: at each s = -log(T - t)
+the sample v solves log tau(v) = -s, by a bisection-safeguarded Newton
+method in x = log v.
 """
 
 from __future__ import annotations
@@ -11,23 +15,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
-from .core_math import LOG2, Params, eval_f, log_phi
+from .core_math import LOG2, Params, log_phi
 from .errors import DomainError, NumericError
 
-_ANCHOR_FLOOR = 1e12
-_ANCHOR_CAP = 1e100
+# 16-point Gauss-Legendre rule on [-1, 1], for the panels of times_to_blowup.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+# The trajectory's s spacing; the log of the normal float64 range, to which
+# integrate_vT clips x = log v; and its Newton iteration, which stops once a
+# Newton step moves x by at most _NEWTON_XTOL, after which the quadratically
+# small remaining error is below rounding.
+_DS_SAMPLE = 0.05
+_LOG_TINY, _LOG_HUGE = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
+_NEWTON_XTOL = 1e-9
+_NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
 class OdeTrajectory:
-    """Samples (t, v) of a blow-up solution, with the blow-up time T used to
-    anchor the backward construction.  t and v are strictly increasing.
+    """Samples (t, v) of a blow-up solution with blow-up time T.  t and v
+    are strictly increasing.
 
-    s = -log(T - t) is stored alongside t: it is the exact integration
-    variable, whereas recovering T - t from the rounded t loses relative
-    accuracy once T - t drops below ~1e-13 T.
+    s = -log(T - t) is stored alongside t: it is the exact variable each
+    sample solves for, whereas recovering T - t from the rounded t loses
+    relative accuracy once T - t drops below ~1e-13 T.
     """
 
     t: np.ndarray
@@ -41,119 +53,101 @@ class OdeTrajectory:
         return np.exp(-self.s)
 
 
-def time_to_blowup(M: float, params: Params) -> float:
-    """Remaining time int_M^infinity dv/f(v) for the ODE started at value M.
-
-    Uses the substitution v = M/sigma and adaptive quadrature with the
-    integrand assembled in log form, so it stays finite for any M that
-    float64 can represent.  Positive and strictly decreasing in M.
-    """
-    if not np.isfinite(M) or M < 1.0:
-        raise DomainError(f"time_to_blowup requires M >= 1, got {M}")
-    p, a = params.p, params.a
-    lm = np.log(M)
-
-    def integrand(sig: float) -> float:
-        if sig <= 0.0:
-            return 0.0
-        ls = np.log(sig)
-        ell = np.logaddexp(LOG2, 2.0 * (lm - ls))
-        return float(np.exp((1.0 - p) * lm + (p - 2.0) * ls - a * np.log(ell)))
-
-    val, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)
-    if not val > 0.0:
-        raise NumericError(f"time_to_blowup: non-positive integral {val!r} at M={M}")
-    if err > 1e-9 * val:
-        raise NumericError(
-            f"time_to_blowup: quadrature error bound {err:.3e} too large at M={M}"
-        )
-    return float(val)
-
-
-# 16-point Gauss-Legendre rule on [-1, 1], for times_to_blowup's panels.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+def _dt_dx(x: np.ndarray, params: Params) -> np.ndarray:
+    """dt/dx = v/f(v) = e^((1-p)x) ell(x)^(-a) along the ODE, at x = log v."""
+    ell = np.logaddexp(LOG2, 2.0 * x)
+    return np.exp((1.0 - params.p) * x - params.a * np.log(ell))
 
 
 def times_to_blowup(M: np.ndarray, params: Params) -> np.ndarray:
-    """time_to_blowup at every sample of M, in one pass: time_to_blowup above
-    the largest sample, plus int dv/f(v) = int e^((1-p)x) ell^(-a) dx in
-    x = log v summed down over panels, each by 16-point Gauss-Legendre.  The
-    panels end at the samples and on a unit grid down from the top, so none
-    is wider than 1 in x, where the integrand is analytic within pi/2."""
+    """tau(M) = int_M^infinity dv/f(v) at every sample of M, in one pass.
+
+    In x = log v the integrand is e^((1-p)x) ell^(-a), analytic within
+    pi/2 of the real axis.  The panels end at the samples and on a unit
+    grid from the largest sample, down to the smallest and on up for
+    (45 + 2|a|)/(p-1) units; none is wider than 1, and each takes 16-point
+    Gauss-Legendre.  The tail left out is at most the share
+    Q(|a| + 1, 45 + 2|a|) of tau (Q the regularised upper incomplete gamma),
+    below 3e-17 for every a.  The panels are summed from the top down.
+    Every finite M > 0 is accepted; a tau outside the normal float64 range
+    is a NumericError.
+    """
     M = np.asarray(M, dtype=float)
-    if not (np.isfinite(M).all() and M.min() >= 1.0):
-        raise DomainError(f"times_to_blowup requires every M >= 1, got min {M.min()}")
+    if not (np.isfinite(M).all() and M.min() > 0.0):
+        raise DomainError(f"times_to_blowup requires finite M > 0, got min {M.min()}")
+    p, a = params.p, params.a
     xs = np.log(M)
     x_top = xs.max()
-    x = np.union1d(xs, x_top - np.arange(0.0, x_top - xs.min(), 1.0))
+    n_tail = np.ceil((45.0 + 2.0 * abs(a)) / (p - 1.0))
+    units = x_top + np.arange(1.0 - np.ceil(x_top - xs.min()), n_tail + 1.0)
+    x = np.union1d(xs, units)
     mid, half = 0.5 * (x[1:] + x[:-1]), 0.5 * (x[1:] - x[:-1])
-    pts = mid[:, None] + half[:, None] * _GL_NODES
-    ell = np.logaddexp(LOG2, 2.0 * pts)
-    panels = half * (np.exp((1.0 - params.p) * pts - params.a * np.log(ell)) @ _GL_WEIGHTS)
-    below_top = np.append(np.cumsum(panels[::-1])[::-1], 0.0)
-    tau = time_to_blowup(float(M.max()), params) + below_top
-    return tau[np.searchsorted(x, xs)]
+    with np.errstate(over="ignore"):  # a tau beyond float64 is reported next
+        dt_dx = _dt_dx(mid[:, None] + half[:, None] * _GL_NODES, params)
+        panels = half * (dt_dx @ _GL_WEIGHTS)
+        tau = np.append(np.cumsum(panels[::-1])[::-1], 0.0)[np.searchsorted(x, xs)]
+    if not (tau.min() >= np.finfo(float).tiny and np.isfinite(tau).all()):
+        raise NumericError(
+            f"times_to_blowup: tau in [{tau.min():.3e}, {tau.max():.3e}] leaves the "
+            f"normal float64 range for M in [{M.min():.3e}, {M.max():.3e}]"
+        )
+    return tau
 
 
-def _anchor(params: Params, s_max: float) -> tuple[float, float]:
-    # Raise the anchor above the floor until its remaining time is shorter
-    # than e^-(s_max + 1), so every requested sample lies before the anchor.
-    v_a = _ANCHOR_FLOOR
-    tau = time_to_blowup(v_a, params)
-    while -np.log(tau) < s_max + 1.0:
-        v_a *= 1e4
-        if v_a > _ANCHOR_CAP:
-            raise NumericError(
-                f"integrate_vT: s_max={s_max} requires anchor beyond float64 range"
-            )
-        tau = time_to_blowup(v_a, params)
-    return v_a, tau
+def time_to_blowup(M: float, params: Params) -> float:
+    """tau(M), the remaining time of the ODE started at value M: the
+    times_to_blowup rule on one sample.  Positive and strictly decreasing
+    in M."""
+    return float(times_to_blowup(np.array([M], dtype=float), params)[0])
 
 
-def integrate_vT(
-    params: Params,
-    T: float,
-    s_max: float,
-    rel_tol: float = 1e-10,
-    ds_sample: float = 0.05,
-) -> OdeTrajectory:
-    """Integrate v' = f(v) backward from the singularity at time T.
+def integrate_vT(params: Params, T: float, s_max: float) -> OdeTrajectory:
+    """The blow-up solution with singularity at time T, sampled every 0.05
+    in s = -log(T - t) on [1, s_max].  s_max may not exceed 708, where
+    T - t = e^(-s) leaves the normal float64 range.
 
-    Returns the trajectory sampled uniformly in s = -log(T - t) on
-    [1, s_max], with local relative error <= rel_tol (DOP853).
+    Each sample inverts the ODE clock: v solves log tau(v) = -s, by Newton's
+    method in x = log v from the asymptote kappa_a phi(s), with
+    d log tau/dx = -v/(f(v) tau), safeguarded by bisection.  Raises
+    NumericError when it does not converge or v leaves float64.
     """
     if not (0.0 < T <= 1.0):
         raise DomainError(f"integrate_vT requires T in (0, 1], got {T}")
-    if s_max < 10.0:
-        raise DomainError(f"integrate_vT requires s_max >= 10, got {s_max}")
-    if rel_tol > 1e-8:
-        raise DomainError(f"integrate_vT requires rel_tol <= 1e-8, got {rel_tol}")
-
-    v_a, tau_a = _anchor(params, s_max)
-    s_a = -np.log(tau_a)
-    n = int(round((s_max - 1.0) / ds_sample)) + 1
-    s_samples = np.linspace(s_max, 1.0, n)  # descending, toward earlier times
-
-    def rhs(s: float, V: np.ndarray) -> np.ndarray:
-        return np.exp(-s) * eval_f(V, params)
-
-    sol = solve_ivp(
-        rhs,
-        (s_a, 1.0),
-        [v_a],
-        t_eval=s_samples,
-        method="DOP853",
-        rtol=rel_tol,
-        atol=0.0,
-    )
-    if not sol.success:
-        raise NumericError(f"integrate_vT: integrator failed ({sol.message})")
-    s = sol.t[::-1]
-    v = sol.y[0][::-1]
-    if np.any(v <= 0.0) or np.any(np.diff(v) <= 0.0):
+    if not (10.0 <= s_max <= -_LOG_TINY):  # also rejects NaN
+        raise DomainError(f"integrate_vT requires s_max in [10, 708], got {s_max}")
+    n = int(round((s_max - 1.0) / _DS_SAMPLE)) + 1
+    s = np.linspace(s_max, 1.0, n)[::-1]
+    # The start log(kappa_a phi(s)) is formed in logs (kappa_a itself leaves
+    # float64 for p near 1), and every iterate is clipped to the log of the
+    # float64 range.  log tau + s falls strictly in x, so the iterates on
+    # either side of the root bracket it.  A Newton step across the middle
+    # of the bracket becomes a bisection; a step within _NEWTON_XTOL is
+    # always taken.
+    p, a = params.p, params.a
+    x = (-a * LOG2 - (1.0 - a) * np.log(p - 1.0)) / (p - 1.0) + log_phi(s, params)
+    x = np.clip(x, _LOG_TINY, _LOG_HUGE)
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    for _ in range(_NEWTON_MAX_ITER):
+        tau = times_to_blowup(np.exp(x), params)
+        g = np.log(tau) + s
+        beyond = ((g > 0.0) & (x == _LOG_HUGE)) | ((g < 0.0) & (x == _LOG_TINY))
+        if beyond.any():
+            raise NumericError(f"integrate_vT: v leaves float64 at s={s[beyond][0]:.6g}")
+        lo, hi = np.where(g >= 0.0, x, lo), np.where(g < 0.0, x, hi)
+        step = g * tau / _dt_dx(x, params)
+        far = (np.abs(step) > 0.5 * (hi - lo)) & (np.abs(step) > _NEWTON_XTOL)
+        x = np.clip(np.where(far, 0.5 * (lo + hi), x + step), _LOG_TINY, _LOG_HUGE)
+        if np.max(np.abs(step)) <= _NEWTON_XTOL:
+            break
+    else:
+        raise NumericError(
+            f"integrate_vT: Newton did not converge in {_NEWTON_MAX_ITER} "
+            f"iterations (last step {np.max(np.abs(step)):.3e} in log v)"
+        )
+    v = np.exp(x)
+    if np.any(np.diff(v) <= 0.0):
         raise NumericError("integrate_vT: trajectory lost monotonicity")
-    t = T - np.exp(-s)
-    return OdeTrajectory(t=t, v=v, T=float(T), s=s)
+    return OdeTrajectory(t=T - np.exp(-s), v=v, T=float(T), s=s)
 
 
 def asymptotic_ratio(trajectory: OdeTrajectory, params: Params) -> np.ndarray:

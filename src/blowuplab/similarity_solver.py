@@ -22,6 +22,7 @@ from scipy.interpolate import CubicSpline
 
 from .core_math import Params, psi_T, rescaled_nonlinearity
 from .errors import (
+    BlowupOvershootError,
     ConfigurationError,
     ContractViolation,
     DomainError,
@@ -113,16 +114,21 @@ def step_w(field_in: SimField, ds: float) -> SimField:
     implicit, the linear and source terms explicit.
 
     No CFL bound limits ds, since the drift is implicit.  Raises DomainError
-    unless ds > 0, and BlowupOvershootError on non-finite values.
+    unless ds > 0, and BlowupOvershootError, naming s, on non-finite values.
     """
     if not (ds > 0.0):
         raise DomainError(f"step_w: ds must be positive, got {ds}")
     params = field_in.params
     explicit = partial(_explicit_terms, params)
-    w_new, _ = imex_step(
-        field_in.nodes, field_in.geometry, params.N, field_in.values, field_in.s,
-        ds, explicit, drift=True,
-    )
+    try:
+        w_new, _ = imex_step(
+            field_in.nodes, field_in.geometry, params.N, field_in.values, field_in.s,
+            ds, explicit, drift=True,
+        )
+    except BlowupOvershootError as exc:
+        raise BlowupOvershootError(
+            f"step_w: w blew up in the step from s={field_in.s} to s={field_in.s + ds}"
+        ) from exc
     return _stepped(field_in, w_new, field_in.s + ds)
 
 

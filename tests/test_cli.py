@@ -1,6 +1,7 @@
 """Configuration parsing, scenario runs, persistence, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -49,7 +50,6 @@ SET_VALUES = {
     "solver.s_max": 20.0,
     "solver.ds": 0.005,
     "solver.dt_safety": 0.1,
-    "solver.rel_tol": 1e-9,
     "solver.m_stop": 1e6,
     "solver.t_max": 3.0,
     "functionals.m0": 4.0,
@@ -100,6 +100,11 @@ class TestParseConfig:
         # a run is a function of its config alone; there is no seed key
         with pytest.raises(ParseError, match="unknown key 'seed'"):
             parse_config("", overrides=["run.seed=7"])
+
+    def test_solver_rel_tol_refused(self):
+        # the ODE trajectory inverts its clock to rounding; there is no tolerance
+        with pytest.raises(ParseError, match="unknown key 'rel_tol'"):
+            parse_config("", overrides=["solver.rel_tol=1e-10"])
 
     def test_unknown_section_named(self):
         with pytest.raises(ParseError, match="mystery"):
@@ -165,8 +170,8 @@ class TestScenarios:
         data = np.loadtxt(tmp_path / "ode" / "trajectory.csv", delimiter=",", skiprows=1)
         header = (tmp_path / "ode" / "trajectory.csv").read_text().splitlines()[0]
         assert header == "s,t,v,psi_T,ratio"
-        # a = 0: ratio column is kappa_0 throughout, to integrator tolerance
-        assert np.max(np.abs(data[:, 4] - 2.0**-0.5)) < 1e-8
+        # a = 0: ratio column is kappa_0 throughout, to rounding
+        assert np.max(np.abs(data[:, 4] - 2.0**-0.5)) < 1e-14
 
     def test_determinism_byte_identical(self, tmp_path):
         base = [
@@ -310,6 +315,19 @@ class TestMain:
         )
         assert rc == 0
 
+    def test_cli_ode_p_near_1(self, tmp_path):
+        # at p = 1.2 the trajectory spans v up to 1e69 by s = 30
+        out = tmp_path / "o"
+        assert main(["ode", "--set", "params.p=1.2", "--output", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 582
+        # v leaves float64 near s = 147.6, and T - t = e^-s near s = 708
+        for s_max, error in (("700", "NumericError: integrate_vT: v leaves float64"),
+                             ("1500", "DomainError: integrate_vT requires s_max")):
+            argv = ["ode", "--set", "params.p=1.2", "--set", f"solver.s_max={s_max}"]
+            assert main([*argv, "--output", str(out)]) == 1
+            assert json.loads((out / "report.json").read_text())["error"].startswith(error)
+
     def test_cli_config_error_exit_2(self, tmp_path):
         rc = main(["ode", "--set", "params.p=0.5", "--output", str(tmp_path / "x")])
         assert rc == 2
@@ -343,7 +361,10 @@ class TestMain:
         "argv, error",
         [
             (["similarity", "--set", "params.N=2"], "ConfigurationError"),
-            (["similarity"], "BlowupOvershootError"),
+            (["similarity"], "BlowupOvershootError: .*s=2.38"),
+            # w stays finite but |w|^(p+1) in the per-step ledger overflows
+            (["similarity", "--set", "initial_data.kind=constant"],
+             "BlowupOvershootError: .*s=2.6"),
             (
                 # from a constant 1e100, f(u) overflows long before t + dt == t
                 ["physical", "--set", "solver.m_stop=1e200",
@@ -360,6 +381,7 @@ class TestMain:
         ids=[
             "similarity-N=2",
             "similarity-default",
+            "similarity-constant",
             "physical-m_stop-1e200",
             "physical-dt_safety=0",
             "ds=0",
@@ -371,7 +393,7 @@ class TestMain:
         out = tmp_path / "run"
         assert main([*argv, "--output", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
-        assert report["error"].startswith(error)
+        assert re.match(error, report["error"])
 
     @pytest.mark.parametrize("a", [1.0, -1.0])
     def test_coarsest_grid_similarity_audit_passes(self, tmp_path, a):

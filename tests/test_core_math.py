@@ -63,7 +63,7 @@ class TestKappa:
 
     def test_values(self):
         # p = 3 gives 2^(-1/2) for every a; (2,2) gives 1/4.  Cross-checked
-        # against direct backward ODE integration in test_ode_blowup.
+        # against the ODE trajectory in test_ode_blowup.
         assert kappa_a(P31) == pytest.approx(2.0**-0.5, rel=1e-14)
         assert kappa_a(P3m1) == pytest.approx(2.0**-0.5, rel=1e-14)
         assert kappa_a(Params(2.0, 2.0)) == pytest.approx(0.25, rel=1e-14)
@@ -169,6 +169,12 @@ class TestEvalF_antiderivative:
             d = 1e-4 * u
             fd = (eval_F(u + d, params) - eval_F(u - d, params)) / (2.0 * d)
             assert fd == pytest.approx(eval_f(u, params), rel=1e-6)
+
+    def test_beyond_float64_is_inf(self):
+        # |u|^(p+1) = 1e360 overflows; eval_f gives inf there too
+        for params in (Params(5.0, 1.0), Params(5.0, 0.0), Params(5.0, -2.0)):
+            assert eval_F(1e60, params) == np.inf
+            assert eval_F(-1e60, params) == np.inf
 
     def test_leading_term_asymptotic(self):
         # (p+1) F(u) / (u f(u)) -> 1, within 5% at u = 1e8
