@@ -129,6 +129,13 @@ class TestTrajectories:
         assert np.max(np.abs(traj.v / want - 1.0)) < 1e-14
 
     def test_closed_form_p2_a0(self):
+        traj = integrate_vT(P20, T=1.0, s_max=14.0)
+        want = 1.0 / traj.time_gap
+        assert np.max(np.abs(traj.v / want - 1.0)) < 1e-14
+
+    def test_anchor_raised_when_needed(self):
+        # at p=2, v = 1e12 is reached near s = 27.6; the samples must run on
+        # past it to s_max = 30 and still hold the closed form
         traj = integrate_vT(P20, T=1.0, s_max=30.0)
         assert traj.s[-1] == pytest.approx(30.0)
         want = 1.0 / traj.time_gap
