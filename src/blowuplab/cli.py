@@ -37,6 +37,7 @@ from .errors import BlowupLabError, ParseError
 from .functionals import FunctionalConfig, FunctionalSnapshot
 from .initial_data import gaussian, line_grid, profile_shape
 from .ode_blowup import integrate_vT, trajectory_table
+from .physical_solver import DEFAULT_M_STOP, DEFAULT_SAFETY, DEFAULT_T_MAX
 from .physical_solver import STEP_LIMITS, GridField, run_to_blowup
 from .similarity_solver import DEFAULT_DS, SimField
 from .verification import build_audit_corpus, run_all_suites
@@ -69,9 +70,9 @@ class SolverSpec:
     s_end: float = 8.0
     s_max: float = 30.0
     ds: float = DEFAULT_DS
-    dt_safety: float = 0.05
-    m_stop: float = 1e8
-    t_max: float = 10.0
+    dt_safety: float = DEFAULT_SAFETY
+    m_stop: float = DEFAULT_M_STOP
+    t_max: float = DEFAULT_T_MAX
 
 
 @dataclass
@@ -225,7 +226,9 @@ def _initial_physical(config: RunConfig, nodes: np.ndarray) -> GridField:
         )
     else:
         values = _initial_values(config, nodes, 0.0)
-    return GridField("line", config.params.N, nodes, values, 0.0)
+    return GridField(
+        geometry="line", nodes=nodes, values=values, params=config.params, time=0.0
+    )
 
 
 def _scenario_ode(config: RunConfig, outdir: Path) -> dict:
@@ -248,7 +251,6 @@ def _scenario_physical(config: RunConfig, outdir: Path) -> dict:
     u0 = _initial_physical(config, nodes)
     result = run_to_blowup(
         u0,
-        config.params,
         M_stop=config.solver.m_stop,
         t_max=config.solver.t_max,
         safety=config.solver.dt_safety,

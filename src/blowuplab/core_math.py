@@ -18,12 +18,13 @@ that is useful.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 LOG2 = float(np.log(2.0))
 
@@ -72,10 +73,18 @@ def kappa_a(params: Params) -> float:
         kappa_a = (2^(-a) / (p-1)^(1-a))^(1/(p-1)),
 
     which reduces to the classical (p-1)^(-1/(p-1)) at a = 0.  The constant
-    is cross-checked against the ODE trajectory in the test suite.
+    is cross-checked against the ODE trajectory in the test suite.  Raises
+    NumericError where it leaves the normal float64 range (p near 1 with
+    |a| large).
     """
     p, a = params.p, params.a
-    return float((2.0 ** (-a) / (p - 1.0) ** (1.0 - a)) ** (1.0 / (p - 1.0)))
+    try:
+        kappa = float((2.0 ** (-a) / (p - 1.0) ** (1.0 - a)) ** (1.0 / (p - 1.0)))
+    except (OverflowError, ZeroDivisionError):
+        kappa = math.inf
+    if not (sys.float_info.min <= kappa < math.inf):
+        raise NumericError(f"kappa_a leaves the normal float64 range at p={p}, a={a}")
+    return kappa
 
 
 def _abs_max(x: np.ndarray, name: str) -> tuple[np.ndarray, float]:

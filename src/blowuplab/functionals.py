@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_math import Params, rescaled_F
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .quadrature import QuadratureRule, check_same_grid, integrate
 from .similarity_solver import SimField
 
@@ -73,14 +73,6 @@ class FunctionalSnapshot:
         return tuple(getattr(self, name) for name in self.FIELDS)
 
 
-def _check_field(field: SimField, rule: QuadratureRule) -> None:
-    if field.s < 1.0:
-        raise DomainError(f"functional requires s >= 1, got {field.s}")
-    check_same_grid(
-        rule.nodes, field.nodes, "functional: rule nodes do not match the field grid"
-    )
-
-
 def _gradient(w: np.ndarray, h: float) -> np.ndarray:
     """np.gradient(w, h) bit for bit, without its generic set-up: central
     differences inside, one-sided first differences at the two ends."""
@@ -95,7 +87,9 @@ def _integrands(field: SimField, rule: QuadratureRule) -> tuple[np.ndarray, np.n
     """Energy integrand |grad w|^2/2 + w^2/(2(p-1)) - e^(-(p+1)s/(p-1))
     s^(2a/(p-1)) F(phi w), with the F term in its stable cancellation form,
     and w^2."""
-    _check_field(field, rule)
+    check_same_grid(
+        rule.nodes, field.nodes, "functional: rule nodes do not match the field grid"
+    )
     w = field.values
     grad = _gradient(w, field.spacing)
     w2 = w**2

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -23,36 +24,65 @@ from .imex import imex_step
 from .ode_blowup import time_to_blowup
 
 
-@dataclass(frozen=True)
-class GridField:
-    """A scalar field sampled on a uniform 1D or radial mesh at one time."""
+@dataclass(frozen=True, kw_only=True)
+class Field:
+    """A scalar field sampled on a uniform mesh: a line (N = 1) or the
+    radial half-line r >= 0 in N = params.N dimensions.
+
+    The public constructor checks the grid and the values; _stepped, the
+    constructor a step uses, checks nothing again.
+    """
 
     geometry: str  # "line" or "radial"
-    dimension: int
     nodes: np.ndarray
     values: np.ndarray
-    time: float
+    params: Params
 
     def __post_init__(self) -> None:
-        self._check_grid()
-        if not np.isfinite(self.values).all():
-            raise ConfigurationError("GridField: non-finite values")
-
-    def _check_grid(self) -> None:
         if self.geometry not in ("line", "radial"):
-            raise ConfigurationError(f"GridField: unknown geometry {self.geometry!r}")
-        if self.geometry == "line" and self.dimension != 1:
-            raise ConfigurationError("GridField: line geometry requires N = 1")
+            self._refuse(f"unknown geometry {self.geometry!r}")
+        if self.geometry == "line" and self.params.N != 1:
+            self._refuse("line geometry requires N = 1")
         if self.nodes.size < 64:
-            raise ConfigurationError(
-                f"GridField: node count must be >= 64, got {self.nodes.size}"
-            )
+            self._refuse(f"node count must be >= 64, got {self.nodes.size}")
         if self.values.shape != self.nodes.shape:
-            raise ConfigurationError("GridField: values/nodes shape mismatch")
+            self._refuse("values/nodes shape mismatch")
+        diffs = np.diff(self.nodes)
+        h = diffs[0]
+        if not (h > 0.0 and np.max(np.abs(diffs - h)) <= 1e-9 * h):
+            self._refuse("nodes must be uniform and increasing")
+        if self.geometry == "radial" and self.nodes[0] != 0.0:
+            self._refuse(f"radial nodes must start at r = 0, got {self.nodes[0]}")
+        if not np.isfinite(self.values).all():
+            self._refuse("non-finite values")
+
+    def _refuse(self, reason: str) -> NoReturn:
+        raise ConfigurationError(f"{type(self).__name__}: {reason}")
+
+    def _stepped(self, values: np.ndarray, **clock: float):
+        """This field's grid with a step's values at the step's later time
+        (time= or s=).  The grid was checked when this field was built,
+        imex_step has checked the values for finiteness, a step keeps their
+        shape and only advances the clock: what the constructor checked
+        still holds."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, values=values, **clock)
+        return out
 
     @property
     def spacing(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
+
+    @property
+    def radius(self) -> float:
+        return float(abs(self.nodes[-1]))
+
+
+@dataclass(frozen=True, kw_only=True)
+class GridField(Field):
+    """A field of the physical frame at time t."""
+
+    time: float
 
 
 @dataclass
@@ -71,7 +101,7 @@ class PhysicalRunResult:
     time_stepping: float = 0.0  # wall seconds in step, rejected attempts included
 
 
-def step(field_in: GridField, params: Params, dt: float) -> tuple[GridField, float]:
+def step(field_in: GridField, dt: float) -> tuple[GridField, float]:
     """One imex_step of size dt with the reaction f(u) as the explicit term.
 
     Returns the new field and max|u_new - u*|, the gap to the step's
@@ -80,35 +110,18 @@ def step(field_in: GridField, params: Params, dt: float) -> tuple[GridField, flo
     """
     if not (dt > 0.0):
         raise DomainError(f"step: dt must be positive, got {dt}")
+    params = field_in.params
     u_new, u_star = imex_step(
         field_in.nodes,
         field_in.geometry,
-        field_in.dimension,
+        params.N,
         field_in.values,
         field_in.time,
         dt,
         lambda t, u: eval_f(u, params),
     )
     error = float(np.max(np.abs(u_new - u_star)))
-    return _stepped(field_in, u_new, field_in.time + dt), error
-
-
-def _stepped(field_in: GridField, values: np.ndarray, t: float) -> GridField:
-    """field_in's grid with new values at a new time, as step returns it.
-
-    imex_step has already checked values for finiteness, so this runs every
-    GridField check except that one; the public constructor runs them all.
-    """
-    out = object.__new__(GridField)
-    out.__dict__.update(
-        geometry=field_in.geometry,
-        dimension=field_in.dimension,
-        nodes=field_in.nodes,
-        values=values,
-        time=t,
-    )
-    out._check_grid()
-    return out
+    return field_in._stepped(u_new, time=field_in.time + dt), error
 
 
 # What set an accepted step's dt: the reaction-timescale cap, the error
@@ -155,12 +168,18 @@ def _parabolic_argmax(nodes: np.ndarray, values: np.ndarray) -> float:
     return float(nodes[i] + 0.5 * h * (a - c) / denom)
 
 
+# run_to_blowup's defaults, which the CLI's solver.m_stop, t_max and
+# dt_safety take as theirs.
+DEFAULT_M_STOP = 1e8
+DEFAULT_T_MAX = 10.0
+DEFAULT_SAFETY = 0.05
+
+
 def run_to_blowup(
     u0: GridField,
-    params: Params,
-    M_stop: float = 1e8,
-    t_max: float = 10.0,
-    safety: float = 0.05,
+    M_stop: float = DEFAULT_M_STOP,
+    t_max: float = DEFAULT_T_MAX,
+    safety: float = DEFAULT_SAFETY,
 ) -> PhysicalRunResult:
     """Advance the field until max|u| >= M_stop, until the next dt falls
     below float resolution in t (t + dt == t, which only the approach to
@@ -175,12 +194,13 @@ def run_to_blowup(
     that dominates near blow-up.  The first attempt takes
     safety min(h^2, M/f(M)).  On blow-up
     T_hat = t_halt + time_to_blowup(max|u|), the ODE extrapolation of the
-    remaining time.
+    remaining time.  p, a and N are those of u0.params.
     """
     if M_stop < 1e6:
         raise ConfigurationError(f"run_to_blowup: M_stop must be >= 1e6, got {M_stop}")
     if not safety > 0.0:
         raise ConfigurationError(f"run_to_blowup: safety must be positive, got {safety}")
+    params = u0.params
     field_now = u0
     M = float(np.max(np.abs(u0.values)))
     history = [(u0.time, M)]
@@ -204,7 +224,7 @@ def run_to_blowup(
             status, halt = "blown_up", "t_resolution"
             break
         t0 = time.perf_counter()
-        trial, err = step(field_now, params, dt)
+        trial, err = step(field_now, dt)
         t_step += time.perf_counter() - t0
         ratio = err / (0.5 * safety**2 * max(M, 1.0))
         if ratio > 1.0:

@@ -23,58 +23,36 @@ from scipy.interpolate import CubicSpline
 from .core_math import Params, psi_T, rescaled_nonlinearity
 from .errors import (
     BlowupOvershootError,
-    ConfigurationError,
     ContractViolation,
     DomainError,
     TruncationError,
 )
 from .imex import imex_step
-from .physical_solver import GridField
+from .physical_solver import Field, GridField
 from .quadrature import QuadratureRule, check_same_grid, integrate
 
-@dataclass(frozen=True)
-class SimField:
-    """Rescaled field w on a uniform y-grid (line) or r-grid (radial) at
-    rescaled time s >= 1."""
 
-    geometry: str
-    nodes: np.ndarray
-    values: np.ndarray
+@dataclass(frozen=True, kw_only=True)
+class SimField(Field):
+    """A field w of the similarity frame, on a y-grid (line) or an r-grid
+    (radial), at rescaled time s >= 1."""
+
     s: float
-    params: Params
 
     def __post_init__(self) -> None:
-        self._check_grid()
-        if not np.isfinite(self.values).all():
-            raise ConfigurationError("SimField: non-finite values")
-
-    def _check_grid(self) -> None:
-        if self.geometry not in ("line", "radial"):
-            raise ConfigurationError(f"SimField: unknown geometry {self.geometry!r}")
-        if self.geometry == "line" and self.params.N != 1:
-            raise ConfigurationError("SimField: line geometry requires N = 1")
+        super().__post_init__()
         if self.s < 1.0:
             raise DomainError(f"SimField requires s >= 1, got {self.s}")
-        if self.values.shape != self.nodes.shape:
-            raise ConfigurationError("SimField: values/nodes shape mismatch")
-
-    @property
-    def spacing(self) -> float:
-        return float(self.nodes[1] - self.nodes[0])
-
-    @property
-    def radius(self) -> float:
-        return float(abs(self.nodes[-1]))
 
 
 def to_similarity(
     u: GridField,
     x0: float,
     T: float,
-    params: Params,
     target_nodes: np.ndarray,
 ) -> SimField:
-    """Transform a physical field into the similarity frame centred at (x0, T).
+    """Transform a physical field into the similarity frame centred at (x0, T),
+    with u's geometry and params.
 
     w(y) = u(x0 + y sqrt(T - t)) / psi_T(t), cubic interpolation onto the
     target y-grid; raises TruncationError if the unscaled grid leaves the
@@ -94,13 +72,14 @@ def to_similarity(
             f"[{u.nodes[0]:.4g}, {u.nodes[-1]:.4g}])"
         )
     spline = CubicSpline(u.nodes, u.values)
-    w = spline(np.clip(x_needed, u.nodes[0], u.nodes[-1])) / psi_T(u.time, T, params)
+    w = spline(np.clip(x_needed, u.nodes[0], u.nodes[-1]))
+    w /= psi_T(u.time, T, u.params)
     return SimField(
         geometry=u.geometry,
         nodes=np.asarray(target_nodes, dtype=float),
         values=w,
         s=float(-np.log(T - u.time)),
-        params=params,
+        params=u.params,
     )
 
 
@@ -129,25 +108,7 @@ def step_w(field_in: SimField, ds: float) -> SimField:
         raise BlowupOvershootError(
             f"step_w: w blew up in the step from s={field_in.s} to s={field_in.s + ds}"
         ) from exc
-    return _stepped(field_in, w_new, field_in.s + ds)
-
-
-def _stepped(field_in: SimField, values: np.ndarray, s: float) -> SimField:
-    """field_in's grid with new values at a new s, as step_w returns it.
-
-    imex_step has already checked values for finiteness, so this runs every
-    SimField check except that one; the public constructor runs them all.
-    """
-    out = object.__new__(SimField)
-    out.__dict__.update(
-        geometry=field_in.geometry,
-        nodes=field_in.nodes,
-        values=values,
-        s=s,
-        params=field_in.params,
-    )
-    out._check_grid()
-    return out
+    return field_in._stepped(w_new, s=field_in.s + ds)
 
 
 def ds_dissipation(before: SimField, after: SimField, rule: QuadratureRule) -> float:

@@ -11,6 +11,7 @@ is kept as a strict expected failure so the assertion stays live.
 import numpy as np
 import pytest
 
+from blowuplab import core_math, verification
 from blowuplab.core_math import Params, kappa_a
 from blowuplab.ode_blowup import asymptotic_ratio, integrate_vT
 from blowuplab.verification import (
@@ -79,7 +80,31 @@ def test_criterion_1_known_defect_pair_2_2():
 
 
 def test_criterion_2_nonlinearity():
-    assert_attainable(report(criterion_2_nonlinearity()))
+    res = report(criterion_2_nonlinearity())
+    assert_attainable(res)
+    assert [c.name for c in res.checks] == [
+        "derivative_consistency",
+        "F_leading_term_at_1e8",
+        "split_identity",
+        "F2_lower_order",
+        "source_identity",
+        "finite_at_s700",
+    ]
+
+
+def test_criterion_2_F2_order_catches_a_wrong_F1(monkeypatch):
+    # F2 is F - x f/(p+1) - F1, so a wrong F1 leaves the split identity
+    # intact; F2's order shows it
+    eval_F1 = core_math.eval_F1
+
+    def wrong_F1(x, params):
+        return 1.1 * eval_F1(x, params)
+
+    monkeypatch.setattr(core_math, "eval_F1", wrong_F1)
+    monkeypatch.setattr(verification, "eval_F1", wrong_F1)
+    checks = {c.name: c for c in criterion_2_nonlinearity().checks}
+    assert checks["split_identity"].passed
+    assert not checks["F2_lower_order"].passed
 
 
 def test_criterion_3_quadrature():

@@ -328,6 +328,14 @@ class TestMain:
             assert main([*argv, "--output", str(out)]) == 1
             assert json.loads((out / "report.json").read_text())["error"].startswith(error)
 
+    def test_cli_ode_kappa_beyond_float64(self, tmp_path):
+        # kappa_a(1.02, 5) is about 8.9e-416: a NumericError, not a deviation of inf
+        out = tmp_path / "o"
+        argv = ["ode", "--set", "params.p=1.02", "--set", "params.a=5"]
+        assert main([*argv, "--output", str(out)]) == 1
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error.startswith("NumericError: kappa_a leaves the normal float64 range")
+
     def test_cli_config_error_exit_2(self, tmp_path):
         rc = main(["ode", "--set", "params.p=0.5", "--output", str(tmp_path / "x")])
         assert rc == 2
@@ -424,8 +432,14 @@ class TestMain:
         # the same run outside the CLI: the default Gaussian datum
         params = Params(3.0, 1.0)
         nodes = line_grid(5.0, 129)
-        u0 = GridField("line", 1, nodes, gaussian(nodes, 0.2, 2.0, floor=1.0), 0.0)
-        run = run_to_blowup(u0, params, M_stop=1e6, safety=0.05)
+        u0 = GridField(
+            geometry="line",
+            nodes=nodes,
+            values=gaussian(nodes, 0.2, 2.0, floor=1.0),
+            params=params,
+            time=0.0,
+        )
+        run = run_to_blowup(u0, M_stop=1e6, safety=0.05)
         assert res["steps"] == run.dts.size == sup.shape[0] - 1
         counts = {limit: int(np.sum(run.limits == limit)) for limit in STEP_LIMITS}
         assert {limit: res[limit] for limit in STEP_LIMITS} == counts

@@ -25,7 +25,7 @@ from blowuplab.core_math import (
     rescaled_F,
     rescaled_nonlinearity,
 )
-from blowuplab.errors import DomainError
+from blowuplab.errors import DomainError, NumericError
 
 P30 = Params(3.0, 0.0)
 P31 = Params(3.0, 1.0)
@@ -71,6 +71,20 @@ class TestKappa:
     def test_scaling_constants_positive(self):
         for params in PA_GRID:
             assert kappa_a(params) > 0.0
+
+    def test_is_the_closed_form_bit_for_bit(self):
+        for p in (1.05, 1.2, 2.0, 3.0, 5.0):
+            for a in (-2.0, -1.0, 0.0, 1.0, 2.0):
+                want = (2.0 ** (-a) / (p - 1.0) ** (1.0 - a)) ** (1.0 / (p - 1.0))
+                assert kappa_a(Params(p, a)) == want
+
+    @pytest.mark.parametrize(
+        "p, a", [(1.01, -5.0), (1.02, 5.0)], ids=["overflow", "underflow"]
+    )
+    def test_beyond_float64_is_numeric_error(self, p, a):
+        # about 3.3e1350 and 8.9e-416 (mpmath)
+        with pytest.raises(NumericError, match=f"p={p}, a={a}"):
+            kappa_a(Params(p, a))
 
 
 def _two_branch_f(u, params):

@@ -15,39 +15,31 @@ from blowuplab.physical_solver import STEP_LIMITS, GridField, run_to_blowup, ste
 
 P30 = Params(3.0, 0.0)
 P31 = Params(3.0, 1.0)
+P31_3 = Params(3.0, 1.0, 3)
 
 
 def radial_grid(extent, n):
     return np.linspace(0.0, extent, n)
 
 
-def line_field(nodes, values):
-    """A line GridField at t = 0; a scalar value gives a constant datum."""
-    return GridField("line", 1, nodes, np.full(nodes.shape, values, dtype=float), 0.0)
+def field(geometry, nodes, values, params=P31, time=0.0):
+    """A GridField; a scalar value gives a constant datum."""
+    values = np.full(nodes.shape, values, dtype=float)
+    return GridField(
+        geometry=geometry, nodes=nodes, values=values, params=params, time=time
+    )
 
 
-class TestGridField:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_constructor_rejects_nonfinite_values(self, bad):
-        nodes = line_grid(5.0, 129)
-        values = np.ones(nodes.shape)
-        values[64] = bad
-        with pytest.raises(ConfigurationError, match="non-finite"):
-            GridField("line", 1, nodes, values, 0.0)
-
-    def test_stepped_field_is_a_frozen_grid_field(self):
-        f, _ = step(line_field(line_grid(5.0, 129), 1.0), P31, 1e-3)
-        assert type(f) is GridField
-        assert (f.geometry, f.dimension, f.time) == ("line", 1, 1e-3)
-        with pytest.raises(AttributeError):
-            f.time = 0.0
+def line_field(nodes, values, params=P31):
+    """A line GridField at t = 0."""
+    return field("line", nodes, values, params)
 
 
 class TestStep:
     def test_zero_fixed_point(self):
         f = line_field(line_grid(5.0, 129), 0.0)
         for _ in range(20):
-            f, _ = step(f, P31, 1e-3)
+            f, _ = step(f, 1e-3)
         assert np.all(f.values == 0.0)
 
     def test_constant_matches_ode(self):
@@ -55,7 +47,7 @@ class TestStep:
         f = line_field(line_grid(5.0, 129), 1.0)
         dt = 5e-4
         for _ in range(200):
-            f, _ = step(f, P31, dt)
+            f, _ = step(f, dt)
         sol = solve_ivp(
             lambda t, v: eval_f(v, P31),
             (0.0, f.time),
@@ -68,10 +60,10 @@ class TestStep:
         assert np.max(np.abs(f.values - want)) < 1e-7 * want
 
     def test_constant_matches_ode_radial(self):
-        f = GridField("radial", 3, radial_grid(5.0, 129), np.full(129, 0.8), 0.0)
+        f = field("radial", radial_grid(5.0, 129), 0.8, P31_3)
         dt = 5e-4
         for _ in range(100):
-            f, _ = step(f, P31, dt)
+            f, _ = step(f, dt)
         sol = solve_ivp(
             lambda t, v: eval_f(v, P31), (0.0, f.time), [0.8], rtol=1e-12, atol=1e-14
         )
@@ -79,10 +71,10 @@ class TestStep:
 
     def test_small_single_mode_decays(self):
         nodes = line_grid(10.0, 257)
-        f = line_field(nodes, gaussian(nodes, 0.01, 1.0, floor=0.0))
+        f = line_field(nodes, gaussian(nodes, 0.01, 1.0, floor=0.0), P30)
         sups = [0.01]
         for _ in range(400):
-            f, _ = step(f, P30, 5e-4)
+            f, _ = step(f, 5e-4)
             sups.append(float(np.max(np.abs(f.values))))
         assert np.all(np.diff(sups) < 0.0)
 
@@ -90,14 +82,14 @@ class TestStep:
         nodes = line_grid(8.0, 257)
         f = line_field(nodes, gaussian(nodes, 1.0, 2.0, floor=0.5))
         for _ in range(100):
-            f, _ = step(f, P31, 2e-4)
+            f, _ = step(f, 2e-4)
         assert np.max(np.abs(f.values - f.values[::-1])) < 1e-12
 
     def test_error_estimate_is_second_order_in_dt(self):
         # max|u_new - u*| is the predictor's local error: O(dt^2)
         nodes = line_grid(8.0, 257)
         f = line_field(nodes, gaussian(nodes, 1.0, 2.0, floor=0.5))
-        errs = [step(f, P31, dt)[1] for dt in (4e-4, 2e-4, 1e-4)]
+        errs = [step(f, dt)[1] for dt in (4e-4, 2e-4, 1e-4)]
         u_new, u_star = imex_step(
             f.nodes, "line", 1, f.values, 0.0, 1e-4, lambda t, v: eval_f(v, P31)
         )
@@ -108,7 +100,7 @@ class TestStep:
     def test_rejects_nonpositive_dt(self):
         f = line_field(line_grid(5.0, 129), 1.0)
         with pytest.raises(DomainError):
-            step(f, P31, 0.0)
+            step(f, 0.0)
 
     @pytest.mark.parametrize(
         "value, dt",
@@ -120,7 +112,7 @@ class TestStep:
     def test_overshoot_raises(self, value, dt):
         f = line_field(line_grid(5.0, 129), value)
         with pytest.raises(BlowupOvershootError):
-            step(f, P31, dt)
+            step(f, dt)
 
     def test_refinement_order(self):
         # halving h and dt: change in sup at fixed time shrinks at order >= 1.5
@@ -130,7 +122,7 @@ class TestStep:
             nodes = line_grid(6.0, n)
             f = line_field(nodes, gaussian(nodes, 2.0, 1.0, floor=0.5))
             for _ in range(int(round(t_end / dt))):
-                f, _ = step(f, P31, dt)
+                f, _ = step(f, dt)
             sups.append(float(np.max(np.abs(f.values))))
         e1 = abs(sups[1] - sups[0])
         e2 = abs(sups[2] - sups[1])
@@ -251,7 +243,7 @@ class TestImexStep:
 class TestRunToBlowup:
     def test_constant_data_recovers_ode_time(self):
         nodes = line_grid(5.0, 129)
-        res = run_to_blowup(line_field(nodes, 1.0), P31, M_stop=1e8)
+        res = run_to_blowup(line_field(nodes, 1.0), M_stop=1e8)
         assert res.status == "blown_up"
         T_ode = time_to_blowup(1.0, P31)
         assert res.T_hat == pytest.approx(T_ode, rel=0.02)
@@ -259,7 +251,7 @@ class TestRunToBlowup:
     def test_gaussian_blowup_detected(self):
         nodes = line_grid(10.0, 257)
         res = run_to_blowup(
-            line_field(nodes, gaussian(nodes, 3.0, 1.5, floor=0.0)), P31, M_stop=1e8
+            line_field(nodes, gaussian(nodes, 3.0, 1.5, floor=0.0)), M_stop=1e8
         )
         assert res.status == "blown_up"
         sup = res.sup_history[:, 1]
@@ -269,17 +261,15 @@ class TestRunToBlowup:
 
     def test_blowup_point_located_off_center(self):
         nodes = line_grid(10.0, 513)
-        u0 = GridField(
-            "line", 1, nodes, 1.0 + 0.3 * np.exp(-((nodes - 1.3) ** 2)), 0.0
-        )
-        res = run_to_blowup(u0, P31, M_stop=1e7)
+        u0 = line_field(nodes, 1.0 + 0.3 * np.exp(-((nodes - 1.3) ** 2)))
+        res = run_to_blowup(u0, M_stop=1e7)
         assert res.x0_hat == pytest.approx(1.3, abs=0.05)
 
     def test_comparison_with_ode_lower_bound(self):
         # constant-dominating data blow up no later than the ODE through the floor
         nodes = line_grid(10.0, 257)
         res = run_to_blowup(
-            line_field(nodes, gaussian(nodes, 0.2, 2.0, floor=1.0)), P31, M_stop=1e8
+            line_field(nodes, gaussian(nodes, 0.2, 2.0, floor=1.0)), M_stop=1e8
         )
         assert res.T_hat <= time_to_blowup(1.0, P31)
 
@@ -287,7 +277,7 @@ class TestRunToBlowup:
         attempts = _record_steps(monkeypatch)
         nodes = line_grid(5.0, 129)
         u0 = line_field(nodes, 1.0)
-        res = run_to_blowup(u0, P31, M_stop=1e200)
+        res = run_to_blowup(u0, M_stop=1e200)
         assert (res.status, res.halt) == ("blown_up", "t_resolution")
         # the halt tests the dt about to be taken: no attempt leaves t unchanged
         assert all(f.time + dt > f.time for f, dt, _, _ in attempts)
@@ -295,20 +285,19 @@ class TestRunToBlowup:
         # dt shrinks by a few percent a step near blow-up, so the last one
         # taken is within an ulp of t
         assert res.dts[-1] <= np.spacing(res.sup_history[-1, 0])
-        res = run_to_blowup(u0, P31, M_stop=1e6)
+        res = run_to_blowup(u0, M_stop=1e6)
         assert (res.status, res.halt) == ("blown_up", "m_stop")
         assert res.sup_history[-1, 1] >= 1e6
 
     def test_T_hat_beyond_last_sample(self):
         nodes = line_grid(5.0, 129)
-        res = run_to_blowup(line_field(nodes, 1.0), P31, M_stop=1e8)
+        res = run_to_blowup(line_field(nodes, 1.0), M_stop=1e8)
         assert res.T_hat > res.sup_history[-1, 0]
 
     def test_small_data_no_blowup(self):
         nodes = line_grid(10.0, 129)
         res = run_to_blowup(
             line_field(nodes, gaussian(nodes, 0.01, 1.0, floor=0.0)),
-            P31,
             M_stop=1e6,
             t_max=0.1,
         )
@@ -319,7 +308,7 @@ class TestRunToBlowup:
     def test_m_stop_floor(self):
         nodes = line_grid(5.0, 129)
         with pytest.raises(ConfigurationError):
-            run_to_blowup(line_field(nodes, 1.0), P31, M_stop=1e4)
+            run_to_blowup(line_field(nodes, 1.0), M_stop=1e4)
 
     @pytest.mark.parametrize("safety", [0.0, -0.05, np.nan])
     def test_safety_must_be_positive(self, safety):
@@ -327,12 +316,12 @@ class TestRunToBlowup:
         # once and report blow-up
         nodes = line_grid(5.0, 129)
         with pytest.raises(ConfigurationError, match="safety must be positive"):
-            run_to_blowup(line_field(nodes, 1.0), P31, safety=safety)
+            run_to_blowup(line_field(nodes, 1.0), safety=safety)
 
     def test_radial_blowup(self):
         nodes = radial_grid(10.0, 257)
-        u0 = GridField("radial", 3, nodes, 1.0 + 0.2 * np.exp(-nodes**2), 0.0)
-        res = run_to_blowup(u0, P31, M_stop=1e7)
+        u0 = field("radial", nodes, 1.0 + 0.2 * np.exp(-nodes**2), P31_3)
+        res = run_to_blowup(u0, M_stop=1e7)
         assert res.status == "blown_up"
         assert res.x0_hat == pytest.approx(0.0, abs=0.1)
 
@@ -342,8 +331,8 @@ def _record_steps(monkeypatch):
     (field_in, dt, field_out, err) of every attempt, rejected ones included."""
     attempts = []
 
-    def recording_step(field_in, params, dt):
-        out, err = step(field_in, params, dt)
+    def recording_step(field_in, dt):
+        out, err = step(field_in, dt)
         attempts.append((field_in, dt, out, err))
         return out, err
 
@@ -374,7 +363,7 @@ class TestStepControl:
     ):
         attempts = _record_steps(monkeypatch)
         safety = 0.05
-        res = run_to_blowup(u0, P31, safety=safety, **kwargs)
+        res = run_to_blowup(u0, safety=safety, **kwargs)
         assert res.status == "blown_up"
         # an attempt was accepted when its output is stepped on or returned
         kept = {id(f) for f, _, _, _ in attempts} | {id(res.field)}
@@ -404,10 +393,10 @@ class TestStepControl:
     def test_halving_safety_moves_T_hat_toward_h2_capped(self, pair):
         params = Params(*pair)
         nodes = line_grid(10.0, 513)
-        u0 = line_field(nodes, gaussian(nodes, 0.05, 4.0, floor=1.0))
+        u0 = line_field(nodes, gaussian(nodes, 0.05, 4.0, floor=1.0), params)
         ref = T_HAT_H2_CAPPED[pair]
         gaps = [
-            abs(run_to_blowup(u0, params, M_stop=1e8, safety=safety).T_hat - ref) / ref
+            abs(run_to_blowup(u0, M_stop=1e8, safety=safety).T_hat - ref) / ref
             for safety in (0.05, 0.025)
         ]
         assert gaps[0] <= 1e-3
@@ -417,10 +406,66 @@ class TestStepControl:
 class TestGridField:
     def test_minimum_resolution(self):
         with pytest.raises(ConfigurationError):
-            GridField("line", 1, np.linspace(-1, 1, 32), np.zeros(32), 0.0)
+            line_field(np.linspace(-1, 1, 32), 0.0)
 
     def test_rejects_nonfinite(self):
         vals = np.zeros(64)
         vals[3] = np.nan
         with pytest.raises(ConfigurationError):
-            GridField("line", 1, np.linspace(-1, 1, 64), vals, 0.0)
+            line_field(np.linspace(-1, 1, 64), vals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_constructor_rejects_nonfinite_values(self, bad):
+        nodes = line_grid(5.0, 129)
+        values = np.ones(nodes.shape)
+        values[64] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            line_field(nodes, values)
+
+    def test_is_keyword_only(self):
+        nodes = line_grid(5.0, 129)
+        with pytest.raises(TypeError):
+            GridField("line", nodes, np.ones(nodes.shape), P31, 0.0)
+
+    def test_line_geometry_requires_N_1(self):
+        with pytest.raises(ConfigurationError, match="requires N = 1"):
+            line_field(line_grid(5.0, 129), 1.0, P31_3)
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            np.linspace(-5.0, 5.0, 129) ** 3,
+            np.linspace(5.0, -5.0, 129),
+            np.r_[np.linspace(-5.0, 0.0, 64), np.linspace(0.1, 5.0, 65)],
+        ],
+        ids=["graded", "decreasing", "gap"],
+    )
+    def test_rejects_non_uniform_nodes(self, nodes):
+        with pytest.raises(ConfigurationError, match="uniform and increasing"):
+            line_field(nodes, 1.0)
+
+    def test_radial_nodes_start_at_zero(self):
+        with pytest.raises(ConfigurationError, match="start at r = 0"):
+            field("radial", np.linspace(1.0, 6.0, 129), 1.0, P31_3)
+
+    def test_stepped_field_is_a_frozen_grid_field(self):
+        nodes = line_grid(5.0, 129)
+        f, _ = step(line_field(nodes, 1.0), 1e-3)
+        assert type(f) is GridField
+        assert (f.geometry, f.params, f.time) == ("line", P31, 1e-3)
+        assert f.nodes is nodes
+        with pytest.raises(AttributeError):
+            f.time = 0.0
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_step_takes_N_from_params(self, N):
+        # the radial operator's (N-1)/r term comes from params.N alone
+        params = Params(3.0, 1.0, N)
+        nodes = radial_grid(5.0, 129)
+        u0 = field("radial", nodes, 1.0 + 0.2 * np.exp(-nodes**2), params)
+        f, err = step(u0, 1e-3)
+        u_new, u_star = imex_step(
+            nodes, "radial", N, u0.values, 0.0, 1e-3, lambda t, v: eval_f(v, params)
+        )
+        np.testing.assert_array_equal(f.values, u_new)
+        assert err == float(np.max(np.abs(u_new - u_star)))

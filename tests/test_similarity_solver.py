@@ -27,6 +27,13 @@ from blowuplab.similarity_solver import (
 
 P30 = Params(3.0, 0.0)
 P31 = Params(3.0, 1.0)
+P31_3 = Params(3.0, 1.0, N=3)
+
+
+def grid_field(geometry, nodes, values, t, params=P31):
+    return GridField(
+        geometry=geometry, nodes=nodes, values=values, params=params, time=t
+    )
 
 
 class TestFrameChange:
@@ -34,8 +41,8 @@ class TestFrameChange:
         T, t = 0.5, 0.34
         x = line_grid(8.0, 513)
         c = 1.7
-        u = GridField("line", 1, x, np.full(x.shape, psi_T(t, T, P31) * c), t)
-        w = to_similarity(u, 0.0, T, P31, line_grid(10.0, 201))
+        u = grid_field("line", x, np.full(x.shape, psi_T(t, T, P31) * c), t)
+        w = to_similarity(u, 0.0, T, line_grid(10.0, 201))
         assert np.max(np.abs(w.values - c)) < 1e-12
         assert w.s == pytest.approx(-np.log(T - t))
 
@@ -43,33 +50,32 @@ class TestFrameChange:
         # u(x) = psi_T(t) exp(-(x-x0)^2/(T-t))  ->  w(y) = exp(-y^2)
         T, t, x0 = 0.5, 0.45, 0.3
         x = line_grid(6.0, 2001)
-        u = GridField(
-            "line", 1, x, psi_T(t, T, P31) * np.exp(-((x - x0) ** 2) / (T - t)), t
+        u = grid_field(
+            "line", x, psi_T(t, T, P31) * np.exp(-((x - x0) ** 2) / (T - t)), t
         )
-        y = np.array([-1.5, -0.5, 0.0, 0.7, 2.0])
-        w = to_similarity(u, x0, T, P31, y)
+        y = line_grid(2.0, 81)
+        w = to_similarity(u, x0, T, y)
         assert np.max(np.abs(w.values - np.exp(-y * y))) < 1e-6
 
     def test_hand_computed_gaussian_radial(self):
         # same profile in N = 3: the similarity field keeps the radial geometry
-        P31_3 = Params(3.0, 1.0, N=3)
         T, t = 0.5, 0.45
         r = np.linspace(0.0, 6.0, 2001)
-        u = GridField("radial", 3, r, psi_T(t, T, P31_3) * np.exp(-r * r / (T - t)), t)
-        y = np.array([0.0, 0.5, 0.7, 2.0])
-        w = to_similarity(u, 0.0, T, P31_3, y)
-        assert w.geometry == "radial"
+        u = grid_field(
+            "radial", r, psi_T(t, T, P31_3) * np.exp(-r * r / (T - t)), t, P31_3
+        )
+        y = np.linspace(0.0, 2.0, 81)
+        w = to_similarity(u, 0.0, T, y)
+        assert (w.geometry, w.params) == ("radial", P31_3)
         assert np.max(np.abs(w.values - np.exp(-y * y))) < 1e-6
 
     def test_forward_matches_analytic_w(self):
         # u = psi_T(t) (0.5 + 0.3 exp(-x^2)) is w = 0.5 + 0.3 exp(-(T-t) y^2)
         T, t = 0.6, 0.45
         x = line_grid(8.0, 1025)
-        u = GridField(
-            "line", 1, x, psi_T(t, T, P31) * (0.5 + 0.3 * np.exp(-x * x)), t
-        )
+        u = grid_field("line", x, psi_T(t, T, P31) * (0.5 + 0.3 * np.exp(-x * x)), t)
         y = line_grid(12.0, 401)
-        w = to_similarity(u, 0.0, T, P31, y)
+        w = to_similarity(u, 0.0, T, y)
         analytic = 0.5 + 0.3 * np.exp(-(T - t) * y * y)
         assert w.s == pytest.approx(-np.log(T - t), abs=1e-12)
         assert np.max(np.abs(w.values - analytic)) < 1e-6
@@ -77,15 +83,15 @@ class TestFrameChange:
     def test_truncation_signal(self):
         T, t = 0.5, 0.2
         x = line_grid(2.0, 257)
-        u = GridField("line", 1, x, np.ones(x.shape), t)
+        u = grid_field("line", x, np.ones(x.shape), t)
         with pytest.raises(TruncationError):
-            to_similarity(u, 0.0, T, P31, line_grid(20.0, 101))
+            to_similarity(u, 0.0, T, line_grid(20.0, 101))
 
     def test_time_domain(self):
         x = line_grid(2.0, 257)
-        u = GridField("line", 1, x, np.ones(x.shape), 0.7)
+        u = grid_field("line", x, np.ones(x.shape), 0.7)
         with pytest.raises(DomainError):
-            to_similarity(u, 0.0, 0.5, P31, x)
+            to_similarity(u, 0.0, 0.5, x)
 
 
 class TestStepW:
@@ -151,7 +157,7 @@ class TestStepW:
         w0 = 0.7 * random_smooth_shape(y, params, 0)
         finals = []
         for n in (20, 40, 80):
-            w = SimField("line", y, w0, 2.0, params)
+            w = SimField(geometry="line", nodes=y, values=w0, s=2.0, params=params)
             for _ in range(n):
                 w = step_w(w, 1.0 / n)
             finals.append(w.values)
@@ -171,7 +177,7 @@ class TestStepW:
         w0 = 0.7 * random_smooth_shape(fine, params, 0)
 
         def unit_boundaries(nodes, values, ds):
-            w = SimField("line", nodes, values, 2.0, params)
+            w = SimField(geometry="line", nodes=nodes, values=values, s=2.0, params=params)
             out = []
             for _ in range(2):
                 for _ in range(round(1.0 / ds)):
@@ -207,7 +213,10 @@ class TestStepW:
     def test_radial_step_runs(self):
         r = np.linspace(0.0, 20.0, 401)
         params = Params(3.0, 1.0, N=3)
-        w = SimField("radial", r, 0.5 * np.exp(-r * r / 8.0), 2.0, params)
+        w = SimField(
+            geometry="radial", nodes=r, values=0.5 * np.exp(-r * r / 8.0), s=2.0,
+            params=params,
+        )
         ds = cfl_step(r, 0.01)
         for _ in range(50):
             w = step_w(w, ds)
@@ -340,7 +349,7 @@ class TestSimField:
         values = np.zeros(y.shape)
         values[100] = bad
         with pytest.raises(ConfigurationError, match="non-finite"):
-            SimField("line", y, values, 2.0, P31)
+            SimField(geometry="line", nodes=y, values=values, s=2.0, params=P31)
 
     def test_stepped_field_is_a_frozen_sim_field(self):
         y = line_grid(20.0, 201)
@@ -352,3 +361,33 @@ class TestSimField:
         assert f.nodes is y
         with pytest.raises(AttributeError):
             f.s = 3.0
+
+    @pytest.mark.parametrize("n", [1, 63])
+    def test_minimum_resolution(self, n):
+        y = np.linspace(-20.0, 20.0, n)
+        with pytest.raises(ConfigurationError, match="node count must be >= 64"):
+            SimField(geometry="line", nodes=y, values=np.zeros(n), s=2.0, params=P31)
+
+    @pytest.mark.parametrize("geometry, params", [("line", P31), ("radial", P31_3)])
+    def test_rejects_non_uniform_nodes(self, geometry, params):
+        y = np.linspace(0.0, 4.0, 201) ** 2
+        with pytest.raises(ConfigurationError, match="uniform and increasing"):
+            SimField(
+                geometry=geometry, nodes=y, values=np.zeros(y.shape), s=2.0,
+                params=params,
+            )
+
+    def test_radial_nodes_start_at_zero(self):
+        r = np.linspace(1.0, 20.0, 201)
+        with pytest.raises(ConfigurationError, match="start at r = 0"):
+            SimField(
+                geometry="radial", nodes=r, values=np.zeros(r.shape), s=2.0,
+                params=P31_3,
+            )
+
+    def test_line_geometry_requires_N_1(self):
+        y = line_grid(20.0, 201)
+        with pytest.raises(ConfigurationError, match="requires N = 1"):
+            SimField(
+                geometry="line", nodes=y, values=np.zeros(y.shape), s=2.0, params=P31_3
+            )
