@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -19,7 +19,7 @@ from .errors import (
     ResolutionError,
 )
 from .functionals import FunctionalConfig, FunctionalSnapshot, eval_L, snapshot
-from .quadrature import QuadratureRule, integrate, rule_for_grid
+from .quadrature import integrate
 from .similarity_solver import DEFAULT_DS, SimField, cfl_step, ds_dissipation, step_w
 
 # fit_rate takes the last _FIT_WINDOW_FRACTION of the samples whose remaining
@@ -290,11 +290,11 @@ def tune_blowup_amplitude(
     s0: float,
     s_end: float,
     params: Params,
-    ds: float = DEFAULT_DS,
     probes: list | None = None,
 ) -> float:
     """The amplitude multiplier that keeps lam * shape, sampled on the line
-    grid nodes, on the blow-up separatrix of the similarity flow up to s_end.
+    grid nodes, on the blow-up separatrix of the similarity flow up to s_end
+    at the step DEFAULT_DS.
 
     The constant-amplitude equilibrium has unstable directions (shifting the
     blow-up time or point of the underlying physical solution), so an
@@ -312,7 +312,7 @@ def tune_blowup_amplitude(
     per probe; this observes the search and changes no result.
     """
     kap = kappa_a(params)
-    ds_eff = cfl_step(nodes, ds)
+    ds_eff = cfl_step(nodes, DEFAULT_DS)
     # Probe well past s_end: an off-separatrix datum may stay within the
     # thresholds over the window of interest yet already be drifting away.
     n_steps = int(round((s_end - s0 + 14.0) / ds_eff))
@@ -352,10 +352,7 @@ class SimilarityRun:
     step_s: np.ndarray
     step_L: np.ndarray
     step_mass: np.ndarray
-    rule: QuadratureRule
-    cfg: FunctionalConfig
-    params: Params
-    ds: float = field(default=0.0)
+    ds: float
     time_stepping: float = 0.0  # wall seconds in step_w
     time_functionals: float = 0.0  # wall seconds in the rest: the functional ledger
 
@@ -377,16 +374,15 @@ def run_similarity(
     if n_units < 1 or abs(s_end - w0.s - n_units) > 1e-9:
         raise DomainError("run_similarity: s_end - w0.s must be a positive integer")
     ds_eff = cfl_step(w0.nodes, ds)
-    rule = rule_for_grid(w0.nodes, w0.params.N, w0.geometry)
     per_unit = int(round(1.0 / ds_eff))
 
     t_run, t_step = time.perf_counter(), 0.0
     fields = [w0]
-    snaps = [snapshot(w0, rule, cfg)]
+    snaps = [snapshot(w0, cfg)]
     diss = np.zeros(n_units)
     step_s: list[float] = [w0.s]
     step_L: list[float] = [snaps[0].L]
-    step_mass: list[float] = [integrate(rule, w0.values**2)]
+    step_mass: list[float] = [integrate(w0.rule, w0.values**2)]
 
     current = w0
     try:
@@ -396,15 +392,15 @@ def run_similarity(
                 t0 = time.perf_counter()
                 nxt = step_w(current, ds_eff)
                 t_step += time.perf_counter() - t0
-                acc += ds_eff * ds_dissipation(current, nxt, rule)
+                acc += ds_eff * ds_dissipation(current, nxt)
                 current = nxt
                 step_s.append(current.s)
-                step_mass.append(integrate(rule, current.values**2))
+                step_mass.append(integrate(current.rule, current.values**2))
                 if j < per_unit - 1:  # the boundary L comes from its snapshot
-                    step_L.append(eval_L(current, rule, cfg))
+                    step_L.append(eval_L(current, cfg))
             diss[k] = acc
             fields.append(current)
-            snaps.append(snapshot(current, rule, cfg))
+            snaps.append(snapshot(current, cfg))
             step_L.append(snaps[-1].L)
     except BlowupOvershootError:
         raise
@@ -419,9 +415,6 @@ def run_similarity(
         step_s=np.asarray(step_s),
         step_L=np.asarray(step_L),
         step_mass=np.asarray(step_mass),
-        rule=rule,
-        cfg=cfg,
-        params=w0.params,
         ds=ds_eff,
         time_stepping=t_step,
         time_functionals=time.perf_counter() - t_run - t_step,

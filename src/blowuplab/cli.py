@@ -50,7 +50,7 @@ INITIAL_KINDS = ("constant", "gaussian", "profile", "file")
 
 @dataclass
 class InitialData:
-    kind: str = "gaussian"
+    kind: str = "profile"  # the physical scenario's default is "gaussian"
     value: float = 1.0  # constant
     amplitude: float = 0.2
     width: float = 2.0
@@ -151,6 +151,11 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
         except BlowupLabError as exc:
             raise ParseError(f"{section}: {exc}") from exc
     config = replace(config, **updates)
+    # A Gaussian on floor 1 blows up in the physical frame.  In the similarity
+    # frame it lies above kappa_a and blows up in finite s, so that frame
+    # starts from the profile.
+    if config.scenario == "physical" and "kind" not in values.get("initial_data", {}):
+        config.initial_data.kind = "gaussian"
 
     if config.scenario not in SCENARIOS:
         raise ParseError(
@@ -475,12 +480,13 @@ def main(argv: list[str] | None = None) -> int:
     text = ""
     if args.config:
         text = Path(args.config).read_text(encoding="utf-8")
+    # the subcommand is the scenario, whatever the config says
+    overrides = [*args.overrides, f"run.scenario={args.command}"]
     try:
-        config = parse_config(text, overrides=args.overrides)
+        config = parse_config(text, overrides=overrides)
     except ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    config.scenario = args.command
     if args.output:
         config.output_dir = args.output
     return run(config)

@@ -1,9 +1,9 @@
 """Weighted energy functionals evaluated on similarity-frame fields.
 
-All integrals are against rho(y) = e^(-|y|^2/4) through a grid-coincident
-quadrature rule.  The antiderivative term inside E is evaluated through
-core_math.rescaled_F, which stays finite at any s the run can reach; the
-naive composition F(phi(s) w) is never formed.
+All integrals are against rho(y) = e^(-|y|^2/4) through the grid-coincident
+quadrature rule the field carries.  The antiderivative term inside E is
+evaluated through core_math.rescaled_F, which stays finite at any s the run
+can reach; the naive composition F(phi(s) w) is never formed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .core_math import Params, rescaled_F
 from .errors import ConfigurationError
-from .quadrature import QuadratureRule, check_same_grid, integrate
+from .quadrature import integrate
 from .similarity_solver import SimField
 
 
@@ -83,13 +83,10 @@ def _gradient(w: np.ndarray, h: float) -> np.ndarray:
     return grad
 
 
-def _integrands(field: SimField, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+def _integrands(field: SimField) -> tuple[np.ndarray, np.ndarray]:
     """Energy integrand |grad w|^2/2 + w^2/(2(p-1)) - e^(-(p+1)s/(p-1))
     s^(2a/(p-1)) F(phi w), with the F term in its stable cancellation form,
     and w^2."""
-    check_same_grid(
-        rule.nodes, field.nodes, "functional: rule nodes do not match the field grid"
-    )
     w = field.values
     grad = _gradient(w, field.spacing)
     w2 = w**2
@@ -109,10 +106,11 @@ def _lyapunov(field: SimField, E: float, mass: float, cfg: FunctionalConfig):
     return L0, L
 
 
-def eval_L(field: SimField, rule: QuadratureRule, cfg: FunctionalConfig) -> float:
+def eval_L(field: SimField, cfg: FunctionalConfig) -> float:
     """The L of snapshot alone, without the cut-off terms: the per-step ledger
     evaluates it after every step."""
-    energy, w2 = _integrands(field, rule)
+    energy, w2 = _integrands(field)
+    rule = field.rule
     return float(_lyapunov(field, integrate(rule, energy), integrate(rule, w2), cfg)[1])
 
 
@@ -141,9 +139,10 @@ def _psi_sq(field: SimField, cfg: FunctionalConfig) -> np.ndarray:
     return psi(field.nodes) ** 2
 
 
-def snapshot(field: SimField, rule: QuadratureRule, cfg: FunctionalConfig) -> FunctionalSnapshot:
+def snapshot(field: SimField, cfg: FunctionalConfig) -> FunctionalSnapshot:
     """Evaluate the whole functional family at once (shared integrals)."""
-    energy, w2 = _integrands(field, rule)
+    energy, w2 = _integrands(field)
+    rule = field.rule
     s = field.s
     b = cfg.b(field.params)
     psi2 = _psi_sq(field, cfg)

@@ -12,26 +12,20 @@ Heun corrector on g,
 
 second order overall.  The step returns u* next to u_new: their gap is the
 local error of the first-order predictor, which the physical frame's step
-controller uses.  A's bands are built once per grid, and both tridiagonal
-matrices are LU-factored once per (grid, dt): a run steps one node array,
-and a similarity run keeps one ds.
+controller uses.  An Operator holds A's bands for one grid and the LU
+factors of both tridiagonal matrices for the last dt a step asked for: a
+similarity run keeps one ds and factors once, and the physical step
+controller, which changes dt on nearly every step, factors anew.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import BlowupOvershootError, NumericError
-
-# Entries kept per cache: bands per (grid, operator), factors per
-# (grid, operator, dt).  The physical step controller sets a new dt on nearly
-# every step; those factors cycle out instead of accumulating.
-_CACHE_SIZE = 4
-
 
 def laplacian_bands(
     nodes: np.ndarray, geometry: str, dimension: int, drift: bool = False
@@ -81,42 +75,29 @@ def _factor(bands: np.ndarray, alpha: float) -> tuple:
             f"imex_step: I - {alpha} A is singular (dgttrf info {info})"
         )
     for arr in factors:
-        arr.setflags(write=False)  # shared by every step that hits the cache
+        arr.setflags(write=False)  # shared by every step at this dt
     return tuple(factors)
 
 
-class _Grid:
-    """A node array as a cache key, by identity: hashing it is O(1) whatever
-    the grid size.  The cache entry holds the array, so while the entry
-    lives no other array can take its id, and two distinct arrays never
-    share factors.  Like the frozen fields that carry them, node arrays are
-    not changed in place."""
+class Operator:
+    """The implicit operator A of one grid: its read-only bands, and the
+    dgttrf factors of I - dt A and I - dt/2 A for the last dt asked for.
+    A field builds its operator once and hands it to every field stepped
+    from it."""
 
-    __slots__ = ("nodes",)
+    def __init__(self, nodes: np.ndarray, geometry: str, dimension: int, drift: bool = False):
+        self.bands = laplacian_bands(np.asarray(nodes, dtype=float), geometry, dimension, drift)
+        self.bands.setflags(write=False)
+        self._dt = None
+        self._factors = None
 
-    def __init__(self, nodes: np.ndarray) -> None:
-        self.nodes = nodes
-
-    def __hash__(self) -> int:
-        return id(self.nodes)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Grid) and other.nodes is self.nodes
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _bands(grid: _Grid, geometry: str, dimension: int, drift: bool) -> np.ndarray:
-    """The read-only laplacian_bands of one grid and operator."""
-    bands = laplacian_bands(np.asarray(grid.nodes, dtype=float), geometry, dimension, drift)
-    bands.setflags(write=False)
-    return bands
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _operator(grid: _Grid, geometry: str, dimension: int, drift: bool, dt: float) -> tuple:
-    """(bands, predictor factors, corrector factors) for one grid, A and dt."""
-    bands = _bands(grid, geometry, dimension, drift)
-    return bands, _factor(bands, dt), _factor(bands, 0.5 * dt)
+    def factors(self, dt: float) -> tuple:
+        """(predictor factors, corrector factors) at dt, factored only when
+        dt differs from the last dt asked for."""
+        if dt != self._dt:
+            self._factors = _factor(self.bands, dt), _factor(self.bands, 0.5 * dt)
+            self._dt = dt
+        return self._factors
 
 
 def _solve(factors: tuple, rhs: np.ndarray, t: float, stage: str) -> np.ndarray:
@@ -137,24 +118,21 @@ def _solve(factors: tuple, rhs: np.ndarray, t: float, stage: str) -> np.ndarray:
 
 
 def imex_step(
-    nodes: np.ndarray,
-    geometry: str,
-    dimension: int,
+    operator: Operator,
     u: np.ndarray,
     t: float,
     dt: float,
     explicit: Callable[[float, np.ndarray], np.ndarray],
-    drift: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance u by dt on the grid (nodes, geometry, dimension) with the
-    explicit terms g(t, u) = explicit(t, u), A carrying the drift if drift
-    is set.  explicit runs with floating-point overflow silenced, so it may
-    overflow to inf without a warning.  Returns (u_new, u*): the
-    second-order result and the first-order predictor, whose gap is an
-    embedded estimate of the predictor's local error.  Raises
-    BlowupOvershootError on any non-finite value (the step went past the
-    singularity)."""
-    bands, predictor, corrector = _operator(_Grid(nodes), geometry, dimension, drift, dt)
+    """Advance u by dt with operator's A implicit and the explicit terms
+    g(t, u) = explicit(t, u).  explicit runs with floating-point overflow
+    silenced, so it may overflow to inf without a warning.  Returns
+    (u_new, u*): the second-order result and the first-order predictor,
+    whose gap is an embedded estimate of the predictor's local error.
+    Raises BlowupOvershootError on any non-finite value (the step went past
+    the singularity)."""
+    bands = operator.bands
+    predictor, corrector = operator.factors(dt)
     # One error state for the whole step, both explicit evaluations included:
     # an overflow anywhere leaves an inf in a right-hand side, and _solve
     # reports it.

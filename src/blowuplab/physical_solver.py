@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NoReturn
 
 import numpy as np
 
 from .core_math import _BIG_U, Params, eval_f
 from .errors import ConfigurationError, DomainError
-from .imex import imex_step
+from .imex import Operator, imex_step
 from .ode_blowup import time_to_blowup
 
 
@@ -30,13 +31,17 @@ class Field:
     radial half-line r >= 0 in N = params.N dimensions.
 
     The public constructor checks the grid and the values; _stepped, the
-    constructor a step uses, checks nothing again.
+    constructor a step uses, checks nothing again.  What is derived from
+    the grid alone (operator, and SimField's rule) is built on first use
+    and inherited by every field stepped from this one.
     """
 
     geometry: str  # "line" or "radial"
     nodes: np.ndarray
     values: np.ndarray
     params: Params
+
+    _DRIFT = False  # whether the frame's operator carries -(y/2).grad
 
     def __post_init__(self) -> None:
         if self.geometry not in ("line", "radial"):
@@ -64,10 +69,16 @@ class Field:
         (time= or s=).  The grid was checked when this field was built,
         imex_step has checked the values for finiteness, a step keeps their
         shape and only advances the clock: what the constructor checked
-        still holds."""
+        still holds.  Copying __dict__ also hands over the grid's operator
+        and rule once built."""
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__, values=values, **clock)
         return out
+
+    @cached_property
+    def operator(self) -> Operator:
+        """The implicit operator of this grid and frame."""
+        return Operator(self.nodes, self.geometry, self.params.N, self._DRIFT)
 
     @property
     def spacing(self) -> float:
@@ -112,12 +123,7 @@ def step(field_in: GridField, dt: float) -> tuple[GridField, float]:
         raise DomainError(f"step: dt must be positive, got {dt}")
     params = field_in.params
     u_new, u_star = imex_step(
-        field_in.nodes,
-        field_in.geometry,
-        params.N,
-        field_in.values,
-        field_in.time,
-        dt,
+        field_in.operator, field_in.values, field_in.time, dt,
         lambda t, u: eval_f(u, params),
     )
     error = float(np.max(np.abs(u_new - u_star)))

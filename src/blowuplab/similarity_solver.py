@@ -15,7 +15,7 @@ term in w and the source are explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -29,20 +29,27 @@ from .errors import (
 )
 from .imex import imex_step
 from .physical_solver import Field, GridField
-from .quadrature import QuadratureRule, check_same_grid, integrate
+from .quadrature import QuadratureRule, check_same_grid, integrate, rule_for_grid
 
 
 @dataclass(frozen=True, kw_only=True)
 class SimField(Field):
     """A field w of the similarity frame, on a y-grid (line) or an r-grid
-    (radial), at rescaled time s >= 1."""
+    (radial), at rescaled time s >= 1.  Its operator carries the drift."""
 
     s: float
+
+    _DRIFT = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.s < 1.0:
             raise DomainError(f"SimField requires s >= 1, got {self.s}")
+
+    @cached_property
+    def rule(self) -> QuadratureRule:
+        """The rho-weighted quadrature rule of this grid."""
+        return rule_for_grid(self.nodes, self.params.N, self.geometry)
 
 
 def to_similarity(
@@ -56,8 +63,11 @@ def to_similarity(
 
     w(y) = u(x0 + y sqrt(T - t)) / psi_T(t), cubic interpolation onto the
     target y-grid; raises TruncationError if the unscaled grid leaves the
-    physical domain.
+    physical domain, and DomainError for a radial u unless x0 = 0, the only
+    blow-up point a radial field has.
     """
+    if u.geometry == "radial" and x0 != 0.0:
+        raise DomainError(f"to_similarity: a radial field needs x0 = 0, got {x0}")
     if not (u.time < T):
         raise DomainError(f"to_similarity requires u.time < T, got {u.time} >= {T}")
     if T - u.time >= 1.0:
@@ -100,10 +110,7 @@ def step_w(field_in: SimField, ds: float) -> SimField:
     params = field_in.params
     explicit = partial(_explicit_terms, params)
     try:
-        w_new, _ = imex_step(
-            field_in.nodes, field_in.geometry, params.N, field_in.values, field_in.s,
-            ds, explicit, drift=True,
-        )
+        w_new, _ = imex_step(field_in.operator, field_in.values, field_in.s, ds, explicit)
     except BlowupOvershootError as exc:
         raise BlowupOvershootError(
             f"step_w: w blew up in the step from s={field_in.s} to s={field_in.s + ds}"
@@ -111,18 +118,15 @@ def step_w(field_in: SimField, ds: float) -> SimField:
     return field_in._stepped(w_new, s=field_in.s + ds)
 
 
-def ds_dissipation(before: SimField, after: SimField, rule: QuadratureRule) -> float:
+def ds_dissipation(before: SimField, after: SimField) -> float:
     """Discrete dissipation density int ((w_after - w_before)/ds)^2 rho dy."""
     if after.s <= before.s:
         raise ContractViolation("ds_dissipation: after.s must exceed before.s")
     check_same_grid(
         before.nodes, after.nodes, "ds_dissipation: grid mismatch between fields"
     )
-    check_same_grid(
-        rule.nodes, before.nodes, "ds_dissipation: rule nodes do not match the grid"
-    )
     rate = (after.values - before.values) / (after.s - before.s)
-    return integrate(rule, rate * rate)
+    return integrate(before.rule, rate * rate)
 
 
 # The similarity step every caller defaults to: the CLI's solver.ds, the

@@ -12,6 +12,7 @@ still computed and reported.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -83,6 +84,27 @@ class SuiteResult:
         )
 
 
+def _suite(criterion: int, name: str):
+    """Make body(res, *args) acceptance suite number criterion, called name:
+    the decorated function takes *args, runs body on a fresh SuiteResult,
+    times it and returns it.  run_all_suites reports a suite that raises
+    under the same number and name."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def suite(*args) -> SuiteResult:
+            res = SuiteResult(criterion, name)
+            t0 = time.perf_counter()
+            body(res, *args)
+            res.wall_time = time.perf_counter() - t0
+            return res
+
+        suite.criterion, suite.suite_name = criterion, name
+        return suite
+
+    return decorate
+
+
 RATE_PAIRS = ((3.0, 0.0), (3.0, 1.0), (3.0, -1.0), (2.0, 2.0))
 AUDIT_PAIRS = ((3.0, 1.0), (3.0, -1.0))
 CORPUS_SEEDS = (0, 1, 2, 3, 4)
@@ -99,10 +121,9 @@ def _file_stem(name: str) -> str:
     return name.replace("[", "_").replace("]", "").replace(",", "_").replace("=", "")
 
 
-def criterion_1_ode_rate() -> SuiteResult:
+@_suite(1, "ode_rate")
+def criterion_1_ode_rate(res: SuiteResult) -> None:
     """ODE amplitude and rate: ratio v/psi_T against kappa_a."""
-    res = SuiteResult(1, "ode_rate")
-    t0 = time.perf_counter()
     for p, a in RATE_PAIRS:
         params = Params(p, a)
         traj = integrate_vT(params, T=1.0, s_max=31.0)
@@ -145,16 +166,12 @@ def criterion_1_ode_rate() -> SuiteResult:
             res.add(f"closed_form[{tag}]", cf <= 1e-6, cf, 1e-6)
         res.artifacts[tag] = {"dev_s15": float(np.interp(15.0, s, dev)),
                               "dev_s30": d30, "kappa_a": kappa_a(params)}
-    res.wall_time = time.perf_counter() - t0
-    return res
 
 
-def criterion_2_nonlinearity() -> SuiteResult:
+@_suite(2, "nonlinearity_estimates")
+def criterion_2_nonlinearity(res: SuiteResult) -> None:
     """Antiderivative split, derivative consistency, and the rescaled
     source-term identity."""
-    res = SuiteResult(2, "nonlinearity_estimates")
-    t0 = time.perf_counter()
-
     worst_fd = 0.0
     for p in (2.0, 3.0):
         for a in (-1.0, 0.0, 1.0, 2.0):
@@ -217,16 +234,13 @@ def criterion_2_nonlinearity() -> SuiteResult:
             ] + [rescaled_F(700.0, w, params) for w in (0.3, 1.0, 5.0)]
             finite &= bool(np.all(np.isfinite(vals)))
     res.add("finite_at_s700", finite, 0.0 if finite else 1.0, 0.0)
-    res.wall_time = time.perf_counter() - t0
-    return res
 
 
-def criterion_3_quadrature() -> SuiteResult:
+@_suite(3, "quadrature_exactness")
+def criterion_3_quadrature(res: SuiteResult) -> None:
     """Gaussian mass and moments of the grid rule every ledger integrates
     with, for N in {1, 2, 3}: on the audit corpus grid at N = 1 and on
     201-node radial grids on [0, 20] at N = 2 and 3."""
-    res = SuiteResult(3, "quadrature_exactness")
-    t0 = time.perf_counter()
     radial = np.linspace(0.0, GRID_RADIUS, 201)
     rules = [
         ("grid,N=1", rule_for_grid(line_grid(GRID_RADIUS, GRID_NODES), 1, "line")),
@@ -244,8 +258,6 @@ def criterion_3_quadrature() -> SuiteResult:
         for name, got, want in checks:
             rel = abs(got / want - 1.0)
             res.add(f"{name}[{tag}]", rel <= 1e-8, rel, 1e-8)
-    res.wall_time = time.perf_counter() - t0
-    return res
 
 
 @dataclass
@@ -297,11 +309,10 @@ def build_audit_corpus(cfg: FunctionalConfig | None = None) -> AuditCorpus:
     return AuditCorpus(runs=runs, profile_runs=profile_runs, cfg=cfg, tuning=tuning)
 
 
-def criterion_4_lyapunov(corpus: AuditCorpus) -> SuiteResult:
+@_suite(4, "lyapunov_monotonicity")
+def criterion_4_lyapunov(res: SuiteResult, corpus: AuditCorpus) -> None:
     """Decrement inequality and per-step monotonicity of L along the corpus;
     the ledgers are the functionals of every audited run."""
-    res = SuiteResult(4, "lyapunov_monotonicity")
-    t0 = time.perf_counter()
     for name, run in corpus.runs:
         res.ledgers[f"corpus_ledgers/{_file_stem(name)}.csv"] = (
             list(FunctionalSnapshot.FIELDS),
@@ -321,8 +332,6 @@ def criterion_4_lyapunov(corpus: AuditCorpus) -> SuiteResult:
             report.max_step_increase,
             1e-6,
         )
-    res.wall_time = time.perf_counter() - t0
-    return res
 
 
 def _ode_control_fit(M: np.ndarray, params: Params) -> RateFit:
@@ -335,11 +344,10 @@ def _ode_control_fit(M: np.ndarray, params: Params) -> RateFit:
     return fit_rate(np.column_stack([-times_to_blowup(M, params), M]), 0.0)
 
 
-def criterion_5_rate_recovery() -> SuiteResult:
+@_suite(5, "rate_recovery")
+def criterion_5_rate_recovery(res: SuiteResult) -> None:
     """Type-I rate: synthetic exact-model recovery plus end-to-end runs,
     each against its ODE control; the ledgers are the runs' sup histories."""
-    res = SuiteResult(5, "rate_recovery")
-    t0 = time.perf_counter()
 
     T, p, a = 0.5, 3.0, 1.0
     ts = T - np.exp(-np.linspace(3.0, 17.0, 400))
@@ -379,14 +387,11 @@ def criterion_5_rate_recovery() -> SuiteResult:
             ["t", "sup_u"],
             run.sup_history,
         )
-    res.wall_time = time.perf_counter() - t0
-    return res
 
 
-def criterion_6_boundedness(corpus: AuditCorpus) -> SuiteResult:
+@_suite(6, "boundedness")
+def criterion_6_boundedness(res: SuiteResult, corpus: AuditCorpus) -> None:
     """Lower bound on N, |L| control, and weighted-mass control along runs."""
-    res = SuiteResult(6, "boundedness")
-    t0 = time.perf_counter()
     for name, run in corpus.runs:
         n_min = min(sn.N_m for sn in run.snapshots)
         res.add(f"N_lower_bound[{name}]", n_min >= -1.0, n_min, -1.0)
@@ -400,15 +405,12 @@ def criterion_6_boundedness(corpus: AuditCorpus) -> SuiteResult:
             med = float(np.median(masses[: k + 1]))
             worst = max(worst, masses[k] / (2.0 * med))
         res.add(f"mass_control[{name}]", worst <= 1.0, worst, 1.0)
-    res.wall_time = time.perf_counter() - t0
-    return res
 
 
-def criterion_7_profile(corpus: AuditCorpus) -> SuiteResult:
+@_suite(7, "profile_shape")
+def criterion_7_profile(res: SuiteResult, corpus: AuditCorpus) -> None:
     """Self-similar profile shape at s = s0 + 10 for the tuned datum; the
     artifacts carry the separatrix tuner's trace for every audit pair."""
-    res = SuiteResult(7, "profile_shape")
-    t0 = time.perf_counter()
     run = corpus.profile_runs[(3.0, 1.0)]
     report = profile_error(run.fields[-1], z_max=1.0)
     res.add("profile_sup_error[p=3,a=1]", report.sup_error <= 0.15,
@@ -426,14 +428,11 @@ def criterion_7_profile(corpus: AuditCorpus) -> SuiteResult:
         }
         for (p, a), (lam, probes) in corpus.tuning.items()
     }
-    res.wall_time = time.perf_counter() - t0
-    return res
 
 
-def criterion_8_frame_equivalence() -> SuiteResult:
+@_suite(8, "frame_equivalence")
+def criterion_8_frame_equivalence(res: SuiteResult) -> None:
     """Physical-then-transform agrees with similarity-native evolution."""
-    res = SuiteResult(8, "frame_equivalence")
-    t0 = time.perf_counter()
     params = Params(3.0, 1.0)
     T = float(np.exp(-S0))
     y = line_grid(GRID_RADIUS, 801)
@@ -458,15 +457,14 @@ def criterion_8_frame_equivalence() -> SuiteResult:
 
     sup = float(np.max(np.abs(w_phys.values - ws.values)))
     res.add("frame_sup_difference", sup <= 5e-3, sup, 5e-3)
-    res.wall_time = time.perf_counter() - t0
-    return res
 
 
 def run_all_suites(corpus: AuditCorpus) -> list[SuiteResult]:
     """Execute every acceptance suite once; criteria 4, 6 and 7 share the
     audit corpus.
 
-    A suite that raises a BlowupLabError is reported as one failed check."""
+    A suite that raises a BlowupLabError is reported, under its own number
+    and name, as one failed check."""
     suites = (
         (criterion_1_ode_rate, ()),
         (criterion_2_nonlinearity, ()),
@@ -478,11 +476,11 @@ def run_all_suites(corpus: AuditCorpus) -> list[SuiteResult]:
         (criterion_8_frame_equivalence, ()),
     )
     results = []
-    for criterion, (fn, args) in enumerate(suites, start=1):
+    for fn, args in suites:
         try:
             results.append(fn(*args))
         except BlowupLabError as exc:
-            failed = SuiteResult(criterion=criterion, name=fn.__name__)
+            failed = SuiteResult(fn.criterion, fn.suite_name)
             failed.add("suite_execution", False, 1.0, 0.0, note=f"error: {exc}")
             results.append(failed)
     return results

@@ -163,3 +163,30 @@ def test_tuned_lambda_matches_bisection(corpus):
 
 def test_criterion_8_frame_equivalence():
     assert_attainable(report(criterion_8_frame_equivalence()))
+
+
+def test_failed_suite_keeps_its_number_and_name(corpus, monkeypatch):
+    # a suite that raises is reported under the number and name it runs
+    # under, not under its function's name
+    from blowuplab.errors import NumericError
+
+    def boom(*args, **kwargs):
+        raise NumericError("deliberate failure")
+
+    monkeypatch.setattr(verification, "run_to_blowup", boom)
+    results = verification.run_all_suites(corpus)
+    assert [(r.criterion, r.name) for r in results] == [
+        (1, "ode_rate"),
+        (2, "nonlinearity_estimates"),
+        (3, "quadrature_exactness"),
+        (4, "lyapunov_monotonicity"),
+        (5, "rate_recovery"),
+        (6, "boundedness"),
+        (7, "profile_shape"),
+        (8, "frame_equivalence"),
+    ]
+    failed = results[4]
+    assert [(c.name, c.passed) for c in failed.checks] == [("suite_execution", False)]
+    assert failed.checks[0].note == "error: deliberate failure"
+    assert all(r.passed_attainable for r in results if r is not failed)
+    assert criterion_3_quadrature().name == "quadrature_exactness"

@@ -355,14 +355,15 @@ class TestRunSimilarity:
             s=2.0,
             params=P31,
         )
-        run = run_similarity(w0, 5.0, 0.01, FunctionalConfig())
+        cfg = FunctionalConfig()
+        run = run_similarity(w0, 5.0, 0.01, cfg)
         per_unit = int(round(1.0 / run.ds))
         for k, sn in enumerate(run.snapshots):
             assert run.step_L[k * per_unit] == sn.L
         w = w0
         for j in range(1, per_unit):  # between boundaries: eval_L of each step
             w = step_w(w, run.ds)
-            assert run.step_L[j] == eval_L(w, run.rule, run.cfg)
+            assert run.step_L[j] == eval_L(w, cfg)
 
     def test_requires_unit_span(self):
         nodes = line_grid(20.0, 201)

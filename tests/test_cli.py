@@ -122,6 +122,17 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="resolution"):
             parse_config("[grid]\nresolution = 32\n")
 
+    def test_scenario_default_datum(self):
+        # the physical scenario starts from a Gaussian, every other from the
+        # profile, unless initial_data.kind is set
+        assert parse_config("").initial_data.kind == "profile"
+        physical = "[run]\nscenario = physical\n"
+        assert parse_config(physical).initial_data.kind == "gaussian"
+        assert parse_config("", ["run.scenario=physical"]).initial_data.kind == "gaussian"
+        for kind in ("profile", "constant"):
+            cfg = parse_config(physical, [f"initial_data.kind={kind}"])
+            assert cfg.initial_data.kind == kind
+
     def test_overrides(self):
         cfg = parse_config(MINIMAL, overrides=["params.a=-1", "solver.s_max=12"])
         assert cfg.params.a == -1.0
@@ -369,7 +380,9 @@ class TestMain:
         "argv, error",
         [
             (["similarity", "--set", "params.N=2"], "ConfigurationError"),
-            (["similarity"], "BlowupOvershootError: .*s=2.38"),
+            # a Gaussian on floor 1 lies above kappa_a and leaves the separatrix
+            (["similarity", "--set", "initial_data.kind=gaussian"],
+             "BlowupOvershootError: .*s=2.38"),
             # w stays finite but |w|^(p+1) in the per-step ledger overflows
             (["similarity", "--set", "initial_data.kind=constant"],
              "BlowupOvershootError: .*s=2.6"),
@@ -388,7 +401,7 @@ class TestMain:
         ],
         ids=[
             "similarity-N=2",
-            "similarity-default",
+            "similarity-gaussian",
             "similarity-constant",
             "physical-m_stop-1e200",
             "physical-dt_safety=0",
@@ -402,6 +415,18 @@ class TestMain:
         assert main([*argv, "--output", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
         assert re.match(error, report["error"])
+
+    def test_default_similarity_runs_to_s_end(self, tmp_path):
+        # the similarity scenario starts from the profile, runs to s_end and
+        # passes its Lyapunov audit
+        out = tmp_path / "run"
+        assert main(["similarity", "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["initial_data"]["kind"] == "profile"
+        res = report["results"]
+        assert (res["s0"], res["steps"]) == (2.0, 300)
+        assert res["s_end"] == pytest.approx(8.0, abs=1e-12)
+        assert res["lyapunov"]["passed"] is True
 
     @pytest.mark.parametrize("a", [1.0, -1.0])
     def test_coarsest_grid_similarity_audit_passes(self, tmp_path, a):
@@ -453,8 +478,8 @@ class TestMain:
         assert res["dt_max"] > 10.0 * 0.05 * (10.0 / 128) ** 2
         assert "h2_capped_frac" not in res
 
-        argv = ["similarity", "--set", "grid.resolution=201", "--set", "initial_data.floor=0",
-                "--set", "solver.s_end=4", "--output", str(sim)]
+        argv = ["similarity", "--set", "grid.resolution=201", "--set", "initial_data.kind=gaussian",
+                "--set", "initial_data.floor=0", "--set", "solver.s_end=4", "--output", str(sim)]
         assert main(argv) == 0
         report = json.loads((sim / "report.json").read_text())
         res = report["results"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from blowuplab.core_math import Params
-from blowuplab.errors import ConfigurationError, ContractViolation
+from blowuplab.errors import ConfigurationError
 from blowuplab.functionals import (
     FunctionalConfig,
     _gradient,
@@ -18,7 +18,7 @@ from blowuplab.functionals import (
 )
 from blowuplab.initial_data import line_grid
 from blowuplab.quadrature import rule_for_grid
-from blowuplab.similarity_solver import SimField
+from blowuplab.similarity_solver import SimField, step_w
 
 P30 = Params(3.0, 0.0)
 P31 = Params(3.0, 1.0)
@@ -47,7 +47,7 @@ def random_field(seed, s=10.0, params=P31):
 
 
 def snap(field, cfg=CFG):
-    return snapshot(field, RULE, cfg)
+    return snapshot(field, cfg)
 
 
 class TestE:
@@ -72,10 +72,17 @@ class TestE:
         f = random_field(3, s=700.0)
         assert np.isfinite(snap(f).E)
 
-    def test_rule_mismatch(self):
-        other = rule_for_grid(line_grid(20.0, 201), 1, "line")
-        with pytest.raises(ContractViolation):
-            snapshot(const_field(1.0, 5.0, P31), other, CFG)
+    def test_rule_is_the_field_grid_rule(self):
+        # a field integrates with the rule of its own grid, built once and
+        # handed to every field stepped from it
+        nodes = line_grid(20.0, 201)
+        f = SimField(geometry="line", nodes=nodes, values=np.ones(201), s=5.0, params=P31)
+        want = rule_for_grid(nodes, 1, "line")
+        np.testing.assert_array_equal(f.rule.weights, want.weights)
+        assert f.rule.nodes is nodes
+        # w = 1: J = -mass/(2s) with mass the sum of the weights
+        assert -10.0 * snapshot(f, CFG).J == pytest.approx(np.sum(want.weights), rel=1e-14)
+        assert step_w(f, 0.02).rule is f.rule
 
 
 class TestFamily:
@@ -87,7 +94,7 @@ class TestFamily:
         assert sn.N_m == pytest.approx(CFG.A * np.exp(-4.0), rel=1e-14)
         assert sn.I == 0.0
         assert sn.L0 == 0.0
-        assert eval_L(f, RULE, CFG) == pytest.approx(
+        assert eval_L(f, CFG) == pytest.approx(
             CFG.theta * 4.0**-0.75, rel=1e-14
         )
 
@@ -108,7 +115,7 @@ class TestFamily:
 
     def test_theta_term_alone_decays(self):
         vals = [
-            eval_L(const_field(0.0, s, P31), RULE, CFG) for s in (4.0, 9.0, 16.0, 25.0)
+            eval_L(const_field(0.0, s, P31), CFG) for s in (4.0, 9.0, 16.0, 25.0)
         ]
         assert np.all(np.diff(vals) < 0.0)
 
@@ -117,7 +124,7 @@ class TestSnapshot:
     def test_reconstruction_identities(self):
         for seed in range(3):
             f = random_field(seed, s=7.0)
-            sn = snapshot(f, RULE, CFG)
+            sn = snapshot(f, CFG)
             b = CFG.b(f.params)
             mass = sn.I * sn.s**b
             assert sn.L0 == pytest.approx(sn.E - sn.s**-1.5 * mass, abs=1e-12)
@@ -131,7 +138,7 @@ class TestSnapshot:
     def test_eval_L_matches_snapshot_bitwise(self):
         for seed, s in ((9, 5.0), (10, 2.0), (11, 40.0)):
             f = random_field(seed, s=s)
-            assert eval_L(f, RULE, CFG) == snapshot(f, RULE, CFG).L
+            assert eval_L(f, CFG) == snapshot(f, CFG).L
 
     @pytest.mark.parametrize(
         "nodes",

@@ -8,7 +8,7 @@ from scipy.linalg import solve_banded
 from blowuplab import imex, physical_solver
 from blowuplab.core_math import Params, eval_f
 from blowuplab.errors import BlowupOvershootError, ConfigurationError, DomainError
-from blowuplab.imex import imex_step, laplacian_bands
+from blowuplab.imex import Operator, _factor, imex_step, laplacian_bands
 from blowuplab.initial_data import gaussian, line_grid
 from blowuplab.ode_blowup import time_to_blowup
 from blowuplab.physical_solver import STEP_LIMITS, GridField, run_to_blowup, step
@@ -91,7 +91,7 @@ class TestStep:
         f = line_field(nodes, gaussian(nodes, 1.0, 2.0, floor=0.5))
         errs = [step(f, dt)[1] for dt in (4e-4, 2e-4, 1e-4)]
         u_new, u_star = imex_step(
-            f.nodes, "line", 1, f.values, 0.0, 1e-4, lambda t, v: eval_f(v, P31)
+            Operator(f.nodes, "line", 1), f.values, 0.0, 1e-4, lambda t, v: eval_f(v, P31)
         )
         assert errs[2] == float(np.max(np.abs(u_new - u_star)))
         assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.05)
@@ -160,8 +160,9 @@ class TestImexStep:
         h = nodes[1] - nodes[0]
         u = np.exp(-((nodes - 1.0) ** 2)) + 0.3 * np.sin(nodes)
         mass = h * (u.sum() - 0.5 * (u[0] + u[-1]))
+        operator = Operator(nodes, "line", 1)
         for k in range(200):
-            u, _ = imex_step(nodes, "line", 1, u, k * 1e-2, 1e-2, lambda t, v: np.zeros_like(v))
+            u, _ = imex_step(operator, u, k * 1e-2, 1e-2, lambda t, v: np.zeros_like(v))
         assert abs(h * (u.sum() - 0.5 * (u[0] + u[-1])) - mass) < 1e-12
 
     @pytest.mark.parametrize("dt", [2e-5, 1.0 / 112.0])
@@ -171,49 +172,54 @@ class TestImexStep:
         ids=["line-401", "radial-N3-257"],
     )
     def test_matches_solve_banded_reference_bitwise(self, geometry, dimension, nodes, dt):
-        # the cached LU factors reproduce a fresh banded solve bit for bit,
-        # on the miss that builds them and on the hits that reuse them
+        # the operator's LU factors reproduce a fresh banded solve bit for
+        # bit, on the step that factors and on the steps that reuse them
         u = 1.0 + 0.5 * np.exp(-nodes**2) + 0.1 * np.cos(nodes)
+        operator = Operator(nodes, geometry, dimension)
         for k in range(4):
             ref, ref_star = _reference_step(nodes, geometry, dimension, u, k * dt, dt, _reaction)
-            out, out_star = imex_step(nodes, geometry, dimension, u, k * dt, dt, _reaction)
+            out, out_star = imex_step(operator, u, k * dt, dt, _reaction)
             np.testing.assert_array_equal(out, ref)
             np.testing.assert_array_equal(out_star, ref_star)
             u = ref
 
-    def test_same_size_grids_do_not_share_factors(self):
-        grids = [line_grid(5.0, 129), line_grid(6.0, 129)]
-        us = [1.0 + 0.5 * np.exp(-nodes**2) for nodes in grids]
-        imex._operator.cache_clear()
-        imex._bands.cache_clear()
+    def test_same_size_grids_do_not_share_factors(self, monkeypatch):
+        # each field builds the operator of its own grid; the fields stepped
+        # from it share that operator, which factors once per dt
+        factored = []
+        monkeypatch.setattr(imex, "_factor", lambda b, a: factored.append(b) or _factor(b, a))
+        fields = [line_field(nodes, 1.0 + 0.5 * np.exp(-nodes**2))
+                  for nodes in (line_grid(5.0, 129), line_grid(6.0, 129))]
+        operators = [f.operator for f in fields]
+        assert operators[0] is not operators[1]
         for k in range(3):
-            for i, nodes in enumerate(grids):
-                ref, _ = _reference_step(nodes, "line", 1, us[i], k * 1e-3, 1e-3, _reaction)
-                np.testing.assert_array_equal(
-                    imex_step(nodes, "line", 1, us[i], k * 1e-3, 1e-3, _reaction)[0], ref
-                )
-                us[i] = ref
-        info = imex._operator.cache_info()
-        assert (info.misses, info.hits) == (2, 4)
-        assert imex._bands.cache_info().misses == 2
+            for i, f in enumerate(fields):
+                ref, _ = _reference_step(f.nodes, "line", 1, f.values, f.time, 1e-3, _reaction)
+                fields[i], _ = step(f, 1e-3)
+                np.testing.assert_array_equal(fields[i].values, ref)
+                assert fields[i].operator is operators[i]
+        # two factors (predictor and corrector) per grid, each from its own bands
+        assert [id(b) for b in factored] == [id(op.bands) for op in operators for _ in "pc"]
 
-    def test_changing_dt_rebuilds_every_step(self):
+    def test_changing_dt_rebuilds_every_step(self, monkeypatch):
         # the physical step controller sets a new dt on nearly every step:
-        # each step factors anew, from the bands built on the first
+        # each new dt factors anew, from the bands built once, and a step
+        # at the last dt reuses its factors
+        built, factored = [], []
+        monkeypatch.setattr(
+            imex, "laplacian_bands", lambda *a: built.append(a) or laplacian_bands(*a)
+        )
+        monkeypatch.setattr(imex, "_factor", lambda b, a: factored.append(a) or _factor(b, a))
         nodes = line_grid(10.0, 513)
-        u = 1.0 + 0.5 * np.exp(-nodes**2)
-        imex._operator.cache_clear()
-        imex._bands.cache_clear()
-        t = 0.0
-        for k in range(12):
-            dt = 1e-4 * 0.8**k
-            ref, _ = _reference_step(nodes, "line", 1, u, t, dt, _reaction)
-            np.testing.assert_array_equal(imex_step(nodes, "line", 1, u, t, dt, _reaction)[0], ref)
-            u, t = ref, t + dt
-        info = imex._operator.cache_info()
-        assert (info.misses, info.hits) == (12, 0)
-        info = imex._bands.cache_info()
-        assert (info.misses, info.hits) == (1, 11)
+        f = line_field(nodes, 1.0 + 0.5 * np.exp(-nodes**2))
+        dts = [1e-4 * 0.8**k for k in range(12)]
+        for dt in dts:
+            for _ in range(2):
+                ref, _ = _reference_step(nodes, "line", 1, f.values, f.time, dt, _reaction)
+                f, _ = step(f, dt)
+                np.testing.assert_array_equal(f.values, ref)
+        assert len(built) == 1
+        assert factored == [a for dt in dts for a in (dt, 0.5 * dt)]
 
     @pytest.mark.parametrize("stage", ["predictor", "corrector"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
@@ -237,7 +243,7 @@ class TestImexStep:
             return g
 
         with pytest.raises(BlowupOvershootError, match=rf"non-finite {stage} at t=0\.25$"):
-            imex_step(nodes, geometry, dimension, u, t0, 1e-3, explicit)
+            imex_step(Operator(nodes, geometry, dimension), u, t0, 1e-3, explicit)
 
 
 class TestRunToBlowup:
@@ -465,7 +471,7 @@ class TestGridField:
         u0 = field("radial", nodes, 1.0 + 0.2 * np.exp(-nodes**2), params)
         f, err = step(u0, 1e-3)
         u_new, u_star = imex_step(
-            nodes, "radial", N, u0.values, 0.0, 1e-3, lambda t, v: eval_f(v, params)
+            Operator(nodes, "radial", N), u0.values, 0.0, 1e-3, lambda t, v: eval_f(v, params)
         )
         np.testing.assert_array_equal(f.values, u_new)
         assert err == float(np.max(np.abs(u_new - u_star)))
