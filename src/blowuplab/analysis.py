@@ -300,24 +300,25 @@ def tune_blowup_amplitude(
     blow-up time or point of the underlying physical solution), so an
     untuned datum either quenches to zero or blows up in finite s.  A probe
     classifies an amplitude by whether max|w| crosses 2.5 kappa_a (blow-up,
-    class +1) or falls below 0.4 kappa_a (quench, class -1), at the escape
-    time s_esc.  The m=0 mode grows like e^(s - s0), so a datum off the
-    separatrix by d escapes at s_esc ~ s0 + log(C/|d|), and the signal
-    class * exp(-(s_esc - s0)) is linear in d on each side of the separatrix;
+    class +1) or falls below 0.4 kappa_a (quench, class -1), at its escape
+    step k, at s_esc = s0 + k ds.  The m=0 mode grows like e^(s - s0), so a
+    datum off the separatrix by d escapes at k ds ~ log(C/|d|), and the
+    signal class * exp(-k ds) is linear in d on each side of the separatrix;
     _separatrix_root finds its root.  A probe that stays within the
     thresholds past the window (class 0) is on the separatrix and ends the
     search.
 
-    When probes is a list, one (lam, class, s_esc, steps) record is appended
+    When probes is a list, one (lam, class, s_esc, k) record is appended
     per probe; this observes the search and changes no result.
     """
     kap = kappa_a(params)
     ds_eff = cfl_step(nodes, DEFAULT_DS)
+    per_unit = int(round(1.0 / ds_eff))
     # Probe well past s_end: an off-separatrix datum may stay within the
     # thresholds over the window of interest yet already be drifting away.
     n_steps = int(round((s_end - s0 + 14.0) / ds_eff))
 
-    def classify(lam: float) -> tuple[int, float, int]:
+    def escape(lam: float) -> tuple[int, int]:  # (class, k)
         w = SimField(
             geometry="line", nodes=nodes, values=lam * shape, s=s0, params=params
         )
@@ -325,19 +326,19 @@ def tune_blowup_amplitude(
             try:
                 w = step_w(w, ds_eff)
             except BlowupOvershootError:
-                return +1, w.s + ds_eff, k
+                return +1, k
             peak = float(np.max(np.abs(w.values)))
             if peak > 2.5 * kap:
-                return +1, w.s, k
+                return +1, k
             if peak < 0.4 * kap:
-                return -1, w.s, k
-        return 0, w.s, n_steps
+                return -1, k
+        return 0, n_steps
 
     def signal(lam: float) -> float:
-        cls, s_esc, steps = classify(lam)
+        cls, k = escape(lam)
         if probes is not None:
-            probes.append((lam, cls, s_esc, steps))
-        return cls * math.exp(-(s_esc - s0))
+            probes.append((lam, cls, s0 + k / per_unit, k))
+        return cls * math.exp(-k / per_unit)
 
     return _separatrix_root(signal, *_SEPARATRIX_BRACKET)
 
@@ -365,8 +366,8 @@ def run_similarity(
 ) -> SimilarityRun:
     """Evolve w from w0.s to s_end, collecting the functional ledger.
 
-    The step is the largest at most ds that divides each unit of s exactly,
-    so snapshots and dissipation integrals land on unit boundaries.  A w
+    The step is 1/m, the largest at most ds that divides a unit of s, and
+    the n-th field is at w0.s + n/m, so snapshots land on w0.s + k.  A w
     that blows up ends the run in BlowupOvershootError naming s: in step_w,
     or where w is still finite but its ledger integrals overflow float64.
     """
@@ -384,24 +385,24 @@ def run_similarity(
     step_L: list[float] = [snaps[0].L]
     step_mass: list[float] = [integrate(w0.rule, w0.values**2)]
 
-    current = w0
+    current, acc = w0, 0.0
     try:
-        for k in range(n_units):
-            acc = 0.0
-            for j in range(per_unit):
-                t0 = time.perf_counter()
-                nxt = step_w(current, ds_eff)
-                t_step += time.perf_counter() - t0
-                acc += ds_eff * ds_dissipation(current, nxt)
-                current = nxt
-                step_s.append(current.s)
-                step_mass.append(integrate(current.rule, current.values**2))
-                if j < per_unit - 1:  # the boundary L comes from its snapshot
-                    step_L.append(eval_L(current, cfg))
-            diss[k] = acc
-            fields.append(current)
-            snaps.append(snapshot(current, cfg))
-            step_L.append(snaps[-1].L)
+        for n in range(1, n_units * per_unit + 1):
+            t0 = time.perf_counter()
+            nxt = step_w(current, ds_eff)
+            nxt = nxt._stepped(nxt.values, s=w0.s + n / per_unit)  # the clock
+            t_step += time.perf_counter() - t0
+            acc += ds_eff * ds_dissipation(current, nxt)
+            current = nxt
+            step_s.append(current.s)
+            step_mass.append(integrate(current.rule, current.values**2))
+            if n % per_unit:
+                step_L.append(eval_L(current, cfg))
+            else:  # a unit boundary: its L comes from its snapshot
+                diss[n // per_unit - 1], acc = acc, 0.0
+                fields.append(current)
+                snaps.append(snapshot(current, cfg))
+                step_L.append(snaps[-1].L)
     except BlowupOvershootError:
         raise
     except NumericError as exc:  # integrate: a non-finite sample of a finite w

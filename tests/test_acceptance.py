@@ -8,6 +8,8 @@ ratio reaching 15% of kappa_a by s = 30, which provably needs s ~ 155 --
 is kept as a strict expected failure so the assertion stays live.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,25 @@ def test_criterion_6_boundedness(corpus):
     assert_attainable(report(criterion_6_boundedness(corpus)))
 
 
+def test_criterion_6_window_starts_at_s0_plus_5(corpus):
+    # the mass-control window opens on the s0 + 5 sample itself: a spike
+    # there fails the check, one a step earlier does not
+    name, run = corpus.runs[0]
+    start = 5 * int(round(1.0 / run.ds))
+    assert run.step_s[start] == verification.S0 + 5.0
+    assert np.flatnonzero(run.step_s >= verification.S0 + 5.0)[0] == start
+    for k, fails in ((start, True), (start - 1, False)):
+        mass = run.step_mass.copy()
+        mass[k] = 10.0 * np.max(mass)
+        spiked = verification.AuditCorpus(
+            runs=[(name, dataclasses.replace(run, step_mass=mass))],
+            profile_runs={}, cfg=corpus.cfg, tuning={},
+        )
+        check = next(c for c in criterion_6_boundedness(spiked).checks
+                     if c.name.startswith("mass_control"))
+        assert check.passed is not fails
+
+
 def test_criterion_7_profile(corpus):
     res = report(criterion_7_profile(corpus))
     assert_attainable(res)
@@ -147,6 +168,9 @@ def test_criterion_7_profile(corpus):
         assert trace["lambda"] == lam
         assert trace["probes"] == len(trace["probe_list"]) == len(probes)
         assert trace["steps"] == sum(r["steps"] for r in trace["probe_list"])
+        # a probe escapes at its step count k, at s0 + k/50
+        for r in trace["probe_list"]:
+            assert r["s_escape"] == verification.S0 + r["steps"] / 50
     # convergence to the kappa_a amplitude band along the tuned runs
     for pa, run in corpus.profile_runs.items():
         kap = kappa_a(Params(*pa))
@@ -162,7 +186,12 @@ def test_tuned_lambda_matches_bisection(corpus):
 
 
 def test_criterion_8_frame_equivalence():
-    assert_attainable(report(criterion_8_frame_equivalence()))
+    res = report(criterion_8_frame_equivalence())
+    assert_attainable(res)
+    assert res.artifacts["steps"] == {"physical": 500, "similarity": 50}
+    # measured 6.81e-6: the bound is a margin over it, not orders of magnitude
+    (check,) = res.checks
+    assert 0.5 * check.bound <= check.measured <= check.bound
 
 
 def test_failed_suite_keeps_its_number_and_name(corpus, monkeypatch):

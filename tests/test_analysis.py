@@ -1,11 +1,12 @@
 """Rate fitting, profile comparison, Lyapunov auditing, separatrix tuning."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from blowuplab import analysis
+from blowuplab import analysis, imex
 from blowuplab.analysis import (
     _separatrix_root,
     fit_rate,
@@ -16,6 +17,7 @@ from blowuplab.analysis import (
 from blowuplab.core_math import Params, kappa_a
 from blowuplab.errors import DomainError, FitError, NumericError, ResolutionError
 from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot, eval_L
+from blowuplab.imex import _factor
 from blowuplab.initial_data import line_grid, profile_shape
 from blowuplab.similarity_solver import SimField, step_w
 
@@ -362,8 +364,47 @@ class TestRunSimilarity:
             assert run.step_L[k * per_unit] == sn.L
         w = w0
         for j in range(1, per_unit):  # between boundaries: eval_L of each step
-            w = step_w(w, run.ds)
+            # each step on the run's clock: the j-th field sits at step_s[j]
+            w = dataclasses.replace(step_w(w, run.ds), s=run.step_s[j])
             assert run.step_L[j] == eval_L(w, cfg)
+
+    @pytest.mark.parametrize("s0, ds", [(2.0, 1.0 / 50), (2.3, 0.03)])
+    def test_step_s_is_counted_from_the_start(self, s0, ds):
+        # the n-th field is at s0 + n/per_unit, not a sum of n steps, so the
+        # unit boundaries are exactly s0 + k; 0.03 takes the step 1/34
+        nodes = line_grid(20.0, 201)
+        w0 = SimField(
+            geometry="line",
+            nodes=nodes,
+            values=0.3 * np.exp(-nodes**2 / 8.0),
+            s=s0,
+            params=P31,
+        )
+        run = run_similarity(w0, s0 + 3.0, ds, FunctionalConfig())
+        per_unit = int(round(1.0 / run.ds))
+        assert run.ds == 1.0 / per_unit
+        np.testing.assert_array_equal(
+            run.step_s, s0 + np.arange(3 * per_unit + 1) / per_unit
+        )
+        assert [f.s for f in run.fields] == [s0 + k for k in range(4)]
+        assert [sn.s for sn in run.snapshots] == [s0 + k for k in range(4)]
+
+    def test_run_factors_its_operator_once(self, monkeypatch):
+        # every step of a run takes the same ds, so a run of any length
+        # factors one (predictor, corrector) pair
+        factored = []
+        monkeypatch.setattr(imex, "_factor", lambda b, a: factored.append(a) or _factor(b, a))
+        nodes = line_grid(20.0, 201)
+        w0 = SimField(
+            geometry="line",
+            nodes=nodes,
+            values=0.3 * np.exp(-nodes**2 / 8.0),
+            s=2.0,
+            params=P31,
+        )
+        run = run_similarity(w0, 5.0, 0.01, FunctionalConfig())
+        assert len(run.step_s) - 1 == 300
+        assert factored == [run.ds, 0.5 * run.ds]
 
     def test_requires_unit_span(self):
         nodes = line_grid(20.0, 201)

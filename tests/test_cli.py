@@ -1,5 +1,6 @@
 """Configuration parsing, scenario runs, persistence, determinism."""
 
+import csv
 import json
 import re
 
@@ -425,8 +426,15 @@ class TestMain:
         assert report["config"]["initial_data"]["kind"] == "profile"
         res = report["results"]
         assert (res["s0"], res["steps"]) == (2.0, 300)
-        assert res["s_end"] == pytest.approx(8.0, abs=1e-12)
+        assert res["s_end"] == 8.0
         assert res["lyapunov"]["passed"] is True
+        # the ledgers' s is counted in steps from s0: 2, 3, ..., 8 at the
+        # unit boundaries and 2 + n/50 at step n
+        with open(out / "functionals.csv") as fh:
+            assert [float(row["s"]) for row in csv.DictReader(fh)] == list(range(2, 9))
+        with open(out / "step_ledger.csv") as fh:
+            s = [float(row["s"]) for row in csv.DictReader(fh)]
+        assert s == [2.0 + n / 50 for n in range(301)]
 
     @pytest.mark.parametrize("a", [1.0, -1.0])
     def test_coarsest_grid_similarity_audit_passes(self, tmp_path, a):
