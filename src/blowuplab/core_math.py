@@ -10,9 +10,9 @@ phi(s) = e^(s/(p-1)) s^(-a/(p-1)).
 
 phi(s) overflows float64 near s ~ 700 (p-1), so every composition that
 contains it (log_term, rescaled_nonlinearity, rescaled_F) is evaluated in a
-cancellation form that forms phi |w| only while it stays below e^300 and works
-in log space above.  All functions are pure and accept scalars or arrays where
-that is useful.
+cancellation form.  Every log(2 + u^2), u = phi w (phi = 1 in the physical
+frame), is one rule, _ell, with one switch at log|u| = LOG_U_SWITCH.  All
+functions are pure and accept scalars or arrays where that is useful.
 """
 
 from __future__ import annotations
@@ -28,14 +28,10 @@ from .errors import DomainError, NumericError
 
 LOG2 = float(np.log(2.0))
 
-# |u| beyond this, log(2 + u^2) == 2 log|u| to machine precision and u*u
-# would overflow anyway.
-_BIG_U = 1e150
-
-# log(phi|w|) above which log(2 + phi^2 w^2) (and its xi^2-weighted form in
-# rescaled_F) switches to the expanded form: e^(2 log(phi|w|)) overflows
-# float64 beyond ~354.9.
-_LC_EXPAND = 300.0
+# log|u| above which log(2 + u^2) is formed as logaddexp(2 log|u|, log 2):
+# u*u overflows float64 from |u| = 1.34e154, and from |u| = 1e150 on the 2
+# is far below half an ulp of u*u.
+LOG_U_SWITCH = math.log(1e150)
 
 
 @dataclass(frozen=True)
@@ -102,22 +98,15 @@ def _check_s(s: float, name: str) -> None:
         raise DomainError(f"{name} requires s >= 1, got {s}")
 
 
-def _log_2_plus_sq(x: np.ndarray) -> np.ndarray:
-    """log(2 + x^2) for representable x, stable for huge |x|."""
-    ax = np.abs(x)
-    big = ax > _BIG_U
-    safe = np.where(big, 1.0, ax)
-    return np.where(big, 2.0 * np.log(np.maximum(ax, 1.0)), np.log(2.0 + safe * safe))
-
-
 def eval_f(u, params: Params):
     """f(u) = |u|^(p-1) u log^a(2 + u^2).  Odd in u; sign f(u) = sign u.
 
-    One reduction, max|u|, both rejects non-finite input (NaN and inf
-    propagate through it) and picks the log: log(2 + u*u) in one pass while
-    max|u| <= _BIG_U, the overflow-safe two-branch form above it.  Inputs
-    whose image exceeds float64 yield inf; callers near blow-up treat that
-    as the overshoot signal.
+    The log is _ell at log phi = 0: log(2 + u*u) at each node with
+    |u| <= 1e150 (log|u| <= LOG_U_SWITCH) and logaddexp(2 log|u|, log 2)
+    above.  One reduction, max|u|, both rejects non-finite input (NaN and
+    inf propagate through it) and, at or below 1e150, makes the log one
+    log(2 + u*u) pass.  Inputs whose image exceeds float64 yield inf;
+    callers near blow-up treat that as the overshoot signal.
     """
     arr = np.asarray(u, dtype=float)
     ax, u_max = _abs_max(arr, "eval_f")
@@ -125,42 +114,30 @@ def eval_f(u, params: Params):
     with np.errstate(over="ignore"):
         out = ax ** (p - 1.0) * arr
         if a != 0.0:
-            ell = np.log(2.0 + arr * arr) if u_max <= _BIG_U else _log_2_plus_sq(arr)
-            out *= ell**a
+            out *= _ell(0.0, arr, ax, u_max) ** a
     return float(out) if arr.ndim == 0 else out
 
 
 def eval_F(u: float, params: Params) -> float:
-    """F(u) = int_0^u f(v) dv = |u|^(p+1) G(log|u|), with the G of
-    rescaled_F.  Even in u and nonnegative.
+    """F(u) = int_0^u f(v) dv = |u|^(p+1) G(log|u|): rescaled_F's body at
+    log phi = 0 with scale 1.  Even in u and nonnegative.
 
     a = 0 has the closed form |u|^(p+1)/(p+1).  An F beyond float64 is inf,
     as eval_f gives for an image beyond float64.
     """
-    if not np.isfinite(u):
-        raise DomainError("eval_F: non-finite input")
-    p, a = params.p, params.a
-    x = abs(float(u))
-    if x == 0.0:
-        return 0.0
-    with np.errstate(over="ignore"):
-        amp = np.float64(x) ** (p + 1.0)
-    if a == 0.0:
-        return float(amp / (p + 1.0))
-    return float(amp * _G(np.array([math.log(x)]), p, a)[0])
+    return _F_body(0.0, 1.0, u, params, "eval_F")
 
 
 def eval_F1(x, params: Params):
     """F1(x) = -(2a/(p+1)^2) |x|^(p+1) log^(a-1)(2 + x^2); identically 0 at a = 0."""
     arr = np.asarray(x, dtype=float)
-    ax, _ = _abs_max(arr, "eval_F1")
+    ax, x_max = _abs_max(arr, "eval_F1")
     p, a = params.p, params.a
     if a == 0.0:
         out = np.zeros_like(arr)
         return float(out) if arr.ndim == 0 else out
-    out = -(2.0 * a / (p + 1.0) ** 2) * ax ** (p + 1.0) * _log_2_plus_sq(
-        arr
-    ) ** (a - 1.0)
+    ell = _ell(0.0, arr, ax, x_max)
+    out = -(2.0 * a / (p + 1.0) ** 2) * ax ** (p + 1.0) * ell ** (a - 1.0)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -205,35 +182,41 @@ def psi_T(t: float, T: float, params: Params) -> float:
     return float(dt ** (-1.0 / (p - 1.0)) * (-np.log(dt)) ** (-a / (p - 1.0)))
 
 
-def _log_2_plus_phi_sq(lp: float, w: np.ndarray, aw: np.ndarray, w_max: float):
-    """log(2 + (phi w)^2) from log phi = lp, |w| = aw and w_max = max|w|, for
-    finite w; never forms phi^2.
+def _ell(lp: float, w: np.ndarray, aw: np.ndarray, w_max: float):
+    """log(2 + u^2), u = phi w, from log phi = lp, w, |w| = aw and
+    w_max = max|w|, for finite w; never forms phi^2.
 
-    While log phi and log(phi w_max) are both <= _LC_EXPAND it is one
-    exp(lp) scalar and one log(2 + u*u) pass over u = phi w.  Otherwise every
-    node takes the expanded form max(x2, log 2) + log1p(e^(-|x2 - log 2|)),
-    x2 = log(phi^2 w^2), which holds at any magnitude (w = 0 gives log 2).
+    One rule, node by node: log(2 + u*u) where log|u| <= LOG_U_SWITCH, and
+    logaddexp(2 log|u|, log 2) above, where u*u would overflow.  While
+    phi max(|w|, 1) is below the switch, every node is, and it is one exp(lp)
+    scalar and one log(2 + u*u) pass.  phi itself is formed only while it is
+    below the switch too; above, u on the nodes below is e^(log|u|).
     """
-    if lp <= _LC_EXPAND and (w_max == 0.0 or lp + math.log(w_max) <= _LC_EXPAND):
-        u = math.exp(lp) * w
+    if lp + math.log(max(w_max, 1.0)) <= LOG_U_SWITCH:
+        u = math.exp(lp) * w if lp else w
         return np.log(2.0 + u * u)
-    with np.errstate(divide="ignore"):  # w = 0: x2 = -inf, and the form gives log 2
-        x2 = 2.0 * (lp + np.log(aw))
-    return np.maximum(x2, LOG2) + np.log1p(np.exp(-np.abs(x2 - LOG2)))
+    # w = 0 gives log|u| = -inf, below the switch; u*u and e^(log|u|) may
+    # overflow on the nodes above, whose values are the other form's
+    with np.errstate(over="ignore", divide="ignore"):
+        lu = lp + np.log(aw)
+        u = math.exp(lp) * w if lp <= LOG_U_SWITCH else np.exp(lu)
+        return np.where(
+            lu > LOG_U_SWITCH, np.logaddexp(2.0 * lu, LOG2), np.log(2.0 + u * u)
+        )
 
 
 def log_term(s: float, w, params: Params):
-    """Overflow-safe log(2 + phi(s)^2 w^2).
+    """Overflow-safe log(2 + phi(s)^2 w^2), by _ell at log phi(s).
 
-    Formed directly from u = phi(s) w while phi max|w| <= e^300, and in the
-    expanded form 2 log(phi |w|) + log1p(2/(phi^2 w^2)) above; both agree
-    with a 50-digit reference to relative 5e-15.  Never materialises
-    phi(s)^2.  w = 0 gives log 2.
+    Each node is log(2 + u*u), u = phi(s) w, while phi|w| <= 1e150, and
+    logaddexp(2 log(phi|w|), log 2) above; both agree with a 50-digit
+    reference to relative 5e-15.  Never materialises phi(s)^2.  w = 0
+    gives log 2.
     """
     _check_s(s, "log_term")
     arr = np.asarray(w, dtype=float)
     aw, w_max = _abs_max(arr, "log_term")
-    out = _log_2_plus_phi_sq(log_phi(float(s), params), arr, aw, w_max)
+    out = _ell(log_phi(float(s), params), arr, aw, w_max)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -255,7 +238,7 @@ def rescaled_nonlinearity(s: float, w, params: Params):
     out = aw ** (p - 1.0) * arr
     if a != 0.0:
         _check_s(s, "rescaled_nonlinearity")
-        ell = _log_2_plus_phi_sq(log_phi(float(s), params), arr, aw, w_max)
+        ell = _ell(log_phi(float(s), params), arr, aw, w_max)
         out *= float(s) ** (-a)
         out *= ell**a
     return float(out) if arr.ndim == 0 else out
@@ -282,20 +265,18 @@ def _eta_rule() -> tuple[np.ndarray, np.ndarray]:
 _ETA, _ETA_W = _eta_rule()
 _XI = _ETA**2
 _XI_SQ = _XI**2
-_LOG_XI = 2.0 * np.log(_ETA)
 
 
 def _G_rule(lc: np.ndarray, p: float, a: float) -> np.ndarray:
     """G(lc) = int_0^1 xi^p log^a(2 + e^(2 lc) xi^2) dxi by the eta rule, for
-    a 1-d array lc.  The log is formed from one exp per node,
-    log(2 + e^(2 lc) xi^2), and from max(x2, log 2) + log1p(e^(-|x2 - log 2|)),
-    x2 = 2 lc + log xi^2, on rows where that exp would overflow."""
-    big = lc > _LC_EXPAND
+    a 1-d array lc.  The log is log(2 + u^2) with u = e^lc xi: from one exp
+    per row, log(2 + e^(2 lc) xi^2), while lc <= LOG_U_SWITCH (then every
+    u is, as xi < 1), and from _ell at log phi = lc on the rows above."""
+    big = lc > LOG_U_SWITCH
     c2 = np.exp(2.0 * np.where(big, 0.0, lc))
     ell = np.log(2.0 + c2[:, None] * _XI_SQ)
-    if big.any():
-        x2 = 2.0 * (lc[big, None] + _LOG_XI)
-        ell[big] = np.maximum(x2, LOG2) + np.log1p(np.exp(-np.abs(x2 - LOG2)))
+    for i in np.flatnonzero(big):
+        ell[i] = _ell(float(lc[i]), _XI, _XI, 1.0)
     base = _XI**p * 2.0 * _ETA * _ETA_W
     # einsum sums each row in the same order whatever the row count (matmul's
     # BLAS kernels do not), so an array call equals the per-element calls bit
@@ -392,8 +373,15 @@ def rescaled_F(s: float, w, params: Params):
     a = 0.  Even in w and nonnegative.
     """
     _check_s(s, "rescaled_F")
+    lp = log_phi(float(s), params) if params.a != 0.0 else 0.0
+    return _F_body(lp, float(s) ** (-params.a), w, params, "rescaled_F")
+
+
+def _F_body(lp: float, scale: float, w, params: Params, name: str):
+    """scale |w|^(p+1) G(lp + log|w|), or |w|^(p+1)/(p+1) at a = 0: the body
+    of rescaled_F (lp = log phi(s), scale = s^(-a)) and of eval_F (0, 1)."""
     arr = np.asarray(w, dtype=float)
-    aw, _ = _abs_max(arr, "rescaled_F")
+    aw, _ = _abs_max(arr, name)
     p, a = params.p, params.a
     aw = aw.ravel()  # 1-d: a scalar runs the same ufunc loops as an array
     # |w|^(p+1) may overflow to inf, and w = 0 gives lc = log 0 = -inf
@@ -402,7 +390,6 @@ def rescaled_F(s: float, w, params: Params):
         if a == 0.0:
             out = amp / (p + 1.0)
         else:
-            lc = log_phi(s, params) + np.log(aw)  # log(phi|w|)
-            out = float(s) ** (-a) * amp * _G(lc, p, a)
+            out = scale * amp * _G(lp + np.log(aw), p, a)
     out = out.reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out

@@ -19,7 +19,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core_math import _BIG_U, Params, eval_f
+from .core_math import LOG_U_SWITCH, Params, eval_f
 from .errors import ConfigurationError, DomainError
 from .imex import Operator, imex_step
 from .ode_blowup import time_to_blowup
@@ -148,14 +148,17 @@ _RATIO_FLOOR = 1e-8
 
 def _reaction_timescale(M: float, params: Params) -> float:
     """M / f(M) for M > 0, in Python floats: the same formula as eval_f,
-    without the per-call numpy overhead of a 0-d array.  An f(M) beyond
-    float64 (where Python's ** raises OverflowError and numpy returns inf)
-    gives 0, and an f(M) that underflows to 0 gives inf."""
+    with its log's switch at log M = LOG_U_SWITCH, without the per-call
+    numpy overhead of a 0-d array.  Above the switch 2 log M is
+    logaddexp(2 log M, log 2) to the last bit.  An f(M) beyond float64
+    (where Python's ** raises OverflowError and numpy returns inf) gives 0,
+    and an f(M) that underflows to 0 gives inf."""
     p, a = params.p, params.a
     try:
         f = M ** (p - 1.0) * M
         if a != 0.0:
-            ell = math.log(2.0 + M * M) if M <= _BIG_U else 2.0 * math.log(M)
+            log_m = math.log(M)
+            ell = math.log(2.0 + M * M) if log_m <= LOG_U_SWITCH else 2.0 * log_m
             f *= ell**a
     except OverflowError:
         return 0.0

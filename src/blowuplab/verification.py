@@ -409,12 +409,23 @@ def criterion_6_boundedness(res: SuiteResult, corpus: AuditCorpus) -> None:
 
 @_suite(7, "profile_shape")
 def criterion_7_profile(res: SuiteResult, corpus: AuditCorpus) -> None:
-    """Self-similar profile shape at s = s0 + 10 for the tuned datum; the
-    artifacts carry the separatrix tuner's trace for every audit pair."""
+    """Self-similar profile shape at s = s0 + 10 for the tuned datum, and for
+    every audit pair a tuned datum that stays on the separatrix over the
+    profile run; the artifacts carry the separatrix tuner's trace."""
     run = corpus.profile_runs[(3.0, 1.0)]
     report = profile_error(run.fields[-1], z_max=1.0)
     res.add("profile_sup_error[p=3,a=1]", report.sup_error <= 0.15,
             report.sup_error, 0.15)
+    s_end = S0 + PROFILE_UNITS
+    for (p, a), (lam, probes) in corpus.tuning.items():
+        # the tuner's final bracket: the smallest amplitude that blows up and
+        # the largest that quenches; the tuned one lies between them, so both
+        # escaping after s_end keeps it near the profile over the whole run
+        blows_up = min(r for r in probes if r[1] == +1)
+        quenches = max(r for r in probes if r[1] == -1)
+        margin = min(blows_up[2], quenches[2]) - s_end
+        res.add(f"on_separatrix[p={p:g},a={a:g}]", margin > 0.0, margin, 0.0,
+                note="the earlier escape of the final bracket's ends minus s_end")
     res.artifacts["profile"] = {"s": report.s, "sup_error": report.sup_error}
     res.artifacts["tuning"] = {
         f"p={p:g},a={a:g}": {
@@ -445,8 +456,9 @@ def criterion_8_frame_equivalence(res: SuiteResult) -> None:
     n_steps = 500  # within 1.6e-9 (sup) of 36,000 steps; 250 are within 6.2e-9
     dt = (T - np.exp(-(S0 + 1.0))) / n_steps
     f = u0
-    for _ in range(n_steps):
+    for n in range(1, n_steps + 1):
         f, _ = step(f, dt)
+        f = f._stepped(f.values, time=n * dt)  # the clock, counted as s is
     w_phys = to_similarity(f, 0.0, T, y)
 
     ws = SimField(geometry="line", nodes=y, values=w0, s=S0, params=params)
@@ -456,6 +468,7 @@ def criterion_8_frame_equivalence(res: SuiteResult) -> None:
             note="measured 6.81e-6 (the ds and spatial errors in part cancel); "
             "the bound is 1.5x that")
     res.artifacts["steps"] = {"physical": n_steps, "similarity": len(run.step_s) - 1}
+    res.artifacts["s"] = {"physical": w_phys.s, "similarity": run.fields[-1].s}
 
 
 def run_all_suites(corpus: AuditCorpus) -> list[SuiteResult]:

@@ -178,6 +178,27 @@ def test_criterion_7_profile(corpus):
         assert 0.5 * kap <= sup_late <= 2.0 * kap
 
 
+def test_criterion_7_on_separatrix_fails_on_an_early_escape(corpus):
+    # the final bracket's end that blows up escapes at s_end - 1: the tuned
+    # datum may have left the separatrix inside the profile run
+    pa = (3.0, 1.0)
+    lam, probes = corpus.tuning[pa]
+    end = min(r for r in probes if r[1] == +1)
+    s_early = verification.S0 + verification.PROFILE_UNITS - 1.0
+    moved = [(*end[:2], s_early, end[3]) if r == end else r for r in probes]
+    bad = dataclasses.replace(corpus, tuning={**corpus.tuning, pa: (lam, moved)})
+    checks = {c.name: c for c in criterion_7_profile(bad).checks}
+    assert not checks["on_separatrix[p=3,a=1]"].passed
+    assert checks["on_separatrix[p=3,a=1]"].measured == -1.0
+    assert checks["on_separatrix[p=3,a=-1]"].passed
+
+
+def test_criterion_8_compares_at_s3_exactly():
+    # the physical loop counts its clock, t = n dt, as run_similarity counts s
+    res = criterion_8_frame_equivalence()
+    assert res.artifacts["s"] == {"physical": 3.0, "similarity": 3.0}
+
+
 def test_tuned_lambda_matches_bisection(corpus):
     for pa, lam_bisect in BISECTED_LAMBDA.items():
         lam, probes = corpus.tuning[pa]

@@ -4,6 +4,8 @@ Expected values marked as oracle constants were computed with mpmath
 (40 digits) against the defining integrals; see the docstrings.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -312,6 +314,27 @@ class TestLogTerm:
     def test_domain(self):
         with pytest.raises(DomainError):
             log_term(0.2, 1.0, P31)
+
+    def test_branches_per_node(self):
+        # log phi(600) = 296.8 for (3, 1): the last two nodes have
+        # phi|w| > 1e150, the others keep log(2 + u*u), u = phi w, bit for bit
+        # (the whole array switching form would move their last bits)
+        s = 600.0
+        w = np.array([0.0, 1e-3, -0.37, 2.9, -41.0, 7.7e5, -3.3e11, 1e22, -4e30])
+        u = math.exp(log_phi(s, P31)) * w
+        below = np.abs(u) <= 1e150
+        assert np.count_nonzero(~below) == 2
+        u = u[below]
+        np.testing.assert_array_equal(log_term(s, w, P31)[below], np.log(2.0 + u * u))
+        np.testing.assert_array_equal(
+            rescaled_nonlinearity(s, w, P31)[below], rescaled_nonlinearity(s, w[below], P31)
+        )
+        # phi itself beyond the switch (log phi(700) = 346.7): a node with
+        # phi|w| = 1 still takes log(2 + u^2) = log 3
+        w = np.array([np.exp(-log_phi(700.0, P31)), 1.0])
+        np.testing.assert_allclose(
+            log_term(700.0, w, P31), [np.log(3.0), 2.0 * log_phi(700.0, P31)], rtol=1e-15
+        )
 
     @pytest.mark.parametrize("fn", [log_term, rescaled_nonlinearity, rescaled_F])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

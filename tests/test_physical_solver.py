@@ -11,7 +11,13 @@ from blowuplab.errors import BlowupOvershootError, ConfigurationError, DomainErr
 from blowuplab.imex import Operator, _factor, imex_step, laplacian_bands
 from blowuplab.initial_data import gaussian, line_grid
 from blowuplab.ode_blowup import time_to_blowup
-from blowuplab.physical_solver import STEP_LIMITS, GridField, run_to_blowup, step
+from blowuplab.physical_solver import (
+    STEP_LIMITS,
+    GridField,
+    _reaction_timescale,
+    run_to_blowup,
+    step,
+)
 
 P30 = Params(3.0, 0.0)
 P31 = Params(3.0, 1.0)
@@ -475,3 +481,24 @@ class TestGridField:
         )
         np.testing.assert_array_equal(f.values, u_new)
         assert err == float(np.max(np.abs(u_new - u_star)))
+
+
+class TestReactionTimescale:
+    PAIRS = [(3.0, 1.0), (3.0, -1.0), (3.0, 0.0), (2.0, 2.0), (1.5, 0.5), (1.2, 5.0),
+             (1.05, -2.0)]
+
+    @pytest.mark.parametrize("pa", PAIRS, ids=str)
+    def test_equals_M_over_eval_f(self, pa):
+        # the Python-float formula against eval_f, across eval_f's switch at
+        # 1e150 and up to where f(M) leaves float64 (both then give 0)
+        params = Params(*pa)
+        M = np.concatenate([
+            np.logspace(-3.0, 300.0, 3000),
+            [np.nextafter(1e150, 0.0), 1e150, np.nextafter(1e150, np.inf)],
+        ])
+        with np.errstate(over="ignore"):
+            want = M / eval_f(M, params)
+        got = np.array([_reaction_timescale(float(m), params) for m in M])
+        finite = want > 0.0
+        assert (~finite).any() and np.all(got[~finite] == 0.0)
+        assert np.max(np.abs(got[finite] / want[finite] - 1.0)) <= 1e-15
