@@ -358,6 +358,24 @@ class SimilarityRun:
     time_functionals: float = 0.0  # wall seconds in the rest: the functional ledger
 
 
+# run_similarity takes its per-step ledger in blocks: the steps up to the
+# next unit boundary, or fewer, so that a block ends once it holds
+# _LEDGER_BLOCK_ELEMENTS values (rows x nodes), whatever ds and the grid.
+# Each array the ledger forms from a block then stays near 64 KiB: at 2^14
+# values the benchmark's peak RSS rose by 1.1-1.4 MB, at 2^13 by under 0.1.
+_LEDGER_BLOCK_ELEMENTS = 2**13
+
+
+def _ledger(before: SimField, after: SimField, cfg: FunctionalConfig):
+    """(dissipation density, mass, L) of the steps from before to after:
+    two fields, or two blocks of one row per step."""
+    return (
+        ds_dissipation(before, after),
+        integrate(after.rule, after.values**2),
+        eval_L(after, cfg),
+    )
+
+
 def run_similarity(
     w0: SimField,
     s_end: float,
@@ -367,55 +385,87 @@ def run_similarity(
     """Evolve w from w0.s to s_end, collecting the functional ledger.
 
     The step is 1/m, the largest at most ds that divides a unit of s, and
-    the n-th field is at w0.s + n/m, so snapshots land on w0.s + k.  A w
+    the n-th field is at w0.s + n/m, so snapshots land on w0.s + k.  The
+    steps' L, mass and dissipation are taken for a block of steps at a
+    time (see _LEDGER_BLOCK_ELEMENTS), each row as it would be alone.  A w
     that blows up ends the run in BlowupOvershootError naming s: in step_w,
     or where w is still finite but its ledger integrals overflow float64.
+    A step_w failure in a block is reported only after the block's earlier
+    steps are found to have finite ledgers.
     """
     n_units = int(round(s_end - w0.s))
     if n_units < 1 or abs(s_end - w0.s - n_units) > 1e-9:
         raise DomainError("run_similarity: s_end - w0.s must be a positive integer")
     ds_eff = cfl_step(w0.nodes, ds)
     per_unit = int(round(1.0 / ds_eff))
+    n_steps = n_units * per_unit
+    rows = min(per_unit, -(-_LEDGER_BLOCK_ELEMENTS // w0.nodes.size))
 
     t_run, t_step = time.perf_counter(), 0.0
     fields = [w0]
     snaps = [snapshot(w0, cfg)]
     diss = np.zeros(n_units)
-    step_s: list[float] = [w0.s]
-    step_L: list[float] = [snaps[0].L]
-    step_mass: list[float] = [integrate(w0.rule, w0.values**2)]
+    step_s = np.empty(n_steps + 1)
+    step_L = np.empty(n_steps + 1)
+    step_mass = np.empty(n_steps + 1)
+    step_s[0], step_L[0] = w0.s, snaps[0].L
+    step_mass[0] = integrate(w0.rule, w0.values**2)
+    # row 0: the field before the block; rows 1..r: the block's steps
+    block = np.empty((rows + 1, w0.values.size))
+    block[0] = w0.values
 
-    current, acc = w0, 0.0
-    try:
-        for n in range(1, n_units * per_unit + 1):
-            t0 = time.perf_counter()
-            nxt = step_w(current, ds_eff)
-            nxt = nxt._stepped(nxt.values, s=w0.s + n / per_unit)  # the clock
-            t_step += time.perf_counter() - t0
-            acc += ds_eff * ds_dissipation(current, nxt)
-            current = nxt
-            step_s.append(current.s)
-            step_mass.append(integrate(current.rule, current.values**2))
-            if n % per_unit:
-                step_L.append(eval_L(current, cfg))
-            else:  # a unit boundary: its L comes from its snapshot
-                diss[n // per_unit - 1], acc = acc, 0.0
+    current, acc, n = w0, 0.0, 0
+    while n < n_steps:
+        stop = min(n + rows, (n // per_unit + 1) * per_unit)
+        failure = None
+        t0 = time.perf_counter()
+        try:
+            for m in range(n + 1, stop + 1):
+                nxt = step_w(current, ds_eff)
+                current = nxt._stepped(nxt.values, s=w0.s + m / per_unit)  # the clock
+                block[m - n] = current.values
+                step_s[m] = current.s
+        except BlowupOvershootError as exc:
+            failure, stop = exc, m - 1
+        t_step += time.perf_counter() - t0
+        r = stop - n
+        before = w0._stepped(block[:r], s=step_s[n:stop])
+        after = w0._stepped(block[1 : r + 1], s=step_s[n + 1 : stop + 1])
+        try:
+            if r:
+                d, step_mass[n + 1 : stop + 1], step_L[n + 1 : stop + 1] = _ledger(
+                    before, after, cfg
+                )
+                for d_m in ds_eff * d:  # in step order
+                    acc += d_m
+            if failure is None and stop % per_unit == 0:
+                diss[stop // per_unit - 1], acc = acc, 0.0
                 fields.append(current)
                 snaps.append(snapshot(current, cfg))
-                step_L.append(snaps[-1].L)
-    except BlowupOvershootError:
-        raise
-    except NumericError as exc:  # integrate: a non-finite sample of a finite w
-        raise BlowupOvershootError(
-            f"run_similarity: w blew up by s={current.s}: its ledger overflows ({exc})"
-        ) from exc
+        except NumericError as exc:  # integrate: a non-finite sample of a finite w
+            for j in range(r):  # the first step whose own ledger overflows
+                try:
+                    _ledger(before._stepped(block[j], s=float(step_s[n + j])),
+                            after._stepped(block[j + 1], s=float(step_s[n + j + 1])),
+                            cfg)
+                except NumericError as row_exc:
+                    exc, stop = row_exc, n + j + 1
+                    break
+            raise BlowupOvershootError(
+                f"run_similarity: w blew up by s={step_s[stop]}: its ledger "
+                f"overflows ({exc})"
+            ) from exc
+        if failure is not None:
+            raise failure
+        block[0] = block[r]
+        n = stop
     return SimilarityRun(
         fields=fields,
         snapshots=snaps,
         dissipation=diss,
-        step_s=np.asarray(step_s),
-        step_L=np.asarray(step_L),
-        step_mass=np.asarray(step_mass),
+        step_s=step_s,
+        step_L=step_L,
+        step_mass=step_mass,
         ds=ds_eff,
         time_stepping=t_step,
         time_functionals=time.perf_counter() - t_run - t_step,

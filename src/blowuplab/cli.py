@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
@@ -171,15 +172,15 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
     return config
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """The header line, then each row's numbers as floats in %.17g: one row
+    template, filled for every row in one formatting pass."""
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if table.size:
+            line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+            fh.write(line * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 def _resolve_outdir(config: RunConfig) -> Path:
@@ -284,9 +285,17 @@ def _scenario_physical(config: RunConfig, outdir: Path) -> dict:
     }
     if result.status == "blown_up":
         try:
-            out["rate_fit"] = fit_rate(result.sup_history, result.T_hat).report()
+            fit = fit_rate(result.sup_history, result.T_hat)
         except BlowupLabError as exc:
             out["rate_fit"] = {"error": str(exc)}
+        else:
+            # sqrt(T_hat - t)/h = e^(-s/2)/h at the window's two ends: how
+            # many nodes span the blow-up core's width where the fit reads M
+            h = result.field.spacing
+            out["rate_fit"] = {
+                **fit.report(),
+                "resolution": [math.exp(-s / 2.0) / h for s in fit.window],
+            }
     return out
 
 
@@ -319,12 +328,16 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
     write_csv(
         outdir / "step_ledger.csv",
         ["s", "L", "mass"],
-        zip(run.step_s, run.step_L, run.step_mass),
+        np.column_stack([run.step_s, run.step_L, run.step_mass]),
     )
-    rows = []
-    for f in run.fields:
-        rows.extend((f.s, y, w) for y, w in zip(f.nodes, f.values))
-    write_csv(outdir / "snapshots.csv", ["s", "y", "w"], rows)
+    write_csv(
+        outdir / "snapshots.csv",
+        ["s", "y", "w"],
+        np.vstack([
+            np.column_stack([np.full(f.nodes.shape, f.s), f.nodes, f.values])
+            for f in run.fields
+        ]),
+    )
     if len(run.snapshots) >= 4:
         audit = lyapunov_audit(run.snapshots, run.dissipation, run.step_L)
         lyap = {

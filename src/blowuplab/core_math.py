@@ -98,6 +98,17 @@ def _check_s(s: float, name: str) -> None:
         raise DomainError(f"{name} requires s >= 1, got {s}")
 
 
+def per_row(fn, s):
+    """fn(s), a tuple of floats, at a scalar s.  At a 1-d array s, one s per
+    row of a stack of fields, the tuple of (rows,) arrays of fn at each row's
+    s, formed row by row as at a scalar s: so a stacked row gets the bits a
+    lone field gets (numpy's array pow can round differently from the
+    scalar one: 2.16**-1.5 does)."""
+    if np.ndim(s) == 0:
+        return fn(s)
+    return tuple(np.array(col) for col in zip(*(fn(float(si)) for si in s)))
+
+
 def eval_f(u, params: Params):
     """f(u) = |u|^(p-1) u log^a(2 + u^2).  Odd in u; sign f(u) = sign u.
 
@@ -339,22 +350,23 @@ def _G(lc: np.ndarray, p: float, a: float) -> np.ndarray:
     table = _G_table(p, a)
     x = np.minimum(np.maximum(lc, _X_LO), _X_HI)
     k = np.minimum(((x - _X_LO) * (1.0 / _PANEL)).astype(np.intp), _N_PANELS - 1)
-    c = table.take(k, axis=1)  # row j: every node's coefficient of t^(_DEGREE - j)
-    # the midpoints are multiples of 1/8, so x - m_k is exact or nearly so,
+    # one coefficient row at a time, each gathered for every node where it is
+    # needed: table.take(k, axis=1) would hold all _DEGREE + 2 of them at once.
+    # The midpoints are multiples of 1/8, so x - m_k is exact or nearly so,
     # where x - _X_LO would round away the low bits of a small x
-    t = (x - c[-1]) * (2.0 / _PANEL)
-    g = c[0] * t
-    for row in c[1:-2]:
-        g += row
+    t = (x - table[-1].take(k)) * (2.0 / _PANEL)
+    g = table[0].take(k) * t
+    for row in table[1:-2]:
+        g += row.take(k)
         g *= t
-    g += c[-2]
+    g += table[-2].take(k)
     if lc.max(initial=-math.inf) > _X_HI:
         high = lc > _X_HI
         g[high] = _G_rule(lc[high], p, a)
     return g
 
 
-def rescaled_F(s: float, w, params: Params):
+def rescaled_F(s, w, params: Params):
     """Weighted antiderivative e^(-(p+1)s/(p-1)) s^(2a/(p-1)) F(phi(s) w).
 
     Evaluated in the exact cancellation form
@@ -371,25 +383,38 @@ def rescaled_F(s: float, w, params: Params):
     in the table; the rule alone gives 1.1e-15 on the same points) and
     8.9e-16 over 800 with s in [1, 700].  Reduces to |w|^(p+1)/(p+1) at
     a = 0.  Even in w and nonnegative.
+
+    s may also be a 1-d array, one s per row of a 2-d w: a stack of fields,
+    each row evaluated as it would be alone (per_row forms its log phi(s)
+    and s^(-a)).
     """
-    _check_s(s, "rescaled_F")
-    lp = log_phi(float(s), params) if params.a != 0.0 else 0.0
-    return _F_body(lp, float(s) ** (-params.a), w, params, "rescaled_F")
+
+    def scalars(s):
+        _check_s(s, "rescaled_F")
+        s = float(s)
+        return (log_phi(s, params) if params.a != 0.0 else 0.0), s ** (-params.a)
+
+    lp, scale = per_row(scalars, s)
+    if np.ndim(s):
+        lp, scale = lp[:, None], scale[:, None]
+    return _F_body(lp, scale, w, params, "rescaled_F")
 
 
-def _F_body(lp: float, scale: float, w, params: Params, name: str):
+def _F_body(lp, scale, w, params: Params, name: str):
     """scale |w|^(p+1) G(lp + log|w|), or |w|^(p+1)/(p+1) at a = 0: the body
-    of rescaled_F (lp = log phi(s), scale = s^(-a)) and of eval_F (0, 1)."""
+    of rescaled_F (lp = log phi(s), scale = s^(-a), scalars or one row each)
+    and of eval_F (0, 1)."""
     arr = np.asarray(w, dtype=float)
     aw, _ = _abs_max(arr, name)
     p, a = params.p, params.a
-    aw = aw.ravel()  # 1-d: a scalar runs the same ufunc loops as an array
+    aw = np.atleast_1d(aw)  # a scalar runs the same ufunc loops as an array
     # |w|^(p+1) may overflow to inf, and w = 0 gives lc = log 0 = -inf
     with np.errstate(over="ignore", divide="ignore"):
         amp = aw ** (p + 1.0)
         if a == 0.0:
             out = amp / (p + 1.0)
         else:
-            out = scale * amp * _G(lp + np.log(aw), p, a)
+            g = _G((lp + np.log(aw)).ravel(), p, a)
+            out = scale * amp * g.reshape(aw.shape)
     out = out.reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out

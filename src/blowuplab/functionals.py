@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import Params, rescaled_F
+from .core_math import Params, per_row, rescaled_F
 from .errors import ConfigurationError
 from .quadrature import integrate
 from .similarity_solver import SimField
@@ -74,19 +74,20 @@ class FunctionalSnapshot:
 
 
 def _gradient(w: np.ndarray, h: float) -> np.ndarray:
-    """np.gradient(w, h) bit for bit, without its generic set-up: central
-    differences inside, one-sided first differences at the two ends."""
+    """np.gradient(w, h, axis=-1) bit for bit, without its generic set-up:
+    central differences inside, one-sided first differences at the two
+    ends, along the last axis."""
     grad = np.empty_like(w)
-    grad[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
-    grad[0] = (w[1] - w[0]) / h
-    grad[-1] = (w[-1] - w[-2]) / h
+    grad[..., 1:-1] = (w[..., 2:] - w[..., :-2]) / (2.0 * h)
+    grad[..., 0] = (w[..., 1] - w[..., 0]) / h
+    grad[..., -1] = (w[..., -1] - w[..., -2]) / h
     return grad
 
 
 def _integrands(field: SimField) -> tuple[np.ndarray, np.ndarray]:
     """Energy integrand |grad w|^2/2 + w^2/(2(p-1)) - e^(-(p+1)s/(p-1))
     s^(2a/(p-1)) F(phi w), with the F term in its stable cancellation form,
-    and w^2."""
+    and w^2; one row each for a stack of fields."""
     w = field.values
     grad = _gradient(w, field.spacing)
     w2 = w**2
@@ -98,20 +99,28 @@ def _integrands(field: SimField) -> tuple[np.ndarray, np.ndarray]:
     return energy, w2
 
 
-def _lyapunov(field: SimField, E: float, mass: float, cfg: FunctionalConfig):
-    """(L0, L) from E and mass = int w^2 rho dy."""
-    s = field.s
-    L0 = E - s ** (-1.5) * mass
-    L = np.exp((field.params.p + 3.0) / np.sqrt(s)) * L0 + cfg.theta * s ** (-0.75)
-    return L0, L
+def _lyapunov(field: SimField, E, mass, cfg: FunctionalConfig):
+    """(L0, L) from E and mass = int w^2 rho dy, or from their rows and the
+    rows' s for a stack of fields."""
+    p = field.params.p
+
+    def scalars(s):
+        return s ** (-1.5), np.exp((p + 3.0) / np.sqrt(s)), cfg.theta * s ** (-0.75)
+
+    mass_factor, growth, tail = per_row(scalars, field.s)
+    L0 = E - mass_factor * mass
+    return L0, growth * L0 + tail
 
 
-def eval_L(field: SimField, cfg: FunctionalConfig) -> float:
-    """The L of snapshot alone, without the cut-off terms: the per-step ledger
-    evaluates it after every step."""
+def eval_L(field: SimField, cfg: FunctionalConfig):
+    """The L of snapshot alone, without the cut-off terms.  For a stack of
+    fields (SimField's block) it is the array of the rows' L, each the bits
+    of the row's field alone: the run's per-step ledger takes one call per
+    block of steps."""
     energy, w2 = _integrands(field)
     rule = field.rule
-    return float(_lyapunov(field, integrate(rule, energy), integrate(rule, w2), cfg)[1])
+    L = _lyapunov(field, integrate(rule, energy), integrate(rule, w2), cfg)[1]
+    return float(L) if np.ndim(L) == 0 else L
 
 
 def cutoff_psi(R: float):

@@ -93,36 +93,44 @@ def check_same_grid(nodes: np.ndarray, other: np.ndarray, message: str) -> None:
         raise ContractViolation(message)
 
 
-def integrate(rule: QuadratureRule, g) -> float:
-    """Sum w_i g(node_i).  g may be a callable or an array sampled on the nodes.
+def integrate(rule: QuadratureRule, g):
+    """Sum w_i g(node_i).  g may be a callable or an array sampled on the
+    nodes, or a (rows, n) stack of such arrays, which gives the array of the
+    rows' sums.
 
-    A non-finite sample is a NumericError naming its node.  It always makes
-    the sum non-finite (a zero weight included: 0 * inf is NaN, and the
-    weights are never negative), so the samples are searched only when the
-    sum is not finite.  A sum that overflows from finite samples is returned
-    as it is, with numpy's overflow warning.
+    A non-finite sample is a NumericError naming its node (and, in a stack,
+    the first row that has one).  It always makes the sum non-finite (a zero
+    weight included: 0 * inf is NaN, and the weights are never negative), so
+    the samples are searched only when a sum is not finite.  A sum that
+    overflows from finite samples is returned as it is, with numpy's
+    overflow warning.
 
-    The sum is np.vdot, the same BLAS dot product as np.dot, bit for bit,
+    Each sum is np.vdot, the same BLAS dot product as np.dot, bit for bit,
     but without numpy's floating-point checks, so the common finite case
     needs no error state; the overflow path reruns np.dot for its warning.
+    A stack is summed one row at a time, so each row's sum is that of the
+    row alone (weights @ stack sums by dgemv, in another order).
     """
     if callable(g):
         values = np.asarray(g(rule.nodes), dtype=float)
     else:
         values = np.asarray(g, dtype=float)
-    if values.shape != rule.nodes.shape:
+    if values.shape[-1:] != rule.nodes.shape or values.ndim > 2:
         raise ContractViolation(
             f"integrate: sample shape {values.shape} does not match rule nodes "
             f"{rule.nodes.shape}"
         )
-    total = float(np.vdot(rule.weights, values))
-    if not math.isfinite(total):
-        bad = ~np.isfinite(values)
+    rows = values if values.ndim == 2 else values[None]
+    totals = [float(np.vdot(rule.weights, row)) for row in rows]
+    if not math.isfinite(sum(totals)):  # or finite sums whose total overflows
+        bad = ~np.isfinite(rows)
         if bad.any():
-            i = int(np.argmax(bad))
+            r, i = divmod(int(np.argmax(bad)), rows.shape[1])
+            where = f" of row {r}" if values.ndim == 2 else ""
             raise NumericError(
-                f"integrate: non-finite sample at node {rule.nodes[i]:.6g} (index {i})"
+                f"integrate: non-finite sample at node {rule.nodes[i]:.6g} "
+                f"(index {i}){where}"
             )
         with np.errstate(invalid="ignore"):  # inf - inf after the overflow
-            total = float(np.dot(rule.weights, values))
-    return total
+            totals = [float(np.dot(rule.weights, row)) for row in rows]
+    return totals[0] if values.ndim == 1 else np.array(totals)

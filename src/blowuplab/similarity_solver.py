@@ -35,7 +35,13 @@ from .quadrature import QuadratureRule, check_same_grid, integrate, rule_for_gri
 @dataclass(frozen=True, kw_only=True)
 class SimField(Field):
     """A field w of the similarity frame, on a y-grid (line) or an r-grid
-    (radial), at rescaled time s >= 1.  Its operator carries the drift."""
+    (radial), at rescaled time s >= 1.  Its operator carries the drift.
+
+    A block of a run's steps is a SimField too, built by _stepped: its
+    values are a (rows, n) stack of the steps' fields and its s the (rows,)
+    array of their s.  eval_L, ds_dissipation and rescaled_F take a block
+    whole, row by row as they would take each field alone.
+    """
 
     s: float
 
@@ -118,14 +124,16 @@ def step_w(field_in: SimField, ds: float) -> SimField:
     return field_in._stepped(w_new, s=field_in.s + ds)
 
 
-def ds_dissipation(before: SimField, after: SimField) -> float:
-    """Discrete dissipation density int ((w_after - w_before)/ds)^2 rho dy."""
-    if after.s <= before.s:
+def ds_dissipation(before: SimField, after: SimField):
+    """Discrete dissipation density int ((w_after - w_before)/ds)^2 rho dy,
+    or its rows for two blocks of as many rows."""
+    gap = np.subtract(after.s, before.s)
+    if not (gap > 0.0).all():
         raise ContractViolation("ds_dissipation: after.s must exceed before.s")
     check_same_grid(
         before.nodes, after.nodes, "ds_dissipation: grid mismatch between fields"
     )
-    rate = (after.values - before.values) / (after.s - before.s)
+    rate = (after.values - before.values) / gap[..., None]
     return integrate(before.rule, rate * rate)
 
 

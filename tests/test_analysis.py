@@ -14,12 +14,13 @@ from blowuplab.analysis import (
     profile_error,
     run_similarity,
 )
-from blowuplab.core_math import Params, kappa_a
+from blowuplab.core_math import Params, kappa_a, phi
 from blowuplab.errors import DomainError, FitError, NumericError, ResolutionError
 from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot, eval_L
 from blowuplab.imex import _factor
 from blowuplab.initial_data import line_grid, profile_shape
-from blowuplab.similarity_solver import SimField, step_w
+from blowuplab.quadrature import integrate
+from blowuplab.similarity_solver import SimField, ds_dissipation, step_w
 
 P31 = Params(3.0, 1.0)
 
@@ -348,25 +349,53 @@ class TestRunSimilarity:
         rep = lyapunov_audit(run.snapshots, run.dissipation, run.step_L)
         assert rep.passed
 
-    def test_boundary_L_is_the_snapshot_L(self):
-        nodes = line_grid(20.0, 201)
+    @pytest.mark.parametrize(
+        "geometry, params, s0",
+        [
+            ("line", P31, 2.0),
+            ("radial", Params(3.0, 1.0, N=3), 2.0),
+            ("line", Params(3.0, 0.0), 2.0),
+            # log(phi(100) 0.3) = 46.5: the core's nodes take G from the rule
+            ("line", P31, 100.0),
+        ],
+        ids=["line", "radial-N3", "a=0", "G-rule"],
+    )
+    def test_block_ledger_is_the_per_field_ledger(self, geometry, params, s0):
+        # every ledger value of the run equals, bit for bit, the same quantity
+        # of a lone field re-stepped on the run's clock: L by eval_L (by
+        # snapshot at the unit boundaries), mass by integrate, and each unit's
+        # dissipation as the step-ordered sum of ds * ds_dissipation
+        nodes = np.linspace(-20.0, 20.0, 201) if geometry == "line" else (
+            np.linspace(0.0, 20.0, 201)
+        )
         w0 = SimField(
-            geometry="line",
+            geometry=geometry,
             nodes=nodes,
             values=0.3 * np.exp(-nodes**2 / 8.0),
-            s=2.0,
-            params=P31,
+            s=s0,
+            params=params,
         )
         cfg = FunctionalConfig()
-        run = run_similarity(w0, 5.0, 0.01, cfg)
+        run = run_similarity(w0, s0 + 3.0, 0.01, cfg)
         per_unit = int(round(1.0 / run.ds))
+        # a unit of 100 steps spans more than one block of the 201-node grid
+        assert per_unit * nodes.size > 2 * analysis._LEDGER_BLOCK_ELEMENTS
+        if s0 == 100.0:
+            assert np.log(phi(s0, params) * np.max(np.abs(w0.values))) > 44.0
         for k, sn in enumerate(run.snapshots):
             assert run.step_L[k * per_unit] == sn.L
-        w = w0
-        for j in range(1, per_unit):  # between boundaries: eval_L of each step
+        w, acc = w0, 0.0
+        for j in range(1, 3 * per_unit + 1):
             # each step on the run's clock: the j-th field sits at step_s[j]
-            w = dataclasses.replace(step_w(w, run.ds), s=run.step_s[j])
+            nxt = dataclasses.replace(step_w(w, run.ds), s=float(run.step_s[j]))
+            acc += run.ds * ds_dissipation(w, nxt)
+            w = nxt
+            assert run.step_mass[j] == integrate(w.rule, w.values**2)
             assert run.step_L[j] == eval_L(w, cfg)
+            if j % per_unit == 0:
+                assert run.dissipation[j // per_unit - 1] == acc
+                np.testing.assert_array_equal(run.fields[j // per_unit].values, w.values)
+                acc = 0.0
 
     @pytest.mark.parametrize("s0, ds", [(2.0, 1.0 / 50), (2.3, 0.03)])
     def test_step_s_is_counted_from_the_start(self, s0, ds):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -225,7 +226,14 @@ class TestScenarios:
         assert run(cfg) == 0
         report = json.loads((tmp_path / "phys" / "report.json").read_text())
         assert report["results"]["status"] == "blown_up"
-        assert report["results"]["rate_fit"]["alpha_hat"] == pytest.approx(0.5, rel=0.05)
+        fit = report["results"]["rate_fit"]
+        assert fit["alpha_hat"] == pytest.approx(0.5, rel=0.05)
+        # the fit window's resolution sqrt(T_hat - t)/h = e^(-s/2)/h at its ends
+        h = 20.0 / 256
+        assert fit["resolution"] == pytest.approx(
+            [math.exp(-s / 2.0) / h for s in fit["window_s"]], rel=1e-12
+        )
+        assert fit["resolution"][0] > fit["resolution"][1]
         hist = np.loadtxt(
             tmp_path / "phys" / "sup_history.csv", delimiter=",", skiprows=1
         )
@@ -384,9 +392,11 @@ class TestMain:
             # a Gaussian on floor 1 lies above kappa_a and leaves the separatrix
             (["similarity", "--set", "initial_data.kind=gaussian"],
              "BlowupOvershootError: .*s=2.38"),
-            # w stays finite but |w|^(p+1) in the per-step ledger overflows
+            # w stays finite but |w|^(p+1) in the per-step ledger overflows at
+            # s = 2.62; step_w fails in the next step, in the same ledger block
             (["similarity", "--set", "initial_data.kind=constant"],
-             "BlowupOvershootError: .*s=2.6"),
+             r"BlowupOvershootError: run_similarity: w blew up by s=2\.62: "
+             r"its ledger overflows"),
             (
                 # from a constant 1e100, f(u) overflows long before t + dt == t
                 ["physical", "--set", "solver.m_stop=1e200",
@@ -496,6 +506,27 @@ class TestMain:
         assert res["steps"] == ledger.shape[0] - 1 == 100
         assert res["time_stepping_s"] > 0.0 and res["time_functionals_s"] > 0.0
         assert res["time_stepping_s"] + res["time_functionals_s"] <= report["wall_time_s"]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(-0.0, 0.0, np.inf), (-np.inf, np.nan, 5e-324), (1e16, 1e17, -1.5e-300)],
+            np.array(
+                [[np.pi, -1.0 / 3.0, 0.1], [1e308, 2.0**-1074, -2.5], [123456.789, 7.0, 1e-5]]
+            ),
+            [],
+        ],
+        ids=["specials", "ndarray", "header-only"],
+    )
+    def test_csv_bytes_are_17g_per_cell(self, tmp_path, rows):
+        # one template for every row writes what f"{float(x):.17g}" per cell does
+        header = ["a", "b", "c"]
+        path = tmp_path / "f.csv"
+        write_csv(path, header, rows)
+        want = "".join(
+            ",".join(f"{float(x):.17g}" for x in row) + "\n" for row in rows
+        )
+        assert path.read_bytes() == ("a,b,c\n" + want).encode()
 
     def test_csv_float_format_roundtrip(self, tmp_path):
         vals = [np.pi, 1.0 / 3.0, 1e-17, 123456.789012345678]

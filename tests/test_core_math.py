@@ -432,6 +432,24 @@ class TestRescaledForms:
             assert np.array_equal(got, [rescaled_F(2.0, x, params) for x in w])
             assert np.count_nonzero(got) == w.size - 2
 
+    @pytest.mark.parametrize(
+        "params", [P31, P3m1, P30, Params(3.0, 1.5)], ids=["a=1", "a=-1", "a=0", "a=1.5"]
+    )
+    def test_rescaled_F_stack_equals_each_row_alone_bitwise(self, params):
+        # one s per row: nodes below, inside and above the table, and a row at
+        # s = 600 on the expanded log form; at s = 2.16 numpy's array s**-1.5
+        # is not the scalar's
+        w = np.array([0.0, 1e-12, -5e-10, 0.3, -1.5, 8.0, 1e15, -1e19, 5e19])
+        stack = np.stack([w, -2.0 * w, w[::-1], 0.5 * w])
+        s = np.array([2.0, 2.16, 7.5, 600.0])
+        got = rescaled_F(s, stack, params)
+        want = [rescaled_F(float(si), row, params) for si, row in zip(s, stack)]
+        assert np.array_equal(got, want)
+
+    def test_rescaled_F_stack_checks_every_s(self):
+        with pytest.raises(DomainError, match="s >= 1"):
+            rescaled_F(np.array([2.0, 0.5]), np.ones((2, 3)), P31)
+
     def test_table_built_once_per_pair_and_read_only(self):
         core_math._G_table.cache_clear()
         w = np.linspace(-3.0, 3.0, 41)

@@ -140,6 +140,24 @@ class TestSnapshot:
             f = random_field(seed, s=s)
             assert eval_L(f, CFG) == snapshot(f, CFG).L
 
+    @pytest.mark.parametrize("params", [P31, Params(3.0, -1.0), Params(3.0, 0.0)])
+    def test_eval_L_of_a_block_is_each_field_alone_bitwise(self, params):
+        # a run's block: a (rows, n) stack of fields with one s per row; at
+        # s = 2.16 numpy's array s**-1.5, and at 2.36 its s**-0.75, is not
+        # the scalar's
+        fields = [random_field(seed, s=s, params=params)
+                  for seed, s in ((9, 5.0), (10, 2.16), (11, 40.0), (12, 2.36))]
+        block = fields[0]._stepped(
+            np.stack([f.values for f in fields]), s=np.array([f.s for f in fields])
+        )
+        got = eval_L(block, CFG)
+        assert got.shape == (4,)
+        assert np.array_equal(got, [eval_L(f, CFG) for f in fields])
+        np.testing.assert_array_equal(
+            _gradient(block.values, block.spacing),
+            np.gradient(block.values, block.spacing, axis=-1),
+        )
+
     @pytest.mark.parametrize(
         "nodes",
         [NODES, line_grid(7.5, 129), np.linspace(0.0, 20.0, 257), np.linspace(0.0, 3.0, 64)],

@@ -159,6 +159,30 @@ class TestIntegrate:
     def test_shape_mismatch(self, rules):
         with pytest.raises(ContractViolation):
             integrate(rules[1], np.ones(7))
+        with pytest.raises(ContractViolation):
+            integrate(rules[1], np.ones((2, 2) + rules[1].nodes.shape))
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_stack_sums_each_row_alone_bitwise(self, rules, N):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((7,) + rules[N].nodes.shape)
+        got = integrate(rules[N], stack)
+        assert got.shape == (7,)
+        assert np.array_equal(got, [integrate(rules[N], row) for row in stack])
+
+    def test_stack_names_the_first_row_with_a_nonfinite_sample(self, rules):
+        stack = np.ones((4,) + rules[1].nodes.shape)
+        stack[3, 5] = np.nan
+        stack[2, 200] = np.inf
+        with pytest.raises(NumericError, match=r"\(index 200\) of row 2$"):
+            integrate(rules[1], stack)
+
+    def test_stack_overflow_from_finite_samples_is_returned(self, rules):
+        stack = np.ones((3,) + rules[1].nodes.shape)
+        stack[1] = 1e308
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = integrate(rules[1], stack)
+        assert got[1] == np.inf and np.isfinite(got[[0, 2]]).all()
 
 
 class TestGridRule:

@@ -320,6 +320,29 @@ class TestDissipation:
             w = nxt
         assert total < 1e-8
 
+    def test_blocks_give_each_step_alone_bitwise(self):
+        # two blocks of a run's steps, one row and one s per step
+        y = line_grid(20.0, 201)
+        w = SimField(
+            geometry="line", nodes=y, values=0.3 * np.exp(-y * y / 8.0), s=2.0,
+            params=P31,
+        )
+        steps = [w]
+        for n in range(1, 6):
+            nxt = step_w(steps[-1], 0.02)
+            steps.append(nxt._stepped(nxt.values, s=2.0 + n / 50))
+        values = np.stack([f.values for f in steps])
+        s = np.array([f.s for f in steps])
+        got = ds_dissipation(w._stepped(values[:-1], s=s[:-1]),
+                             w._stepped(values[1:], s=s[1:]))
+        want = [ds_dissipation(a, b) for a, b in zip(steps[:-1], steps[1:])]
+        assert np.array_equal(got, want)
+        stalled = s[1:].copy()
+        stalled[2] = s[2]  # one row that does not step forward
+        with pytest.raises(ContractViolation):
+            ds_dissipation(w._stepped(values[:-1], s=s[:-1]),
+                           w._stepped(values[1:], s=stalled))
+
     def test_grid_mismatch(self):
         y = line_grid(20.0, 201)
         a = SimField(geometry="line", nodes=y, values=np.ones(201), s=2.0, params=P31)
