@@ -34,7 +34,7 @@ from scipy.interpolate import CubicSpline
 from . import __version__
 from .analysis import fit_rate, lyapunov_audit, run_similarity
 from .core_math import Params, kappa_a, psi_T
-from .errors import BlowupLabError, ParseError
+from .errors import BlowupLabError, DomainError, ParseError
 from .functionals import FunctionalConfig, FunctionalSnapshot
 from .initial_data import gaussian, line_grid, profile_shape
 from .ode_blowup import integrate_vT, trajectory_table
@@ -115,9 +115,13 @@ def _convert(section: str, key: str, raw: str):
         raise ParseError(f"unknown key '{key}' in section [{section}]")
     conv = _SCHEMA[section][key]
     try:
-        return conv(raw)
+        value = conv(raw)
     except ValueError as exc:
         raise ParseError(f"invalid value for {section}.{key}: {raw!r}") from exc
+    # NaN compares false, so it would pass every range check downstream
+    if conv is float and math.isnan(value):
+        raise ParseError(f"{section}.{key} must be a number, got {raw!r}")
+    return value
 
 
 def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
@@ -300,8 +304,12 @@ def _scenario_physical(config: RunConfig, outdir: Path) -> dict:
 
 
 def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
-    params = config.params
-    s0 = max(-np.log(config.solver.T), 2.0)
+    params, solver = config.params, config.solver
+    if not solver.T > 0.0:
+        raise DomainError(f"similarity: solver.T must be positive, got {solver.T}")
+    if not math.isfinite(solver.s_end):
+        raise DomainError(f"similarity: solver.s_end must be finite, got {solver.s_end}")
+    s0 = max(-np.log(solver.T), 2.0)
     nodes = line_grid(config.grid.extent, config.grid.resolution)
     w0 = SimField(
         geometry="line",
@@ -310,8 +318,8 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
         s=s0,
         params=params,
     )
-    n_units = max(1, int(round(config.solver.s_end - s0)))
-    run = run_similarity(w0, s0 + n_units, config.solver.ds, config.functionals)
+    n_units = max(1, int(round(solver.s_end - s0)))
+    run = run_similarity(w0, s0 + n_units, solver.ds, config.functionals)
     write_csv(
         outdir / "functionals.csv",
         list(FunctionalSnapshot.FIELDS),

@@ -35,11 +35,10 @@ class FunctionalConfig:
     m0: float = 10.0
     theta: float = 800.0
     A: float = 1.0
-    cutoff_radius: float = 5.0
 
     def __post_init__(self) -> None:
-        if min(self.m0, self.theta, self.A, self.cutoff_radius) <= 0.0:
-            raise ConfigurationError("FunctionalConfig: all constants must be positive")
+        if not all(0.0 < c < np.inf for c in (self.m0, self.theta, self.A)):
+            raise ConfigurationError("FunctionalConfig: m0, theta and A must be finite and > 0")
 
     def b(self, params: Params) -> float:
         return self.m0 * (params.p + 3.0) / 2.0
@@ -52,8 +51,8 @@ class FunctionalSnapshot:
     With mass = int w^2 rho dy and b = m0 (p+3)/2: E is the natural energy,
     J = -mass/(2s), H_m = E + m0 J, N_m = s^(-b) H_m + A e^(-s),
     I = s^(-b) mass, L0 = E - s^(-3/2) mass and the Lyapunov candidate
-    L = exp((p+3)/sqrt(s)) L0 + theta s^(-3/4).  E_psi is E with its
-    integrand weighted by psi^2, and I_psi = s^(-(b+1)) int w^2 psi^2 rho dy.
+    L = exp((p+3)/sqrt(s)) L0 + theta s^(-3/4).  All eight come from the
+    two integrals E and mass.
     """
 
     s: float
@@ -64,10 +63,8 @@ class FunctionalSnapshot:
     I: float
     L0: float
     L: float
-    E_psi: float
-    I_psi: float
 
-    FIELDS = ("s", "E", "J", "H_m", "N_m", "I", "L0", "L", "E_psi", "I_psi")
+    FIELDS = ("s", "E", "J", "H_m", "N_m", "I", "L0", "L")
 
     def row(self) -> tuple[float, ...]:
         return tuple(getattr(self, name) for name in self.FIELDS)
@@ -113,7 +110,7 @@ def _lyapunov(field: SimField, E, mass, cfg: FunctionalConfig):
 
 
 def eval_L(field: SimField, cfg: FunctionalConfig):
-    """The L of snapshot alone, without the cut-off terms.  For a stack of
+    """The L of snapshot, bit for bit, without the rest of the family.  For a stack of
     fields (SimField's block) it is the array of the rows' L, each the bits
     of the row's field alone: the run's per-step ledger takes one call per
     block of steps."""
@@ -123,38 +120,12 @@ def eval_L(field: SimField, cfg: FunctionalConfig):
     return float(L) if np.ndim(L) == 0 else L
 
 
-def cutoff_psi(R: float):
-    """Smooth cutoff: 1 on |y| <= R, 0 outside |y| >= 2R, quintic smoothstep
-    transition in between (C^2, values in [0, 1])."""
-    if R < 1.0:
-        raise ConfigurationError(f"cutoff_psi requires R >= 1, got {R}")
-
-    def psi(y):
-        x = (np.abs(np.asarray(y, dtype=float)) - R) / R
-        x = np.clip(x, 0.0, 1.0)
-        smooth = x**3 * (10.0 - 15.0 * x + 6.0 * x * x)
-        out = 1.0 - smooth
-        return float(out) if np.ndim(y) == 0 else out
-
-    return psi
-
-
-def _psi_sq(field: SimField, cfg: FunctionalConfig) -> np.ndarray:
-    if 2.0 * cfg.cutoff_radius > field.radius:
-        raise ConfigurationError(
-            f"cutoff radius {cfg.cutoff_radius} needs 2R <= R_max = {field.radius}"
-        )
-    psi = cutoff_psi(cfg.cutoff_radius)
-    return psi(field.nodes) ** 2
-
-
 def snapshot(field: SimField, cfg: FunctionalConfig) -> FunctionalSnapshot:
     """Evaluate the whole functional family at once (shared integrals)."""
     energy, w2 = _integrands(field)
     rule = field.rule
     s = field.s
     b = cfg.b(field.params)
-    psi2 = _psi_sq(field, cfg)
     E = integrate(rule, energy)
     mass = integrate(rule, w2)
     J = -mass / (2.0 * s)
@@ -169,6 +140,4 @@ def snapshot(field: SimField, cfg: FunctionalConfig) -> FunctionalSnapshot:
         I=float(s ** (-b) * mass),
         L0=float(L0),
         L=float(L),
-        E_psi=float(integrate(rule, energy * psi2)),
-        I_psi=float(s ** (-(b + 1.0)) * integrate(rule, w2 * psi2)),
     )

@@ -205,7 +205,7 @@ def run_to_blowup(
     T_hat = t_halt + time_to_blowup(max|u|), the ODE extrapolation of the
     remaining time.  p, a and N are those of u0.params.
     """
-    if M_stop < 1e6:
+    if not M_stop >= 1e6:
         raise ConfigurationError(f"run_to_blowup: M_stop must be >= 1e6, got {M_stop}")
     if not safety > 0.0:
         raise ConfigurationError(f"run_to_blowup: safety must be positive, got {safety}")

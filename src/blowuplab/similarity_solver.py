@@ -49,8 +49,8 @@ class SimField(Field):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.s < 1.0:
-            raise DomainError(f"SimField requires s >= 1, got {self.s}")
+        if not (1.0 <= self.s < np.inf):  # also rejects NaN
+            raise DomainError(f"SimField requires a finite s >= 1, got {self.s}")
 
     @cached_property
     def rule(self) -> QuadratureRule:

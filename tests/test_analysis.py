@@ -263,8 +263,7 @@ class TestProfileError:
 def constant_ledger(L_values, s0=2.0):
     snaps = [
         FunctionalSnapshot(
-            s=s0 + k, E=0.0, J=0.0, H_m=0.0, N_m=0.0, I=0.0, L0=0.0, L=L, E_psi=0.0,
-            I_psi=0.0,
+            s=s0 + k, E=0.0, J=0.0, H_m=0.0, N_m=0.0, I=0.0, L0=0.0, L=L
         )
         for k, L in enumerate(L_values)
     ]

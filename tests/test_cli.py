@@ -57,7 +57,6 @@ SET_VALUES = {
     "functionals.m0": 4.0,
     "functionals.theta": 900.0,
     "functionals.A": 2.0,
-    "functionals.cutoff_radius": 4.0,
 }
 
 
@@ -119,6 +118,11 @@ class TestParseConfig:
     def test_bad_scenario(self):
         with pytest.raises(ParseError, match="scenario"):
             parse_config("[run]\nscenario = warp\n")
+
+    @pytest.mark.parametrize("name", ["m0", "theta", "A"])
+    def test_infinite_functional_constant_refused(self, name):
+        with pytest.raises(ParseError, match="finite and > 0"):
+            parse_config("", overrides=[f"functionals.{name}=inf"])
 
     def test_low_resolution_rejected(self):
         with pytest.raises(ParseError, match="resolution"):
@@ -408,7 +412,10 @@ class TestMain:
              "ConfigurationError"),
             (["similarity", "--set", "solver.ds=0"], "DomainError"),
             (["similarity", "--set", "solver.ds=-1"], "DomainError"),
-            (["similarity", "--set", "solver.ds=nan"], "DomainError"),
+            # s0 = -log T and the unit count round(s_end - s0) need finite values
+            (["similarity", "--set", "solver.T=0"], "DomainError: .*solver.T must be positive"),
+            (["similarity", "--set", "solver.s_end=inf"],
+             "DomainError: .*solver.s_end must be finite"),
         ],
         ids=[
             "similarity-N=2",
@@ -418,7 +425,8 @@ class TestMain:
             "physical-dt_safety=0",
             "ds=0",
             "ds=-1",
-            "ds=nan",
+            "T=0",
+            "s_end=inf",
         ],
     )
     def test_run_error_in_report(self, tmp_path, argv, error):
@@ -426,6 +434,19 @@ class TestMain:
         assert main([*argv, "--output", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
         assert re.match(error, report["error"])
+
+    @pytest.mark.parametrize(
+        "dotted",
+        ["functionals.theta", "functionals.m0", "solver.s_end", "solver.m_stop",
+         "solver.T", "solver.ds"],
+    )
+    def test_nan_value_is_a_parse_error(self, tmp_path, capsys, dotted):
+        # NaN compares false, so theta = nan would pass the Lyapunov audit
+        # with every L NaN, and report.json would echo a NaN, which JSON lacks
+        out = tmp_path / "run"
+        assert main(["similarity", "--set", f"{dotted}=nan", "--output", str(out)]) == 2
+        assert f"{dotted} must be a number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_default_similarity_runs_to_s_end(self, tmp_path):
         # the similarity scenario starts from the profile, runs to s_end and
@@ -445,6 +466,17 @@ class TestMain:
         with open(out / "step_ledger.csv") as fh:
             s = [float(row["s"]) for row in csv.DictReader(fh)]
         assert s == [2.0 + n / 50 for n in range(301)]
+
+    def test_short_extent_similarity_runs(self, tmp_path):
+        # the functional family needs no room beyond the grid: extent 8 runs
+        # its 300 steps and passes its audit
+        out = tmp_path / "run"
+        assert main(["similarity", "--set", "grid.extent=8", "--output", str(out)]) == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["lyapunov"]["passed"] is True
+        assert res["steps"] == 300
+        with open(out / "functionals.csv") as fh:
+            assert fh.readline() == "s,E,J,H_m,N_m,I,L0,L\n"
 
     @pytest.mark.parametrize("a", [1.0, -1.0])
     def test_coarsest_grid_similarity_audit_passes(self, tmp_path, a):

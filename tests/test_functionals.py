@@ -12,7 +12,6 @@ from blowuplab.errors import ConfigurationError
 from blowuplab.functionals import (
     FunctionalConfig,
     _gradient,
-    cutoff_psi,
     eval_L,
     snapshot,
 )
@@ -173,71 +172,13 @@ class TestSnapshot:
     def test_b_exponent(self):
         assert CFG.b(P31) == CFG.m0 * 3.0
 
-
-class TestCutoff:
-    def test_plateau_and_support(self):
-        psi = cutoff_psi(5.0)
-        assert psi(0.0) == 1.0
-        assert psi(4.999) == 1.0
-        assert psi(10.0) == 0.0
-        assert psi(12.5) == 0.0
-        assert 0.0 < psi(7.5) < 1.0
-
-    def test_smooth_and_monotone(self):
-        psi = cutoff_psi(5.0)
-        r = np.linspace(0.0, 12.0, 1000)
-        v = psi(r)
-        assert np.all((v >= 0.0) & (v <= 1.0))
-        assert np.all(np.diff(v) <= 0.0)
-
-    def test_requires_R_at_least_one(self):
-        with pytest.raises(ConfigurationError):
-            cutoff_psi(0.5)
-
-
-class TestLocalized:
-    def test_zero_field(self):
-        sn = snap(const_field(0.0, 4.0, P31))
-        assert sn.E_psi == 0.0
-        assert sn.I_psi == 0.0
-
-    def test_equals_global_on_supported_field(self):
-        # field supported inside B_R: psi == 1 there, so E_psi == E
-        vals = 0.7 * np.exp(-NODES**2)  # numerically zero beyond |y| ~ 4.3
-        f = SimField(geometry="line", nodes=NODES, values=vals, s=6.0, params=P31)
-        sn = snap(f)
-        assert sn.E_psi == pytest.approx(sn.E, rel=1e-10)
-
-    def test_localization_converges(self):
-        f = SimField(
-            geometry="line",
-            nodes=NODES,
-            values=0.7 * np.exp(-NODES**2 / 4.0),
-            s=6.0,
-            params=P31,
-        )
-        e_global = snap(f).E
-        errs = []
-        for R in (2.0, 5.0, 9.0):
-            cfg = FunctionalConfig(cutoff_radius=R)
-            errs.append(abs(snap(f, cfg).E_psi - e_global))
-        assert errs[2] < errs[1] < errs[0]
-        assert errs[2] < 1e-10 * abs(e_global)
-
-    def test_cutoff_must_fit_domain(self):
-        cfg = FunctionalConfig(cutoff_radius=15.0)  # 2R = 30 > 20
-        f = const_field(0.5, 4.0, P31)
-        with pytest.raises(ConfigurationError):
-            snap(f, cfg)
-
-    def test_I_psi_value(self):
-        f = const_field(1.0, 2.0, P31)
-        b = CFG.b(P31)
-        psi = cutoff_psi(CFG.cutoff_radius)
-        from blowuplab.quadrature import integrate
-
-        want = 2.0 ** (-(b + 1.0)) * integrate(RULE, psi(NODES) ** 2)
-        assert snap(f).I_psi == pytest.approx(want, rel=1e-12)
+    @pytest.mark.parametrize("name", ["m0", "theta", "A"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0], ids=["inf", "nan", "zero"])
+    def test_constants_must_be_finite_and_positive(self, name, bad):
+        # theta = inf makes every L inf, m0 = inf makes N_m NaN and A = inf
+        # makes it inf: each would leave the audit nothing to compare
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            FunctionalConfig(**{name: bad})
 
 
 class TestMass:

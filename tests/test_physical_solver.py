@@ -322,6 +322,11 @@ class TestRunToBlowup:
         with pytest.raises(ConfigurationError):
             run_to_blowup(line_field(nodes, 1.0), M_stop=1e4)
 
+    def test_m_stop_nan_refused(self):
+        nodes = line_grid(5.0, 129)
+        with pytest.raises(ConfigurationError, match="M_stop must be >= 1e6"):
+            run_to_blowup(line_field(nodes, 1.0), M_stop=np.nan)
+
     @pytest.mark.parametrize("safety", [0.0, -0.05, np.nan])
     def test_safety_must_be_positive(self, safety):
         # safety sets the tolerance and every cap: at 0 the run would halt at

@@ -376,6 +376,12 @@ class TestSimField:
                 geometry="line", nodes=y, values=np.zeros(y.shape), s=0.5, params=P31
             )
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_requires_finite_s(self, s):
+        y = line_grid(20.0, 201)
+        with pytest.raises(DomainError, match="finite s >= 1"):
+            SimField(geometry="line", nodes=y, values=np.zeros(y.shape), s=s, params=P31)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_constructor_rejects_nonfinite_values(self, bad):
         y = line_grid(20.0, 201)
