@@ -148,16 +148,16 @@ _AUDIT_STEP_TOL = 1e-6
 def lyapunov_audit(
     snapshots: list[FunctionalSnapshot],
     dissipation: np.ndarray,
-    step_L: np.ndarray | None = None,
+    step_L: np.ndarray,
 ) -> LyapunovReport:
     """Check L(s+1) - L(s) <= -1/2 int int (ds w)^2 rho + tol per unit interval.
 
     snapshots must be at consecutive unit-s boundaries; dissipation[k] is the
     discrete double integral over [s_k, s_k + 1].
-    tol = _AUDIT_TOL_SCALE (1 + |L(s_k)|).  When the per-step L series is
-    supplied, per-step monotonicity within _AUDIT_STEP_TOL is checked as
-    well; the series must span the snapshots at a uniform step, and a step
-    violation is placed at the s where L rose.
+    tol = _AUDIT_TOL_SCALE (1 + |L(s_k)|).  The per-step L series step_L,
+    which must span the snapshots at a uniform step, is checked for
+    monotonicity within _AUDIT_STEP_TOL as well; a step violation is placed
+    at the s where L rose.
     Violations are report content, not errors.
     """
     if len(snapshots) < 4:
@@ -184,7 +184,7 @@ def lyapunov_audit(
                 )
             )
     max_step_increase = 0.0
-    if step_L is not None and len(step_L) > 1:
+    if len(step_L) > 1:
         diffs = np.diff(np.asarray(step_L))
         max_step_increase = float(max(0.0, diffs.max()))
         if max_step_increase > _AUDIT_STEP_TOL:

@@ -86,9 +86,6 @@ class RunConfig:
     functionals: FunctionalConfig = field(default_factory=FunctionalConfig)
     output_dir: str = "out"
 
-    def echo(self) -> dict:
-        return asdict(self)
-
 
 def _schema() -> dict[str, dict[str, type]]:
     """section -> key -> converter: each dataclass-typed field of RunConfig is
@@ -118,9 +115,10 @@ def _convert(section: str, key: str, raw: str):
         value = conv(raw)
     except ValueError as exc:
         raise ParseError(f"invalid value for {section}.{key}: {raw!r}") from exc
-    # NaN compares false, so it would pass every range check downstream
-    if conv is float and math.isnan(value):
-        raise ParseError(f"{section}.{key} must be a number, got {raw!r}")
+    # NaN compares false, so it would pass every range check downstream, and
+    # NaN or inf would make the report's config echo invalid JSON
+    if conv is float and not math.isfinite(value):
+        raise ParseError(f"{section}.{key} must be a finite number, got {raw!r}")
     return value
 
 
@@ -412,7 +410,7 @@ def run(config: RunConfig) -> int:
     outdir = _resolve_outdir(config)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": config.echo(),
+        "config": asdict(config),
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

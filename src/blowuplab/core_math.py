@@ -9,7 +9,7 @@ blow-up rate candidate psi_T, and the similarity-frame scaling
 phi(s) = e^(s/(p-1)) s^(-a/(p-1)).
 
 phi(s) overflows float64 near s ~ 700 (p-1), so every composition that
-contains it (log_term, rescaled_nonlinearity, rescaled_F) is evaluated in a
+contains it (rescaled_nonlinearity, rescaled_F) is evaluated in a
 cancellation form.  Every log(2 + u^2), u = phi w (phi = 1 in the physical
 frame), is one rule, _ell, with one switch at log|u| = LOG_U_SWITCH.  All
 functions are pure and accept scalars or arrays where that is useful.
@@ -216,27 +216,13 @@ def _ell(lp: float, w: np.ndarray, aw: np.ndarray, w_max: float):
         )
 
 
-def log_term(s: float, w, params: Params):
-    """Overflow-safe log(2 + phi(s)^2 w^2), by _ell at log phi(s).
-
-    Each node is log(2 + u*u), u = phi(s) w, while phi|w| <= 1e150, and
-    logaddexp(2 log(phi|w|), log 2) above; both agree with a 50-digit
-    reference to relative 5e-15.  Never materialises phi(s)^2.  w = 0
-    gives log 2.
-    """
-    _check_s(s, "log_term")
-    arr = np.asarray(w, dtype=float)
-    aw, w_max = _abs_max(arr, "log_term")
-    out = _ell(log_phi(float(s), params), arr, aw, w_max)
-    return float(out) if arr.ndim == 0 else out
-
-
 def rescaled_nonlinearity(s: float, w, params: Params):
     """Source term of the similarity-frame equation, in cancellation form.
 
-    Returns s^(-a) |w|^(p-1) w log_term(s, w)^a, which equals
-    e^(-ps/(p-1)) s^(a/(p-1)) f(phi(s) w) wherever the literal composition is
-    representable, and stays finite for s up to (and beyond) 700.
+    Returns s^(-a) |w|^(p-1) w log^a(2 + phi(s)^2 w^2), the log by _ell at
+    log phi(s), which equals e^(-ps/(p-1)) s^(a/(p-1)) f(phi(s) w) wherever
+    the literal composition is representable, and stays finite for s up to
+    (and beyond) 700.
 
     It sets no floating-point error state of its own: the similarity step
     calls it twice per step inside imex_step's.  Only a |w| near the float64

@@ -70,23 +70,12 @@ class FunctionalSnapshot:
         return tuple(getattr(self, name) for name in self.FIELDS)
 
 
-def _gradient(w: np.ndarray, h: float) -> np.ndarray:
-    """np.gradient(w, h, axis=-1) bit for bit, without its generic set-up:
-    central differences inside, one-sided first differences at the two
-    ends, along the last axis."""
-    grad = np.empty_like(w)
-    grad[..., 1:-1] = (w[..., 2:] - w[..., :-2]) / (2.0 * h)
-    grad[..., 0] = (w[..., 1] - w[..., 0]) / h
-    grad[..., -1] = (w[..., -1] - w[..., -2]) / h
-    return grad
-
-
 def _integrands(field: SimField) -> tuple[np.ndarray, np.ndarray]:
     """Energy integrand |grad w|^2/2 + w^2/(2(p-1)) - e^(-(p+1)s/(p-1))
     s^(2a/(p-1)) F(phi w), with the F term in its stable cancellation form,
     and w^2; one row each for a stack of fields."""
     w = field.values
-    grad = _gradient(w, field.spacing)
+    grad = np.gradient(w, field.spacing, axis=-1)
     w2 = w**2
     energy = (
         0.5 * grad * grad

@@ -30,6 +30,12 @@ _DS_SAMPLE = 0.05
 _LOG_TINY, _LOG_HUGE = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
 _NEWTON_XTOL = 1e-9
 _NEWTON_MAX_ITER = 50
+# The most unit panels times_to_blowup forms: each takes 16 nodes, and its
+# arrays peak at 72 MB at this count.  The tail alone is (45 + 2|a|)/(p-1)
+# panels, 2,750 at (p, a) = (1.02, 5); at a = 1 the cap is reached at
+# p - 1 = 3.6e-4, where integrate_vT's v already leaves float64 (a physical
+# run's T_hat there fails on the cap alone).
+_MAX_PANELS = 2**17
 
 
 @dataclass(frozen=True)
@@ -69,8 +75,8 @@ def times_to_blowup(M: np.ndarray, params: Params) -> np.ndarray:
     Gauss-Legendre.  The tail left out is at most the share
     Q(|a| + 1, 45 + 2|a|) of tau (Q the regularised upper incomplete gamma),
     below 3e-17 for every a.  The panels are summed from the top down.
-    Every finite M > 0 is accepted; a tau outside the normal float64 range
-    is a NumericError.
+    Every finite M > 0 is accepted; a tau outside the normal float64 range,
+    or more than _MAX_PANELS unit panels (p near 1), is a NumericError.
     """
     M = np.asarray(M, dtype=float)
     if not (np.isfinite(M).all() and M.min() > 0.0):
@@ -79,7 +85,13 @@ def times_to_blowup(M: np.ndarray, params: Params) -> np.ndarray:
     xs = np.log(M)
     x_top = xs.max()
     n_tail = np.ceil((45.0 + 2.0 * abs(a)) / (p - 1.0))
-    units = x_top + np.arange(1.0 - np.ceil(x_top - xs.min()), n_tail + 1.0)
+    n_below = np.ceil(x_top - xs.min())
+    if not n_below + n_tail <= _MAX_PANELS:
+        raise NumericError(
+            f"times_to_blowup: (p, a) = ({p!r}, {a!r}) needs "
+            f"{n_below + n_tail:.0f} unit panels, more than {_MAX_PANELS}"
+        )
+    units = x_top + np.arange(1.0 - n_below, n_tail + 1.0)
     x = np.union1d(xs, units)
     mid, half = 0.5 * (x[1:] + x[:-1]), 0.5 * (x[1:] - x[:-1])
     with np.errstate(over="ignore"):  # a tau beyond float64 is reported next

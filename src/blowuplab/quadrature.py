@@ -94,9 +94,8 @@ def check_same_grid(nodes: np.ndarray, other: np.ndarray, message: str) -> None:
 
 
 def integrate(rule: QuadratureRule, g):
-    """Sum w_i g(node_i).  g may be a callable or an array sampled on the
-    nodes, or a (rows, n) stack of such arrays, which gives the array of the
-    rows' sums.
+    """Sum w_i g_i over g sampled on the nodes, or the array of the rows'
+    sums over a (rows, n) stack of such samples.
 
     A non-finite sample is a NumericError naming its node (and, in a stack,
     the first row that has one).  It always makes the sum non-finite (a zero
@@ -111,10 +110,7 @@ def integrate(rule: QuadratureRule, g):
     A stack is summed one row at a time, so each row's sum is that of the
     row alone (weights @ stack sums by dgemv, in another order).
     """
-    if callable(g):
-        values = np.asarray(g(rule.nodes), dtype=float)
-    else:
-        values = np.asarray(g, dtype=float)
+    values = np.asarray(g, dtype=float)
     if values.shape[-1:] != rule.nodes.shape or values.ndim > 2:
         raise ContractViolation(
             f"integrate: sample shape {values.shape} does not match rule nodes "

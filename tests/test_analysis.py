@@ -273,17 +273,17 @@ def constant_ledger(L_values, s0=2.0):
 class TestLyapunovAudit:
     def test_zero_field_run_passes(self):
         snaps = constant_ledger([0.0, 0.0, 0.0, 0.0])
-        rep = lyapunov_audit(snaps, np.zeros(3))
+        rep = lyapunov_audit(snaps, np.zeros(3), [sn.L for sn in snaps])
         assert rep.passed and rep.intervals_checked == 3
 
     def test_decreasing_ledger_passes(self):
         snaps = constant_ledger([5.0, 3.0, 2.0, 1.5])
-        rep = lyapunov_audit(snaps, np.array([1.0, 0.5, 0.2]))
+        rep = lyapunov_audit(snaps, np.array([1.0, 0.5, 0.2]), [sn.L for sn in snaps])
         assert rep.passed
 
     def test_time_reversed_ledger_fails(self):
         snaps = constant_ledger([1.5, 2.0, 3.0, 5.0])
-        rep = lyapunov_audit(snaps, np.array([0.2, 0.5, 1.0]))
+        rep = lyapunov_audit(snaps, np.array([0.2, 0.5, 1.0]), [sn.L for sn in snaps])
         assert not rep.passed
         assert all(v.magnitude > 0 for v in rep.violations)
 
@@ -307,7 +307,7 @@ class TestLyapunovAudit:
     def test_needs_three_units(self):
         snaps = constant_ledger([1.0, 0.5])
         with pytest.raises(DomainError):
-            lyapunov_audit(snaps, np.zeros(1))
+            lyapunov_audit(snaps, np.zeros(1), [sn.L for sn in snaps])
 
 
 class TestRunSimilarity:

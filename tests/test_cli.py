@@ -121,7 +121,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("name", ["m0", "theta", "A"])
     def test_infinite_functional_constant_refused(self, name):
-        with pytest.raises(ParseError, match="finite and > 0"):
+        with pytest.raises(ParseError, match=f"functionals.{name} must be a finite number"):
             parse_config("", overrides=[f"functionals.{name}=inf"])
 
     def test_low_resolution_rejected(self):
@@ -412,10 +412,8 @@ class TestMain:
              "ConfigurationError"),
             (["similarity", "--set", "solver.ds=0"], "DomainError"),
             (["similarity", "--set", "solver.ds=-1"], "DomainError"),
-            # s0 = -log T and the unit count round(s_end - s0) need finite values
+            # s0 = -log T needs T > 0
             (["similarity", "--set", "solver.T=0"], "DomainError: .*solver.T must be positive"),
-            (["similarity", "--set", "solver.s_end=inf"],
-             "DomainError: .*solver.s_end must be finite"),
         ],
         ids=[
             "similarity-N=2",
@@ -426,7 +424,6 @@ class TestMain:
             "ds=0",
             "ds=-1",
             "T=0",
-            "s_end=inf",
         ],
     )
     def test_run_error_in_report(self, tmp_path, argv, error):
@@ -438,15 +435,29 @@ class TestMain:
     @pytest.mark.parametrize(
         "dotted",
         ["functionals.theta", "functionals.m0", "solver.s_end", "solver.m_stop",
-         "solver.T", "solver.ds"],
+         "solver.T", "solver.ds", "solver.t_max"],
     )
     def test_nan_value_is_a_parse_error(self, tmp_path, capsys, dotted):
         # NaN compares false, so theta = nan would pass the Lyapunov audit
-        # with every L NaN, and report.json would echo a NaN, which JSON lacks
+        # with every L NaN; and report.json would echo a NaN or an inf, which
+        # JSON lacks (physical with m_stop = inf or t_max = inf ran to exit 0)
         out = tmp_path / "run"
-        assert main(["similarity", "--set", f"{dotted}=nan", "--output", str(out)]) == 2
-        assert f"{dotted} must be a number" in capsys.readouterr().err
-        assert not out.exists()
+        for value in ("nan", "inf", "-inf"):
+            argv = ["similarity", "--set", f"{dotted}={value}", "--output", str(out)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{dotted} must be a finite number, got {value!r}" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["ode", "physical", "similarity"])
+    def test_default_report_is_strict_json(self, tmp_path, scenario):
+        def refuse(constant):
+            raise ValueError(f"report.json holds {constant}, which JSON lacks")
+
+        out = tmp_path / scenario
+        assert main([scenario, "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        assert report["error"] is None
 
     def test_default_similarity_runs_to_s_end(self, tmp_path):
         # the similarity scenario starts from the profile, runs to s_end and

@@ -21,7 +21,6 @@ from blowuplab.core_math import (
     eval_f,
     kappa_a,
     log_phi,
-    log_term,
     phi,
     psi_T,
     rescaled_F,
@@ -291,52 +290,29 @@ class TestScalingFunctions:
 
 
 class TestLogTerm:
-    def test_at_zero(self):
-        assert log_term(5.0, 0.0, P31) == pytest.approx(np.log(2.0), rel=1e-15)
-
-    def test_moderate(self):
-        # log(2 + e^2) at s=2, w=1, a=0
-        assert log_term(2.0, 1.0, P30) == pytest.approx(
-            np.log(2.0 + np.exp(2.0)), rel=1e-12
-        )
-
-    def test_overflow_regime(self):
-        # naive phi(700)^2 overflows; expanded form gives exactly 700
-        assert log_term(700.0, 1.0, P30) == 700.0
-
-    def test_matches_naive_in_overlap(self):
-        for params in (P31, P21):
-            for s in (1.0, 5.0, 20.0):
-                for w in (1e-3, 0.5, 3.0, 50.0):
-                    naive = np.log(2.0 + phi(s, params) ** 2 * w * w)
-                    assert log_term(s, w, params) == pytest.approx(naive, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_term(0.2, 1.0, P31)
-
     def test_branches_per_node(self):
         # log phi(600) = 296.8 for (3, 1): the last two nodes have
-        # phi|w| > 1e150, the others keep log(2 + u*u), u = phi w, bit for bit
-        # (the whole array switching form would move their last bits)
+        # phi|w| > 1e150, the others keep log(2 + u*u), u = phi w, so their
+        # sources have the bits they have without the two (the whole array
+        # switching form would move their last bits)
         s = 600.0
         w = np.array([0.0, 1e-3, -0.37, 2.9, -41.0, 7.7e5, -3.3e11, 1e22, -4e30])
         u = math.exp(log_phi(s, P31)) * w
         below = np.abs(u) <= 1e150
         assert np.count_nonzero(~below) == 2
-        u = u[below]
-        np.testing.assert_array_equal(log_term(s, w, P31)[below], np.log(2.0 + u * u))
         np.testing.assert_array_equal(
             rescaled_nonlinearity(s, w, P31)[below], rescaled_nonlinearity(s, w[below], P31)
         )
         # phi itself beyond the switch (log phi(700) = 346.7): a node with
-        # phi|w| = 1 still takes log(2 + u^2) = log 3
-        w = np.array([np.exp(-log_phi(700.0, P31)), 1.0])
+        # phi|w| = 1 still takes log(2 + u^2) = log 3.  The source underflows
+        # at that node, so the log is read from the rule itself.
+        lp = log_phi(700.0, P31)
+        w = np.array([np.exp(-lp), 1.0])
         np.testing.assert_allclose(
-            log_term(700.0, w, P31), [np.log(3.0), 2.0 * log_phi(700.0, P31)], rtol=1e-15
+            core_math._ell(lp, w, np.abs(w), 1.0), [np.log(3.0), 2.0 * lp], rtol=1e-15
         )
 
-    @pytest.mark.parametrize("fn", [log_term, rescaled_nonlinearity, rescaled_F])
+    @pytest.mark.parametrize("fn", [rescaled_nonlinearity, rescaled_F])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_w_rejected(self, fn, bad):
         for w in (bad, np.array([0.5, bad, -2.0])):
@@ -486,14 +462,13 @@ class TestRescaledForms:
 
 
 def _literal_50_digits(s, w, params):
-    """log(2 + phi^2 w^2) and e^(-ps/(p-1)) s^(a/(p-1)) f(phi(s) w), composed
-    literally in 50-digit arithmetic."""
+    """e^(-ps/(p-1)) s^(a/(p-1)) f(phi(s) w), composed literally in 50-digit
+    arithmetic."""
     with mp.workdps(50):
         s, w, p, a = mp.mpf(s), mp.mpf(w), mp.mpf(params.p), mp.mpf(params.a)
         u = mp.exp(s / (p - 1)) * s ** (-a / (p - 1)) * w
-        log_arg = mp.log(2 + u * u)
-        f = abs(u) ** (p - 1) * u * log_arg**a
-        return log_arg, mp.exp(-p * s / (p - 1)) * s ** (a / (p - 1)) * f
+        f = abs(u) ** (p - 1) * u * mp.log(2 + u * u) ** a
+        return mp.exp(-p * s / (p - 1)) * s ** (a / (p - 1)) * f
 
 
 def _rescaled_F_30_digits(s, w, params):
@@ -514,10 +489,9 @@ def _rescaled_F_30_digits(s, w, params):
         return s ** (-a) * abs(w) ** (p + 1) * integral
 
 
-# Worst relative error over 24,000 random (s, w, p, a) in this domain, 4,000
-# of them within 2 in s of the switch at log(phi|w|) = 300: 4.4e-16 for
-# log_term, at (p, a) = (1.5, 0.5), and 8.9e-16 for rescaled_nonlinearity,
-# at (2, 2).
+# Worst relative error of rescaled_nonlinearity over 24,000 random
+# (s, w, p, a) in this domain, 4,000 of them within 2 in s of the switch at
+# log(phi|w|) = 300: 8.9e-16, at (p, a) = (2, 2).
 MPMATH_RTOL = 5e-15
 # Worst relative error of rescaled_F over 800 random (s, w, p, a) in this
 # domain: 8.9e-16.  Over 1,500 with s in [1, 40], 1,392 of them on its table
@@ -580,15 +554,8 @@ class TestCancellationFormsAgainstMpmath:
     @_mpmath_settings
     @given(s=_s, w=_w, params=_pairs)
     @_with_examples(_SWITCH_EXAMPLES)
-    def test_log_term(self, s, w, params):
-        ref, _ = _literal_50_digits(s, w, params)
-        assert abs(log_term(s, w, params) / ref - 1) <= MPMATH_RTOL
-
-    @_mpmath_settings
-    @given(s=_s, w=_w, params=_pairs)
-    @_with_examples(_SWITCH_EXAMPLES)
     def test_rescaled_nonlinearity(self, s, w, params):
-        _, ref = _literal_50_digits(s, w, params)
+        ref = _literal_50_digits(s, w, params)
         assert abs(rescaled_nonlinearity(s, w, params) / ref - 1) <= MPMATH_RTOL
 
     @pytest.mark.parametrize("s", [606.0, 607.0])
@@ -597,12 +564,9 @@ class TestCancellationFormsAgainstMpmath:
         # s = 606 and expanded at s = 607, where nodes down to |w| = 1e-3 and
         # w = 0 are also on the expanded form
         w = np.array([0.0, -1e-3, 0.02, -0.5, 1.0])
-        log_arg, source = log_term(s, w, P31), rescaled_nonlinearity(s, w, P31)
-        for k, x in enumerate(w):
-            ref_log, ref_source = _literal_50_digits(s, x, P31)
-            assert abs(log_arg[k] / ref_log - 1) <= MPMATH_RTOL
-            if x != 0.0:
-                assert abs(source[k] / ref_source - 1) <= MPMATH_RTOL
+        source = rescaled_nonlinearity(s, w, P31)
+        for k in range(1, w.size):
+            assert abs(source[k] / _literal_50_digits(s, w[k], P31) - 1) <= MPMATH_RTOL
         assert source[0] == 0.0
 
     @_mpmath_settings

@@ -11,7 +11,6 @@ from blowuplab.core_math import Params
 from blowuplab.errors import ConfigurationError
 from blowuplab.functionals import (
     FunctionalConfig,
-    _gradient,
     eval_L,
     snapshot,
 )
@@ -152,22 +151,6 @@ class TestSnapshot:
         got = eval_L(block, CFG)
         assert got.shape == (4,)
         assert np.array_equal(got, [eval_L(f, CFG) for f in fields])
-        np.testing.assert_array_equal(
-            _gradient(block.values, block.spacing),
-            np.gradient(block.values, block.spacing, axis=-1),
-        )
-
-    @pytest.mark.parametrize(
-        "nodes",
-        [NODES, line_grid(7.5, 129), np.linspace(0.0, 20.0, 257), np.linspace(0.0, 3.0, 64)],
-        ids=["line-401", "line-129", "radial-257", "radial-64"],
-    )
-    def test_gradient_equals_np_gradient_bitwise(self, nodes):
-        rng = np.random.default_rng(nodes.size)
-        h = float(nodes[1] - nodes[0])
-        for w in (np.exp(-nodes**2 / 5.0) + 1e-3 * rng.standard_normal(nodes.size),
-                  1e6 * rng.standard_normal(nodes.size)):
-            np.testing.assert_array_equal(_gradient(w, h), np.gradient(w, h))
 
     def test_b_exponent(self):
         assert CFG.b(P31) == CFG.m0 * 3.0

@@ -1,5 +1,11 @@
 """Blow-up ODE trajectories and rate asymptotics."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -119,6 +125,35 @@ class TestTimesToBlowup:
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(DomainError):
                 times_to_blowup(np.array([2.0, bad]), P30)
+
+    def test_panel_count_bounded(self):
+        # the tail needs 47/(p-1) = 4.7e8 unit panels at (1.0000001, 1), and
+        # the call must refuse them before forming any array; it runs in a
+        # child capped at 3 GiB of address space (the interpreter with numpy
+        # and scipy needs far less), so that a regression there is a
+        # MemoryError for the 3.5 GiB it asks, not a host out of memory
+        def cap() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30,) * 2)
+
+        code = (
+            "import numpy as np\n"
+            "from blowuplab.core_math import Params\n"
+            "from blowuplab.errors import NumericError\n"
+            "from blowuplab.ode_blowup import times_to_blowup\n"
+            "try:\n"
+            "    times_to_blowup(np.array([2.0]), Params(1.0000001, 1.0))\n"
+            "except NumericError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            preexec_fn=cap, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.startswith(
+            "times_to_blowup: (p, a) = (1.0000001, 1.0) needs 470000000 unit panels"
+        )
 
 
 class TestTrajectories:
