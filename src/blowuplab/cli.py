@@ -305,6 +305,8 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
     params, solver = config.params, config.solver
     if not solver.T > 0.0:
         raise DomainError(f"similarity: solver.T must be positive, got {solver.T}")
+    if not math.isfinite(solver.s_end):
+        raise DomainError(f"similarity: solver.s_end must be finite, got {solver.s_end}")
     s0 = max(-np.log(solver.T), 2.0)
     nodes = line_grid(config.grid.extent, config.grid.resolution)
     w0 = SimField(

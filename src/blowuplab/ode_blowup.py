@@ -30,12 +30,12 @@ _DS_SAMPLE = 0.05
 _LOG_TINY, _LOG_HUGE = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
 _NEWTON_XTOL = 1e-9
 _NEWTON_MAX_ITER = 50
-# The most unit panels times_to_blowup forms: each takes 16 nodes, and its
-# arrays peak at 72 MB at this count.  The tail alone is (45 + 2|a|)/(p-1)
-# panels, 2,750 at (p, a) = (1.02, 5); at a = 1 the cap is reached at
-# p - 1 = 3.6e-4, where integrate_vT's v already leaves float64 (a physical
-# run's T_hat there fails on the cap alone).
-_MAX_PANELS = 2**17
+# times_to_blowup forms its panels _CHUNK at a time (about 10 MB), so that
+# its memory does not grow with the tail, (45 + 2|a|)/(p-1) unit panels.
+# _MAX_PANELS bounds its time instead: 4.7e7 panels (p - 1 = 1e-6, a = 1)
+# take about 30 s on one Xeon core, and p - 1 = 1e-7 would take 4.7e8.
+_CHUNK = 2**13
+_MAX_PANELS = 2**26
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,10 @@ def times_to_blowup(M: np.ndarray, params: Params) -> np.ndarray:
     (45 + 2|a|)/(p-1) units; none is wider than 1, and each takes 16-point
     Gauss-Legendre.  The tail left out is at most the share
     Q(|a| + 1, 45 + 2|a|) of tau (Q the regularised upper incomplete gamma),
-    below 3e-17 for every a.  The panels are summed from the top down.
-    Every finite M > 0 is accepted; a tau outside the normal float64 range,
-    or more than _MAX_PANELS unit panels (p near 1), is a NumericError.
+    below 3e-17 for every a.  The panels are summed from the top down, in
+    chunks of _CHUNK.  Every finite M > 0 is accepted; a tau outside the
+    normal float64 range, or more than _MAX_PANELS unit panels (p near 1),
+    is a NumericError.
     """
     M = np.asarray(M, dtype=float)
     if not (np.isfinite(M).all() and M.min() > 0.0):
@@ -91,13 +92,28 @@ def times_to_blowup(M: np.ndarray, params: Params) -> np.ndarray:
             f"times_to_blowup: (p, a) = ({p!r}, {a!r}) needs "
             f"{n_below + n_tail:.0f} unit panels, more than {_MAX_PANELS}"
         )
-    units = x_top + np.arange(1.0 - n_below, n_tail + 1.0)
-    x = np.union1d(xs, units)
-    mid, half = 0.5 * (x[1:] + x[:-1]), 0.5 * (x[1:] - x[:-1])
+    # The nodes are x_low, the samples and the unit grid up to x_top, then
+    # x_top + j for j = 1 .. n_tail.  Chunk c holds panels [c, c + _CHUNK)
+    # and adds the total of the chunks above into its top panel before its
+    # cumsum, so each tau is the same sequence of sums as in one pass.
+    x_low = np.union1d(xs, x_top + np.arange(1.0 - n_below, 1.0))
+    k = x_low.size
+    n = k - 1 + int(n_tail)
+    tau, total = np.empty(k), 0.0
     with np.errstate(over="ignore"):  # a tau beyond float64 is reported next
-        dt_dx = _dt_dx(mid[:, None] + half[:, None] * _GL_NODES, params)
-        panels = half * (dt_dx @ _GL_WEIGHTS)
-        tau = np.append(np.cumsum(panels[::-1])[::-1], 0.0)[np.searchsorted(x, xs)]
+        for c in range((n - 1) // _CHUNK * _CHUNK, -1, -_CHUNK):
+            end = min(c + _CHUNK, n)
+            tail = x_top + np.arange(max(c, k) - k + 1.0, end - k + 2.0)
+            x = np.concatenate([x_low[c : end + 1], tail])
+            mid, half = 0.5 * (x[1:] + x[:-1]), 0.5 * (x[1:] - x[:-1])
+            dt_dx = _dt_dx(mid[:, None] + half[:, None] * _GL_NODES, params)
+            panels = half * (dt_dx @ _GL_WEIGHTS)
+            panels[-1] += total
+            sums = np.cumsum(panels[::-1])[::-1]
+            total = sums[0]
+            if c < k:  # the chunk holds sample nodes
+                tau[c : min(end, k)] = sums[: min(end, k) - c]
+    tau = tau[np.searchsorted(x_low, xs)]
     if not (tau.min() >= np.finfo(float).tiny and np.isfinite(tau).all()):
         raise NumericError(
             f"times_to_blowup: tau in [{tau.min():.3e}, {tau.max():.3e}] leaves the "

@@ -121,8 +121,10 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("name", ["m0", "theta", "A"])
     def test_infinite_functional_constant_refused(self, name):
+        # the file's [functionals] section, where test_nan_value_is_a_parse_error
+        # gives the value by --set
         with pytest.raises(ParseError, match=f"functionals.{name} must be a finite number"):
-            parse_config("", overrides=[f"functionals.{name}=inf"])
+            parse_config(f"[functionals]\n{name} = inf\n")
 
     def test_low_resolution_rejected(self):
         with pytest.raises(ParseError, match="resolution"):
@@ -434,8 +436,8 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "dotted",
-        ["functionals.theta", "functionals.m0", "solver.s_end", "solver.m_stop",
-         "solver.T", "solver.ds", "solver.t_max"],
+        ["functionals.theta", "functionals.m0", "functionals.A", "solver.s_end",
+         "solver.m_stop", "solver.T", "solver.ds", "solver.t_max"],
     )
     def test_nan_value_is_a_parse_error(self, tmp_path, capsys, dotted):
         # NaN compares false, so theta = nan would pass the Lyapunov audit
@@ -448,6 +450,27 @@ class TestMain:
             err = capsys.readouterr().err
             assert f"{dotted} must be a finite number, got {value!r}" in err
             assert not out.exists()
+
+    def test_infinite_s_end_in_a_python_config_is_a_run_error(self, tmp_path):
+        # a RunConfig built in Python skips the parser's finiteness check;
+        # the similarity run names s_end rather than failing to round inf
+        out = tmp_path / "run"
+        cfg = RunConfig(scenario="similarity", output_dir=str(out))
+        cfg.solver.s_end = math.inf
+        assert run(cfg) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"] == "DomainError: similarity: solver.s_end must be finite, got inf"
+
+    def test_physical_run_near_p_1_blows_up(self, tmp_path):
+        # T_hat = t_halt + tau(M_halt) sums the ODE clock over 47/(p - 1) =
+        # 156,667 unit panels here
+        out = tmp_path / "run"
+        argv = ["physical", "--set", "params.p=1.0003", "--set", "grid.resolution=129",
+                "--set", "initial_data.kind=constant", "--set", "initial_data.value=5"]
+        assert main([*argv, "--output", str(out)]) == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert (res["status"], res["halt"]) == ("blown_up", "m_stop")
+        assert res["T_hat"] > res["t_halt"]
 
     @pytest.mark.parametrize("scenario", ["ode", "physical", "similarity"])
     def test_default_report_is_strict_json(self, tmp_path, scenario):

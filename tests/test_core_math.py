@@ -290,6 +290,9 @@ class TestScalingFunctions:
 
 
 class TestLogTerm:
+    """The log factor of the rescaled source, log(2 + (phi w)^2), with its
+    per-node switch to logaddexp(2 log(phi |w|), log 2) (core_math._ell)."""
+
     def test_branches_per_node(self):
         # log phi(600) = 296.8 for (3, 1): the last two nodes have
         # phi|w| > 1e150, the others keep log(2 + u*u), u = phi w, so their

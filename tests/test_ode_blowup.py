@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from blowuplab import ode_blowup
 from blowuplab.core_math import LOG2, Params, eval_f, kappa_a, phi
 from blowuplab.errors import DomainError, NumericError
 from blowuplab.ode_blowup import (
@@ -126,29 +127,51 @@ class TestTimesToBlowup:
             with pytest.raises(DomainError):
                 times_to_blowup(np.array([2.0, bad]), P30)
 
-    def test_panel_count_bounded(self):
-        # the tail needs 47/(p-1) = 4.7e8 unit panels at (1.0000001, 1), and
-        # the call must refuse them before forming any array; it runs in a
-        # child capped at 3 GiB of address space (the interpreter with numpy
-        # and scipy needs far less), so that a regression there is a
-        # MemoryError for the 3.5 GiB it asks, not a host out of memory
+    @staticmethod
+    def _capped_child(code: str) -> subprocess.CompletedProcess:
+        # runs code in a child capped at 1 GiB of address space (the
+        # interpreter with numpy and scipy needs under 200 MiB), so that an
+        # allocation that grows with the panel count is a MemoryError there,
+        # not a host out of memory
         def cap() -> None:
-            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30,) * 2)
+            resource.setrlimit(resource.RLIMIT_AS, (2**30,) * 2)
 
-        code = (
+        prelude = (
             "import numpy as np\n"
             "from blowuplab.core_math import Params\n"
             "from blowuplab.errors import NumericError\n"
             "from blowuplab.ode_blowup import times_to_blowup\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        return subprocess.run(
+            [sys.executable, "-c", prelude + code], capture_output=True, text=True,
+            preexec_fn=cap, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+
+    def test_memory_does_not_grow_with_the_tail(self):
+        # at (1.00001, 1) the tail is 4.7e6 unit panels, which one pass over
+        # them held at once (574 MiB for the nodes alone)
+        child = self._capped_child(
+            "print(repr(float(times_to_blowup(np.array([5.0, 1e10]), Params(1.00001, 1.0))[0])))\n"
+        )
+        assert child.returncode == 0, child.stderr
+        assert float(child.stdout) == pytest.approx(tau_quad(5.0, Params(1.00001, 1.0)), rel=1e-12)
+
+    def test_panels_are_summed_in_one_sequence(self, monkeypatch):
+        # chunks of 64 panels give the bits of one pass over all 2,800
+        want = times_to_blowup(np.array([0.5, 3.0, 1e6]), Params(1.02, 5.0))
+        monkeypatch.setattr(ode_blowup, "_CHUNK", 64)
+        got = times_to_blowup(np.array([0.5, 3.0, 1e6]), Params(1.02, 5.0))
+        np.testing.assert_array_equal(got, want)
+
+    def test_panel_count_bounded(self):
+        # the tail needs 47/(p-1) = 4.7e8 unit panels at (1.0000001, 1), about
+        # five minutes of summing; the call refuses them up front
+        child = self._capped_child(
             "try:\n"
             "    times_to_blowup(np.array([2.0]), Params(1.0000001, 1.0))\n"
             "except NumericError as exc:\n"
             "    print(exc)\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        child = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            preexec_fn=cap, env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert child.returncode == 0, child.stderr
         assert child.stdout.startswith(
