@@ -211,6 +211,10 @@ def _initial_values(config: RunConfig, nodes: np.ndarray, s0: float) -> np.ndarr
         raise ParseError(
             f"initial_data.path {init.path!r}: need a two-column CSV with a header"
         )
+    if not np.isfinite(data[:, :2]).all():
+        raise ParseError(f"initial_data.path {init.path!r}: a value is not finite")
+    if not np.all(np.diff(data[:, 0]) > 0.0):
+        raise ParseError(f"initial_data.path {init.path!r}: x is not strictly increasing")
     if data[0, 0] > nodes[0] or data[-1, 0] < nodes[-1]:
         raise ParseError(
             f"initial_data.path {init.path!r} does not cover the grid "

@@ -30,12 +30,11 @@ _DS_SAMPLE = 0.05
 _LOG_TINY, _LOG_HUGE = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
 _NEWTON_XTOL = 1e-9
 _NEWTON_MAX_ITER = 50
-# times_to_blowup forms its panels _CHUNK at a time (about 10 MB), so that
-# its memory does not grow with the tail, (45 + 2|a|)/(p-1) unit panels.
-# _MAX_PANELS bounds its time instead: 4.7e7 panels (p - 1 = 1e-6, a = 1)
-# take about 30 s on one Xeon core, and p - 1 = 1e-7 would take 4.7e8.
-_CHUNK = 2**13
-_MAX_PANELS = 2**26
+# times_to_blowup's tail has at most 45 + 2|a| panels and a few dozen more
+# at any p (one more for each unit the top sample's log lies below 2).  A tail
+# of more than _MAX_PANELS panels (|a| above about 3.2e4; one pass at the bound
+# peaks near 40 MB) is refused before any array is formed, bounding its memory.
+_MAX_PANELS = 2**16
 
 
 @dataclass(frozen=True)
@@ -68,51 +67,45 @@ def _dt_dx(x: np.ndarray, params: Params) -> np.ndarray:
 def times_to_blowup(M: np.ndarray, params: Params) -> np.ndarray:
     """tau(M) = int_M^infinity dv/f(v) at every sample of M, in one pass.
 
-    In x = log v the integrand is e^((1-p)x) ell^(-a), analytic within
-    pi/2 of the real axis.  The panels end at the samples and on a unit
-    grid from the largest sample, down to the smallest and on up for
-    (45 + 2|a|)/(p-1) units; none is wider than 1, and each takes 16-point
-    Gauss-Legendre.  The tail left out is at most the share
-    Q(|a| + 1, 45 + 2|a|) of tau (Q the regularised upper incomplete gamma),
-    below 3e-17 for every a.  The panels are summed from the top down, in
-    chunks of _CHUNK.  Every finite M > 0 is accepted; a tau outside the
-    normal float64 range, or more than _MAX_PANELS unit panels (p near 1),
-    is a NumericError.
+    In x = log v the integrand is e^((1-p)x) ell^(-a).  The panels end at
+    the samples and on a unit grid from the largest sample x_top down to
+    the smallest; past x_top each panel starting at x is
+    min(max(1, x/2), max(1, 1/(p-1))) wide, up to the first node at least
+    (45 + 2|a|)/(p-1) past x_top, and each takes 16-point Gauss-Legendre.
+    The integrand's only singularities sit at Re x = 0 and log(2)/2 with
+    Im x = +-pi/2, so a unit panel below x = 2, and one x/2 wide above it,
+    is at most about half as wide as its distance from them, which keeps
+    the rule at rounding; the cap 1/(p-1) lets e^((1-p)x) fall by at most
+    a factor e across one panel.  At p >= 2 every panel is 1 wide.  The
+    tail left out is at most the share Q(|a| + 1, 45 + 2|a|) of tau (Q the
+    regularised upper incomplete gamma), below 3e-17 for every a.  Every
+    finite M > 0 is accepted; a tau outside the normal float64 range, or a
+    tail of more than _MAX_PANELS panels, is a NumericError.
     """
     M = np.asarray(M, dtype=float)
     if not (np.isfinite(M).all() and M.min() > 0.0):
         raise DomainError(f"times_to_blowup requires finite M > 0, got min {M.min()}")
     p, a = params.p, params.a
     xs = np.log(M)
-    x_top = xs.max()
-    n_tail = np.ceil((45.0 + 2.0 * abs(a)) / (p - 1.0))
-    n_below = np.ceil(x_top - xs.min())
-    if not n_below + n_tail <= _MAX_PANELS:
+    x_top = float(xs.max())
+    span, widest = (45.0 + 2.0 * abs(a)) / (p - 1.0), max(1.0, 1.0 / (p - 1.0))
+    if not span / widest <= _MAX_PANELS:  # no panel is wider than widest
         raise NumericError(
-            f"times_to_blowup: (p, a) = ({p!r}, {a!r}) needs "
-            f"{n_below + n_tail:.0f} unit panels, more than {_MAX_PANELS}"
+            f"times_to_blowup: (p, a) = ({p!r}, {a!r}) needs at least "
+            f"{np.ceil(span / widest):.0f} tail panels, more than {_MAX_PANELS}"
         )
-    # The nodes are x_low, the samples and the unit grid up to x_top, then
-    # x_top + j for j = 1 .. n_tail.  Chunk c holds panels [c, c + _CHUNK)
-    # and adds the total of the chunks above into its top panel before its
-    # cumsum, so each tau is the same sequence of sums as in one pass.
-    x_low = np.union1d(xs, x_top + np.arange(1.0 - n_below, 1.0))
-    k = x_low.size
-    n = k - 1 + int(n_tail)
-    tau, total = np.empty(k), 0.0
+    # The tail nodes are x_top + offset: while the panels are 1 wide the
+    # offsets are whole numbers, so the nodes are rounded once.
+    offset, offsets = 0.0, []
+    while offset < span:
+        offset += min(max(1.0, 0.5 * (x_top + offset)), widest)
+        offsets.append(offset)
+    x_low = np.union1d(xs, x_top + np.arange(1.0 - np.ceil(x_top - xs.min()), 1.0))
+    x = np.concatenate([x_low, x_top + np.array(offsets)])
+    mid, half = 0.5 * (x[1:] + x[:-1]), 0.5 * (x[1:] - x[:-1])
     with np.errstate(over="ignore"):  # a tau beyond float64 is reported next
-        for c in range((n - 1) // _CHUNK * _CHUNK, -1, -_CHUNK):
-            end = min(c + _CHUNK, n)
-            tail = x_top + np.arange(max(c, k) - k + 1.0, end - k + 2.0)
-            x = np.concatenate([x_low[c : end + 1], tail])
-            mid, half = 0.5 * (x[1:] + x[:-1]), 0.5 * (x[1:] - x[:-1])
-            dt_dx = _dt_dx(mid[:, None] + half[:, None] * _GL_NODES, params)
-            panels = half * (dt_dx @ _GL_WEIGHTS)
-            panels[-1] += total
-            sums = np.cumsum(panels[::-1])[::-1]
-            total = sums[0]
-            if c < k:  # the chunk holds sample nodes
-                tau[c : min(end, k)] = sums[: min(end, k) - c]
+        dt_dx = _dt_dx(mid[:, None] + half[:, None] * _GL_NODES, params)
+        tau = np.cumsum((half * (dt_dx @ _GL_WEIGHTS))[::-1])[::-1]
     tau = tau[np.searchsorted(x_low, xs)]
     if not (tau.min() >= np.finfo(float).tiny and np.isfinite(tau).all()):
         raise NumericError(

@@ -176,6 +176,29 @@ class TestParseConfig:
         report = json.loads((tmp_path / "x" / "report.json").read_text())
         assert "/nope.csv" in report["error"]
 
+    @pytest.mark.parametrize("scenario", ["similarity", "physical"])
+    @pytest.mark.parametrize("fault", ["repeated", "descending", "nan"])
+    def test_malformed_file_named(self, tmp_path, scenario, fault):
+        # CubicSpline's own ValueError would otherwise end the run, and a
+        # descending x would be reported as not covering the grid
+        x = np.linspace(-30.0, 30.0, 61)
+        u = np.exp(-x * x / 6.0)
+        if fault == "repeated":
+            x[30] = x[29]
+        elif fault == "descending":
+            x = x[::-1]
+        else:
+            u[30] = np.nan
+        path = tmp_path / "w0.csv"
+        path.write_text("x,u\n" + "".join(f"{xi},{ui}\n" for xi, ui in zip(x, u)))
+        out = tmp_path / "run"
+        argv = [scenario, "--set", "initial_data.kind=file",
+                "--set", f"initial_data.path={path}", "--output", str(out)]
+        assert main(argv) == 1
+        message = "a value is not finite" if fault == "nan" else "x is not strictly increasing"
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"] == f"ParseError: initial_data.path {str(path)!r}: {message}"
+
 
 class TestScenarios:
     def test_ode_scenario_artifacts(self, tmp_path):
@@ -461,11 +484,12 @@ class TestMain:
         report = json.loads((out / "report.json").read_text())
         assert report["error"] == "DomainError: similarity: solver.s_end must be finite, got inf"
 
-    def test_physical_run_near_p_1_blows_up(self, tmp_path):
-        # T_hat = t_halt + tau(M_halt) sums the ODE clock over 47/(p - 1) =
-        # 156,667 unit panels here
+    @pytest.mark.parametrize("p", ["1.0003", "1.0000001"])
+    def test_physical_run_near_p_1_blows_up(self, tmp_path, p):
+        # T_hat = t_halt + tau(M_halt) runs the ODE clock's tail 47/(p - 1)
+        # past M_halt, over panels that widen up to 1/(p - 1)
         out = tmp_path / "run"
-        argv = ["physical", "--set", "params.p=1.0003", "--set", "grid.resolution=129",
+        argv = ["physical", "--set", f"params.p={p}", "--set", "grid.resolution=129",
                 "--set", "initial_data.kind=constant", "--set", "initial_data.value=5"]
         assert main([*argv, "--output", str(out)]) == 0
         res = json.loads((out / "report.json").read_text())["results"]

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blowuplab import ode_blowup
 from blowuplab.core_math import LOG2, Params, eval_f, kappa_a, phi
 from blowuplab.errors import DomainError, NumericError
 from blowuplab.ode_blowup import (
@@ -88,9 +87,10 @@ class TestTimesToBlowup:
         want = [tau_quad(m, params) for m in M]
         np.testing.assert_allclose(times_to_blowup(M, params), want, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("p", [1.05, 1.2])
+    @pytest.mark.parametrize("p", [1.00001, 1.001, 1.05, 1.2])
     def test_matches_mpmath_near_p_1(self, p):
-        # the long tail of p near 1 is where panels beyond the top sample matter
+        # the long tail of p near 1 is where panels beyond the top sample
+        # matter, and where they widen up to 1/(p-1)
         for a in (-2.0, 0.0, 2.0):
             M = np.array([0.3, 1.0, 1e8, 1e40])
             got = times_to_blowup(M, Params(p, a))
@@ -149,33 +149,28 @@ class TestTimesToBlowup:
         )
 
     def test_memory_does_not_grow_with_the_tail(self):
-        # at (1.00001, 1) the tail is 4.7e6 unit panels, which one pass over
-        # them held at once (574 MiB for the nodes alone)
+        # at (1.00001, 1) the tail runs 4.7e6 past the top sample: unit
+        # panels would hold 574 MiB of nodes alone, the widening ones number
+        # under a hundred
         child = self._capped_child(
             "print(repr(float(times_to_blowup(np.array([5.0, 1e10]), Params(1.00001, 1.0))[0])))\n"
         )
         assert child.returncode == 0, child.stderr
         assert float(child.stdout) == pytest.approx(tau_quad(5.0, Params(1.00001, 1.0)), rel=1e-12)
 
-    def test_panels_are_summed_in_one_sequence(self, monkeypatch):
-        # chunks of 64 panels give the bits of one pass over all 2,800
-        want = times_to_blowup(np.array([0.5, 3.0, 1e6]), Params(1.02, 5.0))
-        monkeypatch.setattr(ode_blowup, "_CHUNK", 64)
-        got = times_to_blowup(np.array([0.5, 3.0, 1e6]), Params(1.02, 5.0))
-        np.testing.assert_array_equal(got, want)
-
     def test_panel_count_bounded(self):
-        # the tail needs 47/(p-1) = 4.7e8 unit panels at (1.0000001, 1), about
-        # five minutes of summing; the call refuses them up front
+        # the tail needs (45 + 2|a|)/(p - 1) = 100,023 unit panels at
+        # (3, 1e5), more than the bound; the call refuses them up front
         child = self._capped_child(
             "try:\n"
-            "    times_to_blowup(np.array([2.0]), Params(1.0000001, 1.0))\n"
+            "    times_to_blowup(np.array([2.0]), Params(3.0, 1e5))\n"
             "except NumericError as exc:\n"
             "    print(exc)\n"
         )
         assert child.returncode == 0, child.stderr
         assert child.stdout.startswith(
-            "times_to_blowup: (p, a) = (1.0000001, 1.0) needs 470000000 unit panels"
+            "times_to_blowup: (p, a) = (3.0, 100000.0) needs at least 100023 tail "
+            "panels, more than 65536"
         )
 
 
