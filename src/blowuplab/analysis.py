@@ -18,8 +18,7 @@ from .errors import (
     NumericError,
     ResolutionError,
 )
-from .functionals import FunctionalConfig, FunctionalSnapshot, eval_L, snapshot
-from .quadrature import integrate
+from .functionals import FunctionalConfig, FunctionalSnapshot, snapshot
 from .similarity_solver import DEFAULT_DS, SimField, cfl_step, ds_dissipation, step_w
 
 # fit_rate takes the last _FIT_WINDOW_FRACTION of the samples whose remaining
@@ -366,16 +365,6 @@ class SimilarityRun:
 _LEDGER_BLOCK_ELEMENTS = 2**13
 
 
-def _ledger(before: SimField, after: SimField, cfg: FunctionalConfig):
-    """(dissipation density, mass, L) of the steps from before to after:
-    two fields, or two blocks of one row per step."""
-    return (
-        ds_dissipation(before, after),
-        integrate(after.rule, after.values**2),
-        eval_L(after, cfg),
-    )
-
-
 def run_similarity(
     w0: SimField,
     s_end: float,
@@ -385,13 +374,13 @@ def run_similarity(
     """Evolve w from w0.s to s_end, collecting the functional ledger.
 
     The step is 1/m, the largest at most ds that divides a unit of s, and
-    the n-th field is at w0.s + n/m, so snapshots land on w0.s + k.  The
-    steps' L, mass and dissipation are taken for a block of steps at a
-    time (see _LEDGER_BLOCK_ELEMENTS), each row as it would be alone.  A w
-    that blows up ends the run in BlowupOvershootError naming s: in step_w,
-    or where w is still finite but its ledger integrals overflow float64.
-    A step_w failure in a block is reported only after the block's earlier
-    steps are found to have finite ledgers.
+    the n-th field is at w0.s + n/m, so snapshots land on w0.s + k.  One
+    snapshot and one ds_dissipation call per block of steps (see
+    _LEDGER_BLOCK_ELEMENTS) fill the ledger, each row as it would be alone.
+    A w that blows up ends the run in BlowupOvershootError naming s: in
+    step_w, or where w is still finite but its ledger integrals overflow
+    float64.  A step_w failure in a block is reported only after the
+    block's earlier steps are found to have finite ledgers.
     """
     n_units = int(round(s_end - w0.s))
     if n_units < 1 or abs(s_end - w0.s - n_units) > 1e-9:
@@ -403,13 +392,14 @@ def run_similarity(
 
     t_run, t_step = time.perf_counter(), 0.0
     fields = [w0]
-    snaps = [snapshot(w0, cfg)]
     diss = np.zeros(n_units)
-    step_s = np.empty(n_steps + 1)
-    step_L = np.empty(n_steps + 1)
-    step_mass = np.empty(n_steps + 1)
-    step_s[0], step_L[0] = w0.s, snaps[0].L
-    step_mass[0] = integrate(w0.rule, w0.values**2)
+    # the per-step table: a row per member of FunctionalSnapshot, whose
+    # columns at the unit boundaries are the snapshots
+    first = vars(snapshot(w0, cfg))
+    table = np.empty((len(first), n_steps + 1))
+    table[:, 0] = list(first.values())
+    step = dict(zip(first, table))  # the table's rows by name
+    step_s = step["s"]
     # row 0: the field before the block; rows 1..r: the block's steps
     block = np.empty((rows + 1, w0.values.size))
     block[0] = w0.values
@@ -433,21 +423,19 @@ def run_similarity(
         after = w0._stepped(block[1 : r + 1], s=step_s[n + 1 : stop + 1])
         try:
             if r:
-                d, step_mass[n + 1 : stop + 1], step_L[n + 1 : stop + 1] = _ledger(
-                    before, after, cfg
-                )
+                d = ds_dissipation(before, after)
+                table[:, n + 1 : stop + 1] = list(vars(snapshot(after, cfg)).values())
                 for d_m in ds_eff * d:  # in step order
                     acc += d_m
             if failure is None and stop % per_unit == 0:
                 diss[stop // per_unit - 1], acc = acc, 0.0
                 fields.append(current)
-                snaps.append(snapshot(current, cfg))
         except NumericError as exc:  # integrate: a non-finite sample of a finite w
             for j in range(r):  # the first step whose own ledger overflows
+                row = after._stepped(block[j + 1], s=float(step_s[n + j + 1]))
                 try:
-                    _ledger(before._stepped(block[j], s=float(step_s[n + j])),
-                            after._stepped(block[j + 1], s=float(step_s[n + j + 1])),
-                            cfg)
+                    ds_dissipation(before._stepped(block[j], s=float(step_s[n + j])), row)
+                    snapshot(row, cfg)
                 except NumericError as row_exc:
                     exc, stop = row_exc, n + j + 1
                     break
@@ -461,11 +449,14 @@ def run_similarity(
         n = stop
     return SimilarityRun(
         fields=fields,
-        snapshots=snaps,
+        snapshots=[
+            FunctionalSnapshot(*table[:, k * per_unit].tolist())
+            for k in range(n_units + 1)
+        ],
         dissipation=diss,
         step_s=step_s,
-        step_L=step_L,
-        step_mass=step_mass,
+        step_L=step["L"],
+        step_mass=step["mass"],
         ds=ds_eff,
         time_stepping=t_step,
         time_functionals=time.perf_counter() - t_run - t_step,

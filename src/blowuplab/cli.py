@@ -320,7 +320,12 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
         s=s0,
         params=params,
     )
-    n_units = max(1, int(round(solver.s_end - s0)))
+    n_units = int(round(solver.s_end - s0))
+    if n_units < 1:
+        raise DomainError(
+            f"similarity: solver.s_end = {solver.s_end:g} rounds to no whole unit "
+            f"of s after s0 = {s0:.6g}"
+        )
     run = run_similarity(w0, s0 + n_units, solver.ds, config.functionals)
     write_csv(
         outdir / "functionals.csv",
@@ -490,7 +495,10 @@ def main(argv: list[str] | None = None) -> int:
     add_run_parser("ode", "integrate the blow-up ODE and its rate ratio")
     add_run_parser("physical", "run the physical-frame solver to near blow-up")
     add_run_parser("similarity", "run the similarity-frame solver and functionals")
-    add_run_parser("verify", "run the full acceptance suite")
+    # every suite runs at its own fixed pairs and grids, so no config key applies
+    sp = sub.add_parser("verify", help="run the full acceptance suite")
+    sp.add_argument("--output", type=str, default=None, help="output directory")
+    sp.set_defaults(config=None, overrides=[])
 
     sp = sub.add_parser("rate-fit", help="fit blow-up exponents to a sup-history CSV")
     sp.add_argument("csv", type=str)

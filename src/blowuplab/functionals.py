@@ -46,13 +46,14 @@ class FunctionalConfig:
 
 @dataclass(frozen=True)
 class FunctionalSnapshot:
-    """All functional values at one rescaled time s.
+    """All functional values at one rescaled time s, or, for a block of
+    fields, the (rows,) arrays of its rows' values.
 
     With mass = int w^2 rho dy and b = m0 (p+3)/2: E is the natural energy,
     J = -mass/(2s), H_m = E + m0 J, N_m = s^(-b) H_m + A e^(-s),
     I = s^(-b) mass, L0 = E - s^(-3/2) mass and the Lyapunov candidate
-    L = exp((p+3)/sqrt(s)) L0 + theta s^(-3/4).  All eight come from the
-    two integrals E and mass.
+    L = exp((p+3)/sqrt(s)) L0 + theta s^(-3/4).  All come from the two
+    integrals E and mass; a ledger row holds the FIELDS, not mass.
     """
 
     s: float
@@ -63,6 +64,7 @@ class FunctionalSnapshot:
     I: float
     L0: float
     L: float
+    mass: float
 
     FIELDS = ("s", "E", "J", "H_m", "N_m", "I", "L0", "L")
 
@@ -70,63 +72,36 @@ class FunctionalSnapshot:
         return tuple(getattr(self, name) for name in self.FIELDS)
 
 
-def _integrands(field: SimField) -> tuple[np.ndarray, np.ndarray]:
-    """Energy integrand |grad w|^2/2 + w^2/(2(p-1)) - e^(-(p+1)s/(p-1))
-    s^(2a/(p-1)) F(phi w), with the F term in its stable cancellation form,
-    and w^2; one row each for a stack of fields."""
+def snapshot(field: SimField, cfg: FunctionalConfig) -> FunctionalSnapshot:
+    """Evaluate the whole functional family at once (shared integrals); for
+    a block (SimField's block), each row's values, the bits of the row's
+    field alone: per_row forms each row's powers and exps of s as at a
+    scalar s.  The energy integrand is |grad w|^2/2 + w^2/(2(p-1)) -
+    e^(-(p+1)s/(p-1)) s^(2a/(p-1)) F(phi w), its F term in the stable
+    cancellation form."""
+    params = field.params
+    p, b = params.p, cfg.b(params)
     w = field.values
     grad = np.gradient(w, field.spacing, axis=-1)
     w2 = w**2
-    energy = (
-        0.5 * grad * grad
-        + w2 / (2.0 * (field.params.p - 1.0))
-        - rescaled_F(field.s, w, field.params)
-    )
-    return energy, w2
-
-
-def _lyapunov(field: SimField, E, mass, cfg: FunctionalConfig):
-    """(L0, L) from E and mass = int w^2 rho dy, or from their rows and the
-    rows' s for a stack of fields."""
-    p = field.params.p
+    energy = 0.5 * grad * grad + w2 / (2.0 * (p - 1.0)) - rescaled_F(field.s, w, params)
+    mass = integrate(field.rule, w2)
+    E = integrate(field.rule, energy)
 
     def scalars(s):
-        return s ** (-1.5), np.exp((p + 3.0) / np.sqrt(s)), cfg.theta * s ** (-0.75)
+        return (
+            s ** (-1.5),
+            np.exp((p + 3.0) / np.sqrt(s)),
+            cfg.theta * s ** (-0.75),
+            s ** (-b),
+            cfg.A * np.exp(-s),
+        )
 
-    mass_factor, growth, tail = per_row(scalars, field.s)
-    L0 = E - mass_factor * mass
-    return L0, growth * L0 + tail
-
-
-def eval_L(field: SimField, cfg: FunctionalConfig):
-    """The L of snapshot, bit for bit, without the rest of the family.  For a stack of
-    fields (SimField's block) it is the array of the rows' L, each the bits
-    of the row's field alone: the run's per-step ledger takes one call per
-    block of steps."""
-    energy, w2 = _integrands(field)
-    rule = field.rule
-    L = _lyapunov(field, integrate(rule, energy), integrate(rule, w2), cfg)[1]
-    return float(L) if np.ndim(L) == 0 else L
-
-
-def snapshot(field: SimField, cfg: FunctionalConfig) -> FunctionalSnapshot:
-    """Evaluate the whole functional family at once (shared integrals)."""
-    energy, w2 = _integrands(field)
-    rule = field.rule
-    s = field.s
-    b = cfg.b(field.params)
-    E = integrate(rule, energy)
-    mass = integrate(rule, w2)
-    J = -mass / (2.0 * s)
+    mass_factor, growth, tail, decay, floor = per_row(scalars, field.s)
+    J = -mass / (2.0 * field.s)
     H = E + cfg.m0 * J
-    L0, L = _lyapunov(field, E, mass, cfg)
+    L0 = E - mass_factor * mass
     return FunctionalSnapshot(
-        s=float(s),
-        E=float(E),
-        J=float(J),
-        H_m=float(H),
-        N_m=float(s ** (-b) * H + cfg.A * np.exp(-s)),
-        I=float(s ** (-b) * mass),
-        L0=float(L0),
-        L=float(L),
+        s=field.s, E=E, J=J, H_m=H, N_m=decay * H + floor, I=decay * mass,
+        L0=L0, L=growth * L0 + tail, mass=mass,
     )

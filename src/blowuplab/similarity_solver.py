@@ -39,8 +39,8 @@ class SimField(Field):
 
     A block of a run's steps is a SimField too, built by _stepped: its
     values are a (rows, n) stack of the steps' fields and its s the (rows,)
-    array of their s.  eval_L, ds_dissipation and rescaled_F take a block
-    whole, row by row as they would take each field alone.
+    array of their s.  functionals.snapshot, ds_dissipation and rescaled_F
+    take a block whole, row by row as they would take each field alone.
     """
 
     s: float

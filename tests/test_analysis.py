@@ -16,7 +16,7 @@ from blowuplab.analysis import (
 )
 from blowuplab.core_math import Params, kappa_a, phi
 from blowuplab.errors import DomainError, FitError, NumericError, ResolutionError
-from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot, eval_L
+from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot, snapshot
 from blowuplab.imex import _factor
 from blowuplab.initial_data import line_grid, profile_shape
 from blowuplab.quadrature import integrate
@@ -263,7 +263,7 @@ class TestProfileError:
 def constant_ledger(L_values, s0=2.0):
     snaps = [
         FunctionalSnapshot(
-            s=s0 + k, E=0.0, J=0.0, H_m=0.0, N_m=0.0, I=0.0, L0=0.0, L=L
+            s=s0 + k, E=0.0, J=0.0, H_m=0.0, N_m=0.0, I=0.0, L0=0.0, L=L, mass=0.0
         )
         for k, L in enumerate(L_values)
     ]
@@ -361,9 +361,9 @@ class TestRunSimilarity:
     )
     def test_block_ledger_is_the_per_field_ledger(self, geometry, params, s0):
         # every ledger value of the run equals, bit for bit, the same quantity
-        # of a lone field re-stepped on the run's clock: L by eval_L (by
-        # snapshot at the unit boundaries), mass by integrate, and each unit's
-        # dissipation as the step-ordered sum of ds * ds_dissipation
+        # of a lone field re-stepped on the run's clock: L by snapshot (the
+        # whole family at the unit boundaries), mass by integrate, and each
+        # unit's dissipation as the step-ordered sum of ds * ds_dissipation
         nodes = np.linspace(-20.0, 20.0, 201) if geometry == "line" else (
             np.linspace(0.0, 20.0, 201)
         )
@@ -383,6 +383,7 @@ class TestRunSimilarity:
             assert np.log(phi(s0, params) * np.max(np.abs(w0.values))) > 44.0
         for k, sn in enumerate(run.snapshots):
             assert run.step_L[k * per_unit] == sn.L
+            assert vars(sn) == vars(snapshot(run.fields[k], cfg))
         w, acc = w0, 0.0
         for j in range(1, 3 * per_unit + 1):
             # each step on the run's clock: the j-th field sits at step_s[j]
@@ -390,7 +391,7 @@ class TestRunSimilarity:
             acc += run.ds * ds_dissipation(w, nxt)
             w = nxt
             assert run.step_mass[j] == integrate(w.rule, w.values**2)
-            assert run.step_L[j] == eval_L(w, cfg)
+            assert run.step_L[j] == snapshot(w, cfg).L
             if j % per_unit == 0:
                 assert run.dissipation[j // per_unit - 1] == acc
                 np.testing.assert_array_equal(run.fields[j // per_unit].values, w.values)

@@ -439,6 +439,10 @@ class TestMain:
             (["similarity", "--set", "solver.ds=-1"], "DomainError"),
             # s0 = -log T needs T > 0
             (["similarity", "--set", "solver.T=0"], "DomainError: .*solver.T must be positive"),
+            # s0 = -log T = 9.21 lies past s_end = 8: no unit of s to run
+            (["similarity", "--set", "solver.T=1e-4"],
+             r"DomainError: similarity: solver.s_end = 8 rounds to no whole unit "
+             r"of s after s0 = 9\.21034$"),
         ],
         ids=[
             "similarity-N=2",
@@ -449,6 +453,7 @@ class TestMain:
             "ds=0",
             "ds=-1",
             "T=0",
+            "s_end-before-s0",
         ],
     )
     def test_run_error_in_report(self, tmp_path, argv, error):
@@ -456,6 +461,17 @@ class TestMain:
         assert main([*argv, "--output", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
         assert re.match(error, report["error"])
+
+    @pytest.mark.parametrize("option", [["--set", "params.p=2"], ["--config", "run.ini"]])
+    def test_verify_takes_no_config(self, tmp_path, capsys, option):
+        # every suite runs at its own fixed pairs and grids, so a key given to
+        # verify would be echoed in its report yet change nothing
+        out = tmp_path / "verify"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *option, "--output", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "dotted",

@@ -9,11 +9,7 @@ import pytest
 
 from blowuplab.core_math import Params
 from blowuplab.errors import ConfigurationError
-from blowuplab.functionals import (
-    FunctionalConfig,
-    eval_L,
-    snapshot,
-)
+from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot, snapshot
 from blowuplab.initial_data import line_grid
 from blowuplab.quadrature import rule_for_grid
 from blowuplab.similarity_solver import SimField, step_w
@@ -92,7 +88,7 @@ class TestFamily:
         assert sn.N_m == pytest.approx(CFG.A * np.exp(-4.0), rel=1e-14)
         assert sn.I == 0.0
         assert sn.L0 == 0.0
-        assert eval_L(f, CFG) == pytest.approx(
+        assert sn.L == pytest.approx(
             CFG.theta * 4.0**-0.75, rel=1e-14
         )
 
@@ -113,7 +109,7 @@ class TestFamily:
 
     def test_theta_term_alone_decays(self):
         vals = [
-            eval_L(const_field(0.0, s, P31), CFG) for s in (4.0, 9.0, 16.0, 25.0)
+            snap(const_field(0.0, s, P31)).L for s in (4.0, 9.0, 16.0, 25.0)
         ]
         assert np.all(np.diff(vals) < 0.0)
 
@@ -133,24 +129,22 @@ class TestSnapshot:
             )
             assert sn.H_m == pytest.approx(sn.E + CFG.m0 * sn.J, abs=1e-12)
 
-    def test_eval_L_matches_snapshot_bitwise(self):
-        for seed, s in ((9, 5.0), (10, 2.0), (11, 40.0)):
-            f = random_field(seed, s=s)
-            assert eval_L(f, CFG) == snapshot(f, CFG).L
-
     @pytest.mark.parametrize("params", [P31, Params(3.0, -1.0), Params(3.0, 0.0)])
-    def test_eval_L_of_a_block_is_each_field_alone_bitwise(self, params):
+    def test_snapshot_of_a_block_is_each_field_alone_bitwise(self, params):
         # a run's block: a (rows, n) stack of fields with one s per row; at
-        # s = 2.16 numpy's array s**-1.5, and at 2.36 its s**-0.75, is not
-        # the scalar's
+        # s = 2.16 numpy's array s**-1.5, at 2.36 its s**-0.75 and at 2.15
+        # its s**-30 (s^(-b) at p = 3) is not the scalar's
         fields = [random_field(seed, s=s, params=params)
-                  for seed, s in ((9, 5.0), (10, 2.16), (11, 40.0), (12, 2.36))]
-        block = fields[0]._stepped(
-            np.stack([f.values for f in fields]), s=np.array([f.s for f in fields])
-        )
-        got = eval_L(block, CFG)
-        assert got.shape == (4,)
-        assert np.array_equal(got, [eval_L(f, CFG) for f in fields])
+                  for seed, s in ((9, 5.0), (10, 2.16), (11, 40.0), (12, 2.36), (13, 2.15))]
+        s = np.array([f.s for f in fields])
+        assert (s ** -CFG.b(params))[-1] != float(s[-1]) ** -CFG.b(params)
+        block = fields[0]._stepped(np.stack([f.values for f in fields]), s=s)
+        got = snapshot(block, CFG)
+        alone = [snapshot(f, CFG) for f in fields]
+        for name in vars(got):
+            assert getattr(got, name).shape == (5,)
+            assert np.array_equal(getattr(got, name), [getattr(a, name) for a in alone])
+        assert len(vars(got)) == len(FunctionalSnapshot.FIELDS) + 1  # and mass
 
     def test_b_exponent(self):
         assert CFG.b(P31) == CFG.m0 * 3.0
