@@ -8,7 +8,6 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core_math import Params, kappa_a
 from .errors import (
@@ -19,6 +18,7 @@ from .errors import (
     ResolutionError,
 )
 from .functionals import FunctionalConfig, FunctionalSnapshot, snapshot
+from .quadrature import cubic_spline
 from .similarity_solver import DEFAULT_DS, SimField, cfl_step, ds_dissipation, step_w
 
 # fit_rate takes the last _FIT_WINDOW_FRACTION of the samples whose remaining
@@ -94,7 +94,8 @@ def fit_rate(sup_history: np.ndarray, T_hat: float) -> RateFit:
 
 
 def profile_error(field: SimField, z_max: float) -> ProfileReport:
-    """Sup over |z| <= z_max of |w(z sqrt(s)) / kappa_a - (1 + (p-1) z^2 / (4p))^(-1/(p-1))|."""
+    """Sup over |z| <= z_max of |w(z sqrt(s)) / kappa_a - (1 + (p-1) z^2 / (4p))^(-1/(p-1))|,
+    with w between the nodes read from quadrature.cubic_spline."""
     s = field.s
     if s < 4.0:
         raise DomainError(f"profile_error requires s >= 4, got {s}")
@@ -114,8 +115,7 @@ def profile_error(field: SimField, z_max: float) -> ProfileReport:
         z = np.linspace(-z_max, z_max, 513)
     else:
         z = np.linspace(0.0, z_max, 257)
-    spline = CubicSpline(field.nodes, field.values)
-    w = spline(z * np.sqrt(s))
+    w = cubic_spline(field.nodes, field.values, z * np.sqrt(s))
     target = (1.0 + (p - 1.0) * z * z / (4.0 * p)) ** (-1.0 / (p - 1.0))
     err = float(np.max(np.abs(w / kappa_a(field.params) - target)))
     return ProfileReport(s=float(s), sup_error=err, z_max=float(z_max))

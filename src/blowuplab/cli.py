@@ -29,7 +29,6 @@ from typing import get_type_hints
 
 import numpy as np
 import scipy
-from scipy.interpolate import CubicSpline
 
 from . import __version__
 from .analysis import fit_rate, lyapunov_audit, run_similarity
@@ -40,6 +39,7 @@ from .initial_data import gaussian, line_grid, profile_shape
 from .ode_blowup import integrate_vT, trajectory_table
 from .physical_solver import DEFAULT_M_STOP, DEFAULT_SAFETY, DEFAULT_T_MAX
 from .physical_solver import STEP_LIMITS, GridField, run_to_blowup
+from .quadrature import cubic_spline
 from .similarity_solver import DEFAULT_DS, SimField
 from .verification import build_audit_corpus, run_all_suites
 
@@ -220,7 +220,7 @@ def _initial_values(config: RunConfig, nodes: np.ndarray, s0: float) -> np.ndarr
             f"initial_data.path {init.path!r} does not cover the grid "
             f"[{nodes[0]}, {nodes[-1]}]"
         )
-    return CubicSpline(data[:, 0], data[:, 1])(nodes)
+    return cubic_spline(data[:, 0], data[:, 1], nodes)
 
 
 def _initial_physical(config: RunConfig, nodes: np.ndarray) -> GridField:
@@ -320,7 +320,9 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
         s=s0,
         params=params,
     )
-    n_units = int(round(solver.s_end - s0))
+    # the last whole unit at or before s_end; the tolerance lets an s0 that
+    # is an integer up to rounding count as whole
+    n_units = math.floor(solver.s_end - s0 + 1e-9)
     if n_units < 1:
         raise DomainError(
             f"similarity: solver.s_end = {solver.s_end:g} rounds to no whole unit "

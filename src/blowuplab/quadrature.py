@@ -13,6 +13,9 @@ On a radial grid the weights carry the surface factor omega_{N-1} r^(N-1).
 
 Acceptance criterion 3 checks the Gaussian mass and moments of the rule at
 N = 1, 2 and 3.
+
+cubic_spline is the one interpolant: the frame change, the profile error and
+sampled initial data all resample a field through it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
+from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigurationError, ContractViolation, NumericError
 
@@ -39,8 +42,78 @@ def gaussian_mass(N: int) -> float:
 
 
 def sphere_area(N: int) -> float:
-    """Surface area of the unit sphere in R^N: 2 pi^(N/2) / Gamma(N/2)."""
-    return float(2.0 * np.pi ** (N / 2.0) / gamma(N / 2.0))
+    """Surface area of the unit sphere in R^N: 2 pi^(N/2) / Gamma(N/2).
+
+    Gamma(N/2) is taken in closed form: (N/2 - 1)! for even N, and
+    (2k)! / (4^k k!) sqrt(pi) for N = 2k + 1.  For N <= 6 this is scipy's
+    gamma function bit for bit.
+    """
+    k, odd = divmod(int(N), 2)
+    if odd:
+        gamma = math.factorial(2 * k) / (4**k * math.factorial(k)) * math.sqrt(math.pi)
+    else:
+        gamma = float(math.factorial(k - 1))
+    return float(2.0 * np.pi ** (N / 2.0) / gamma)
+
+
+def cubic_spline(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic spline through (x, y), evaluated at the points at.
+
+    This is scipy's cubic spline interpolator with its default not-a-knot
+    ends, bit for bit, by the same arithmetic: the knot slopes s solve its
+    banded system by LAPACK's dgtsv (what its solve_banded calls), the
+    cubic on [x_i, x_i+1] has CubicHermiteSpline's coefficients, and a
+    point is evaluated as PPoly evaluates it, on the interval that holds it
+    (the last one for x[-1]), in powers of h = at - x_i summed from the
+    constant term.  A point outside [x[0], x[-1]] takes the end interval's
+    cubic.
+
+    x must hold at least 4 strictly increasing knots, or ContractViolation
+    is raised; scipy's special cases for 2 and 3 knots are not copied.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    if x.ndim != 1 or y.shape != x.shape or n < 4:
+        raise ContractViolation(
+            f"cubic_spline: needs x and y of one shape (n,) with n >= 4, "
+            f"got {x.shape} and {y.shape}"
+        )
+    dx = np.diff(x)
+    if not np.all(dx > 0.0):
+        raise ContractViolation("cubic_spline: x is not strictly increasing")
+    slope = np.diff(y) / dx
+    # Row i of the system for the knot slopes s: dx[i] s[i-1] +
+    # 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = 3 (dx[i] slope[i-1] +
+    # dx[i-1] slope[i]); rows 0 and n-1 make the third derivative
+    # continuous at x[1] and x[-2].
+    lower = np.empty(n - 1)
+    diag = np.empty(n)
+    upper = np.empty(n - 1)
+    b = np.empty(n)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper[1:] = dx[:-1]
+    lower[:-1] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    diag[0] = dx[1]
+    upper[0] = d
+    b[0] = ((dx[0] + 2*d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1] = dx[-2]
+    lower[-1] = d
+    b[-1] = (dx[-1]**2*slope[-2] + (2*d + dx[-1])*dx[-2]*slope[-1]) / d
+    *_, s, info = dgtsv(lower, diag, upper, b)
+    if info != 0:
+        raise NumericError(f"cubic_spline: the slope system is singular (dgtsv info {info})")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - s[:-1]) / dx - t
+    at = np.asarray(at, dtype=float)
+    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, n - 2)
+    h = at - x[i]
+    hh = h * h
+    return y[i] + s[i] * h + c1[i] * hh + c0[i] * (hh * h)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core_math import Params, psi_T, rescaled_nonlinearity
 from .errors import (
@@ -29,7 +28,13 @@ from .errors import (
 )
 from .imex import imex_step
 from .physical_solver import Field, GridField
-from .quadrature import QuadratureRule, check_same_grid, integrate, rule_for_grid
+from .quadrature import (
+    QuadratureRule,
+    check_same_grid,
+    cubic_spline,
+    integrate,
+    rule_for_grid,
+)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -67,10 +72,11 @@ def to_similarity(
     """Transform a physical field into the similarity frame centred at (x0, T),
     with u's geometry and params.
 
-    w(y) = u(x0 + y sqrt(T - t)) / psi_T(t), cubic interpolation onto the
-    target y-grid; raises TruncationError if the unscaled grid leaves the
-    physical domain, and DomainError for a radial u unless x0 = 0, the only
-    blow-up point a radial field has.
+    w(y) = u(x0 + y sqrt(T - t)) / psi_T(t), with u between its nodes read
+    from quadrature.cubic_spline, the not-a-knot cubic spline; raises
+    TruncationError if the unscaled grid leaves the physical domain, and
+    DomainError for a radial u unless x0 = 0, the only blow-up point a
+    radial field has.
     """
     if u.geometry == "radial" and x0 != 0.0:
         raise DomainError(f"to_similarity: a radial field needs x0 = 0, got {x0}")
@@ -87,8 +93,7 @@ def to_similarity(
             f"([{x_needed.min():.4g}, {x_needed.max():.4g}] vs "
             f"[{u.nodes[0]:.4g}, {u.nodes[-1]:.4g}])"
         )
-    spline = CubicSpline(u.nodes, u.values)
-    w = spline(np.clip(x_needed, u.nodes[0], u.nodes[-1]))
+    w = cubic_spline(u.nodes, u.values, np.clip(x_needed, u.nodes[0], u.nodes[-1]))
     w /= psi_T(u.time, T, u.params)
     return SimField(
         geometry=u.geometry,

@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blowuplab
 from blowuplab.cli import (
     _SCHEMA,
     RunConfig,
@@ -443,6 +448,10 @@ class TestMain:
             (["similarity", "--set", "solver.T=1e-4"],
              r"DomainError: similarity: solver.s_end = 8 rounds to no whole unit "
              r"of s after s0 = 9\.21034$"),
+            # s0 = -log 0.1 = 2.30: s_end = 3 holds no whole unit after it
+            (["similarity", "--set", "solver.T=0.1", "--set", "solver.s_end=3"],
+             r"DomainError: similarity: solver.s_end = 3 rounds to no whole unit "
+             r"of s after s0 = 2\.30259$"),
         ],
         ids=[
             "similarity-N=2",
@@ -454,6 +463,7 @@ class TestMain:
             "ds=-1",
             "T=0",
             "s_end-before-s0",
+            "s_end-within-a-unit-of-s0",
         ],
     )
     def test_run_error_in_report(self, tmp_path, argv, error):
@@ -540,6 +550,15 @@ class TestMain:
         with open(out / "step_ledger.csv") as fh:
             s = [float(row["s"]) for row in csv.DictReader(fh)]
         assert s == [2.0 + n / 50 for n in range(301)]
+
+    def test_similarity_stops_at_the_last_whole_unit_before_s_end(self, tmp_path):
+        # s0 = -log 0.1 = 2.30, so s_end = 8 leaves 5.70 units: the run takes
+        # 5 of them and ends at 7.30, never past s_end
+        out = tmp_path / "run"
+        assert main(["similarity", "--set", "solver.T=0.1", "--output", str(out)]) == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["s0"] == pytest.approx(-math.log(0.1), rel=1e-15)
+        assert (res["steps"], res["s_end"]) == (250, res["s0"] + 5)
 
     def test_short_extent_similarity_runs(self, tmp_path):
         # the functional family needs no room beyond the grid: extent 8 runs
@@ -640,3 +659,20 @@ class TestMain:
         write_csv(path, ["x"], [(v,) for v in vals])
         got = np.loadtxt(path, skiprows=1)
         assert np.array_equal(got, np.array(vals))
+
+
+def test_import_loads_no_scipy_interpolate_or_special():
+    # the package needs only scipy.linalg.lapack; scipy.interpolate and
+    # scipy.special would add about a third of a second to every start
+    code = (
+        "import sys, blowuplab.cli, blowuplab.verification\n"
+        "print(*(m for m in sys.modules"
+        " if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'special'])))"
+    )
+    src = str(Path(blowuplab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -1,10 +1,19 @@
 """Gaussian-weighted quadrature rules."""
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.special import gamma
 
 from blowuplab.errors import ConfigurationError, ContractViolation, NumericError
-from blowuplab.quadrature import gaussian_mass, integrate, rule_for_grid, sphere_area
+from blowuplab.quadrature import (
+    cubic_spline,
+    gaussian_mass,
+    integrate,
+    rule_for_grid,
+    sphere_area,
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +73,16 @@ class TestConstruction:
             rule_for_grid(np.linspace(0.0, 20.0, 7), 2, "radial")
 
     def test_sphere_area(self):
-        assert sphere_area(1) == pytest.approx(2.0)
-        assert sphere_area(2) == pytest.approx(2.0 * np.pi)
-        assert sphere_area(3) == pytest.approx(4.0 * np.pi)
+        # the closed-form Gamma(N/2) gives scipy.special.gamma's bits
+        for N in range(1, 7):
+            assert sphere_area(N) == 2.0 * np.pi ** (N / 2.0) / gamma(N / 2.0)
+
+    @pytest.mark.parametrize("N", [7, 9])
+    def test_sphere_area_is_correctly_rounded_past_six(self, N):
+        # here scipy's value sits 1 and 2 ulp below the 40-digit one
+        with mpmath.workdps(40):
+            exact = float(2 * mpmath.pi ** (mpmath.mpf(N) / 2) / mpmath.gamma(mpmath.mpf(N) / 2))
+        assert abs(sphere_area(N) - exact) <= np.spacing(exact)
 
 
 class TestMoments:
@@ -183,6 +199,58 @@ class TestIntegrate:
         with pytest.warns(RuntimeWarning, match="overflow"):
             got = integrate(rules[1], stack)
         assert got[1] == np.inf and np.isfinite(got[[0, 2]]).all()
+
+
+def _spline_case(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        x = np.linspace(-rng.uniform(1.0, 30.0), rng.uniform(1.0, 30.0), n)
+    else:
+        x = np.cumsum(rng.uniform(0.01, 1.0, n)) - rng.uniform(0.0, 10.0)
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return x, y, rng
+
+
+class TestCubicSpline:
+    @pytest.mark.parametrize("n", [4, 5, 64, 401, 900])
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scipy_bitwise(self, kind, n, seed):
+        x, y, rng = _spline_case(kind, n, seed)
+        width = x[-1] - x[0]
+        at = np.concatenate([
+            x,  # every knot, the last one included, which PPoly puts in the last interval
+            rng.uniform(x[0], x[-1], 500),
+            # outside the knots, where the end cubics extrapolate
+            x[0] - width * rng.uniform(0.0, 0.1, 20),
+            x[-1] + width * rng.uniform(0.0, 0.1, 20),
+        ])
+        assert np.array_equal(cubic_spline(x, y, at), CubicSpline(x, y)(at))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_refuses_fewer_than_four_knots(self, n):
+        x = np.arange(float(n))
+        with pytest.raises(ContractViolation, match="n >= 4"):
+            cubic_spline(x, x, x)
+
+    def test_refuses_mismatched_shapes(self):
+        x = np.arange(6.0)
+        with pytest.raises(ContractViolation, match="one shape"):
+            cubic_spline(x, np.ones(5), x)
+        with pytest.raises(ContractViolation, match="one shape"):
+            cubic_spline(x, np.ones((2, 6)), x)
+
+    @pytest.mark.parametrize("fault", ["repeated", "descending", "nan"])
+    def test_refuses_x_not_strictly_increasing(self, fault):
+        x = np.arange(6.0)
+        if fault == "repeated":
+            x[3] = x[2]
+        elif fault == "descending":
+            x = x[::-1]
+        else:
+            x[3] = np.nan
+        with pytest.raises(ContractViolation, match="strictly increasing"):
+            cubic_spline(x, np.ones(6), np.arange(6.0))
 
 
 class TestGridRule:
