@@ -51,7 +51,6 @@ class ProfileReport:
 
     s: float
     sup_error: float
-    z_max: float
 
 
 def fit_rate(sup_history: np.ndarray, T_hat: float) -> RateFit:
@@ -62,6 +61,8 @@ def fit_rate(sup_history: np.ndarray, T_hat: float) -> RateFit:
     outside it (the final step of a run can saturate float resolution in t).
     Raises FitError for short or degenerate windows.
     """
+    if not math.isfinite(T_hat):
+        raise DomainError(f"fit_rate: T_hat must be finite, got {T_hat}")
     hist = np.asarray(sup_history, dtype=float)
     t, M = hist[:, 0], hist[:, 1]
     if T_hat <= float(t.min()):
@@ -118,7 +119,7 @@ def profile_error(field: SimField, z_max: float) -> ProfileReport:
     w = cubic_spline(field.nodes, field.values, z * np.sqrt(s))
     target = (1.0 + (p - 1.0) * z * z / (4.0 * p)) ** (-1.0 / (p - 1.0))
     err = float(np.max(np.abs(w / kappa_a(field.params) - target)))
-    return ProfileReport(s=float(s), sup_error=err, z_max=float(z_max))
+    return ProfileReport(s=float(s), sup_error=err)
 
 
 @dataclass
@@ -133,7 +134,6 @@ class LyapunovReport:
     """Outcome of auditing the decrement inequality along one run."""
 
     violations: list[LyapunovViolation]
-    intervals_checked: int
     max_step_increase: float
     passed: bool
 
@@ -199,7 +199,6 @@ def lyapunov_audit(
             )
     return LyapunovReport(
         violations=violations,
-        intervals_checked=len(snapshots) - 1,
         max_step_increase=max_step_increase,
         passed=not violations,
     )

@@ -194,6 +194,32 @@ def _resolve_outdir(config: RunConfig) -> Path:
     return out
 
 
+def _read(path: str, what: str, load):
+    """load(path), with any failure to open, decode or parse the file a
+    ParseError that names it as what.  numpy's warning for a table with no
+    rows is silenced: _read_table reports that file itself."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return load(path)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ParseError(f"{what} {path!r}: {exc}") from exc
+
+
+def _read_table(path: str, what: str, min_rows: int) -> np.ndarray:
+    """The numbers of a CSV file after its header line: at least min_rows
+    rows of at least two columns, the first two finite."""
+    data = _read(path, what, lambda p: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2))
+    if data.shape[1] < 2 or data.shape[0] < min_rows:
+        raise ParseError(
+            f"{what} {path!r}: need a header line, then at least {min_rows} "
+            f"rows of two or more columns"
+        )
+    if not np.isfinite(data[:, :2]).all():
+        raise ParseError(f"{what} {path!r}: a value is not finite")
+    return data
+
+
 def _initial_values(config: RunConfig, nodes: np.ndarray, s0: float) -> np.ndarray:
     """The configured datum on the nodes; s0 is the frame time of a profile."""
     init = config.initial_data
@@ -203,16 +229,7 @@ def _initial_values(config: RunConfig, nodes: np.ndarray, s0: float) -> np.ndarr
         return gaussian(nodes, init.amplitude, init.width, init.floor)
     if init.kind == "profile":
         return profile_shape(nodes, s0, config.params)
-    try:
-        data = np.loadtxt(init.path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"initial_data.path {init.path!r}: {exc}") from exc
-    if data.shape[1] < 2 or data.shape[0] < 4:
-        raise ParseError(
-            f"initial_data.path {init.path!r}: need a two-column CSV with a header"
-        )
-    if not np.isfinite(data[:, :2]).all():
-        raise ParseError(f"initial_data.path {init.path!r}: a value is not finite")
+    data = _read_table(init.path, "initial_data.path", 4)
     if not np.all(np.diff(data[:, 0]) > 0.0):
         raise ParseError(f"initial_data.path {init.path!r}: x is not strictly increasing")
     if data[0, 0] > nodes[0] or data[-1, 0] < nodes[-1]:
@@ -455,17 +472,7 @@ def run(config: RunConfig) -> int:
 
 def _cmd_rate_fit(args) -> int:
     try:
-        try:
-            with warnings.catch_warnings():  # an empty file is reported below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(args.csv, delimiter=",", skiprows=1, ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ParseError(f"rate-fit csv {args.csv!r}: {exc}") from exc
-        if data.shape[0] < 1 or data.shape[1] < 2:
-            raise ParseError(
-                f"rate-fit csv {args.csv!r}: need t,sup_u rows after a header"
-            )
-        out = fit_rate(data, args.t_hat).report()
+        out = fit_rate(_read_table(args.csv, "rate-fit csv", 1), args.t_hat).report()
     except BlowupLabError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
@@ -510,12 +517,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "rate-fit":
         return _cmd_rate_fit(args)
 
-    text = ""
-    if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
     # the subcommand is the scenario, whatever the config says
     overrides = [*args.overrides, f"run.scenario={args.command}"]
     try:
+        text = ""
+        if args.config:
+            text = _read(args.config, "--config", lambda p: Path(p).read_text("utf-8"))
         config = parse_config(text, overrides=overrides)
     except ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,11 +15,9 @@ def profile_shape(y: np.ndarray, s: float, params: Params) -> np.ndarray:
     )
 
 
-def random_smooth_shape(
-    y: np.ndarray, params: Params, seed: int, amplitude: float = 0.25
-) -> np.ndarray:
-    """kappa_a times (1 + localized low-frequency noise), max perturbation =
-    amplitude.  Deterministic in the seed."""
+def random_smooth_shape(y: np.ndarray, params: Params, seed: int) -> np.ndarray:
+    """kappa_a times (1 + localized low-frequency noise), max perturbation
+    0.25.  Deterministic in the seed."""
     rng = np.random.default_rng(seed)
     R = float(np.max(np.abs(y)))
     bump = np.zeros_like(y)
@@ -29,7 +27,7 @@ def random_smooth_shape(
     bump *= np.exp(-(y * y) / 8.0)
     peak = np.max(np.abs(bump))
     if peak > 0.0:
-        bump *= amplitude / peak
+        bump *= 0.25 / peak
     return kappa_a(params) * (1.0 + bump)
 
 

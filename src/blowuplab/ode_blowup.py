@@ -39,8 +39,8 @@ _MAX_PANELS = 2**16
 
 @dataclass(frozen=True)
 class OdeTrajectory:
-    """Samples (t, v) of a blow-up solution with blow-up time T.  t and v
-    are strictly increasing.
+    """Samples (t, v) of a blow-up solution with the blow-up time T given to
+    integrate_vT.  t and v are strictly increasing.
 
     s = -log(T - t) is stored alongside t: it is the exact variable each
     sample solves for, whereas recovering T - t from the rounded t loses
@@ -49,7 +49,6 @@ class OdeTrajectory:
 
     t: np.ndarray
     v: np.ndarray
-    T: float
     s: np.ndarray
 
     @property
@@ -168,7 +167,7 @@ def integrate_vT(params: Params, T: float, s_max: float) -> OdeTrajectory:
     v = np.exp(x)
     if np.any(np.diff(v) <= 0.0):
         raise NumericError("integrate_vT: trajectory lost monotonicity")
-    return OdeTrajectory(t=T - np.exp(-s), v=v, T=float(T), s=s)
+    return OdeTrajectory(t=T - np.exp(-s), v=v, s=s)
 
 
 def asymptotic_ratio(trajectory: OdeTrajectory, params: Params) -> np.ndarray:

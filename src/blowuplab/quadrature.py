@@ -157,15 +157,6 @@ def rule_for_grid(nodes: np.ndarray, N: int, geometry: str) -> QuadratureRule:
     return QuadratureRule(dimension=N, nodes=nodes, weights=weights)
 
 
-def check_same_grid(nodes: np.ndarray, other: np.ndarray, message: str) -> None:
-    """Raise ContractViolation(message) unless other is nodes, or the same
-    grid to np.allclose."""
-    if nodes is not other and (
-        nodes.shape != other.shape or not np.allclose(nodes, other)
-    ):
-        raise ContractViolation(message)
-
-
 def integrate(rule: QuadratureRule, g):
     """Sum w_i g_i over g sampled on the nodes, or the array of the rows'
     sums over a (rows, n) stack of such samples.

@@ -191,9 +191,8 @@ def criterion_2_nonlinearity(res: SuiteResult) -> None:
             worst_b1 = max(worst_b1, abs(r - 1.0))
     res.add("F_leading_term_at_1e8", worst_b1 <= 0.05, worst_b1, 0.05)
 
-    # F2 is defined as F - x f/(p+1) - F1, so the split identity holds by
-    # construction; the split's content is F2's order: F2 ~ 4a(a-1)/(p+1)^3
-    # x f / log^2(2 + x^2).  Measured at most 0.0174, at (2, -1).
+    # the split's content is F2's order: F2 ~ 4a(a-1)/(p+1)^3 x f /
+    # log^2(2 + x^2).  Measured at most 0.0174, at (2, -1).
     worst_split = worst_f2 = 0.0
     for p in (2.0, 3.0):
         for a in (-1.0, 1.0, 2.0):
@@ -207,7 +206,10 @@ def criterion_2_nonlinearity(res: SuiteResult) -> None:
             lead = x * eval_f(x, params) / np.log(2.0 + x * x) ** 2
             c = 4.0 * a * (a - 1.0) / (p + 1.0) ** 3
             worst_f2 = max(worst_f2, abs(eval_F2(x, params) / lead - c))
-    res.add("split_identity", worst_split <= 1e-9, worst_split, 1e-9)
+    res.add("split_identity", worst_split <= 1e-9, worst_split, 1e-9,
+            note="measures only the rounding of eval_F2's defining identity "
+            "F2 = F - x f/(p+1) - F1, which holds by construction; "
+            "F2_lower_order checks what the split contains")
     res.add("F2_lower_order", worst_f2 <= 0.05, worst_f2, 0.05)
 
     worst_id = 0.0
@@ -266,16 +268,15 @@ class AuditCorpus:
 
     runs: list[tuple[str, SimilarityRun]]
     profile_runs: dict[tuple[float, float], SimilarityRun]
-    cfg: FunctionalConfig
     # (p, a) -> (tuned multiplier, its (lam, class, s_esc, steps) probe records)
     tuning: dict[tuple[float, float], tuple[float, list]]
 
 
-def build_audit_corpus(cfg: FunctionalConfig | None = None) -> AuditCorpus:
+def build_audit_corpus() -> AuditCorpus:
     """Five seeded random data plus the amplitude-tuned near-profile datum,
     for each (p, a) in the audit set.  Criteria 4, 6 and 7 take the corpus
     as an argument, so one build serves all three."""
-    cfg = cfg or FunctionalConfig()
+    cfg = FunctionalConfig()
     nodes = line_grid(GRID_RADIUS, GRID_NODES)
     runs: list[tuple[str, SimilarityRun]] = []
     profile_runs: dict[tuple[float, float], SimilarityRun] = {}
@@ -306,7 +307,7 @@ def build_audit_corpus(cfg: FunctionalConfig | None = None) -> AuditCorpus:
         run = run_similarity(w0, S0 + PROFILE_UNITS, DEFAULT_DS, cfg)
         profile_runs[(p, a)] = run
         runs.append((f"profile[p={p:g},a={a:g}]", run))
-    return AuditCorpus(runs=runs, profile_runs=profile_runs, cfg=cfg, tuning=tuning)
+    return AuditCorpus(runs=runs, profile_runs=profile_runs, tuning=tuning)
 
 
 @_suite(4, "lyapunov_monotonicity")

@@ -153,7 +153,7 @@ def test_criterion_6_window_starts_at_s0_plus_5(corpus):
         mass[k] = 10.0 * np.max(mass)
         spiked = verification.AuditCorpus(
             runs=[(name, dataclasses.replace(run, step_mass=mass))],
-            profile_runs={}, cfg=corpus.cfg, tuning={},
+            profile_runs={}, tuning={},
         )
         check = next(c for c in criterion_6_boundedness(spiked).checks
                      if c.name.startswith("mass_control"))

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,21 @@ class TestParseConfig:
         message = "a value is not finite" if fault == "nan" else "x is not strictly increasing"
         report = json.loads((out / "report.json").read_text())
         assert report["error"] == f"ParseError: initial_data.path {str(path)!r}: {message}"
+
+    def test_header_only_file_is_named_without_a_warning(self, tmp_path, capsys):
+        # numpy warns of a file with no rows; the row count check names it
+        path = tmp_path / "w0.csv"
+        path.write_text("x,u\n")
+        out = tmp_path / "run"
+        argv = ["similarity", "--set", "initial_data.kind=file",
+                "--set", f"initial_data.path={path}", "--output", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error.startswith(f"ParseError: initial_data.path {str(path)!r}: ")
 
 
 class TestScenarios:
@@ -414,10 +430,44 @@ class TestMain:
         text.write_text("t,sup_u\nzero,one\n")
         header_only = tmp_path / "empty.csv"
         header_only.write_text("t,sup_u\n")
-        for path in (tmp_path / "missing.csv", one_column, text, header_only):
-            assert main(["rate-fit", str(path), "--t-hat", "1"]) == 1
-            err = json.loads(capsys.readouterr().err)
-            assert str(path) in err["error"]
+        # in the fit's window, a NaN row would be dropped without a word, and
+        # an inf sup_u would print a NaN alpha_hat, which strict JSON refuses
+        s = np.linspace(3.0, 17.0, 300)
+        non_finite = []
+        for column, value in ((0, math.nan), (1, math.nan), (1, math.inf)):
+            history = np.column_stack([0.6 - np.exp(-s), np.exp(s / 2.0)])
+            history[250, column] = value
+            non_finite.append(tmp_path / f"{value}_in_column_{column}.csv")
+            write_csv(non_finite[-1], ["t", "sup_u"], history)
+        for path in (tmp_path / "missing.csv", one_column, text, header_only,
+                     *non_finite):
+            assert main(["rate-fit", str(path), "--t-hat", "0.6"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert str(path) in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("t_hat", ["nan", "inf"])
+    def test_rate_fit_non_finite_t_hat_exit_1(self, tmp_path, capsys, t_hat):
+        path = tmp_path / "hist.csv"
+        s = np.linspace(3.0, 17.0, 300)
+        write_csv(path, ["t", "sup_u"], zip(0.5 - np.exp(-s), np.exp(s / 2.0)))
+        assert main(["rate-fit", str(path), "--t-hat", t_hat]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": f"fit_rate: T_hat must be finite, got {t_hat}"
+        }
+
+    @pytest.mark.parametrize("fault", ["missing", "not_utf8"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, fault):
+        path = tmp_path / "run.ini"
+        if fault == "not_utf8":
+            path.write_bytes(b"[params]\np = 3 # \xff\n")
+        assert main(["ode", "--config", str(path), "--output", str(tmp_path / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: --config {str(path)!r}: ")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "argv, error",

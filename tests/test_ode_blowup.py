@@ -231,7 +231,7 @@ class TestTrajectories:
             traj = integrate_vT(params, T=1.0, s_max=20.0)
             assert np.all(np.diff(traj.v) > 0.0)
             assert np.all(np.diff(traj.t) > 0.0)
-            assert np.all(traj.t < traj.T)
+            assert np.all(traj.t < 1.0)
 
     def test_separable_consistency(self):
         traj = integrate_vT(P31, T=1.0, s_max=12.0)
