@@ -370,20 +370,31 @@ def run_similarity(
     ds: float,
     cfg: FunctionalConfig,
 ) -> SimilarityRun:
-    """Evolve w from w0.s to s_end, collecting the functional ledger.
+    """Evolve w from w0.s to the last whole unit of s at or before s_end,
+    collecting the functional ledger.
 
-    The step is 1/m, the largest at most ds that divides a unit of s, and
-    the n-th field is at w0.s + n/m, so snapshots land on w0.s + k.  One
-    snapshot and one ds_dissipation call per block of steps (see
-    _LEDGER_BLOCK_ELEMENTS) fill the ledger, each row as it would be alone.
-    A w that blows up ends the run in BlowupOvershootError naming s: in
-    step_w, or where w is still finite but its ledger integrals overflow
-    float64.  A step_w failure in a block is reported only after the
-    block's earlier steps are found to have finite ledgers.
+    The run covers floor(s_end - w0.s + 1e-9) units of s, so an s_end that
+    is w0.s plus an integer up to rounding counts as whole.  A NaN or
+    infinite s_end, or one with no whole unit after w0.s, is a DomainError
+    naming s_end.  The step is 1/m, the largest at most ds that divides a
+    unit of s, and the n-th field is at w0.s + n/m, so snapshots land on
+    w0.s + k.  One snapshot and one ds_dissipation call per block of steps
+    (see _LEDGER_BLOCK_ELEMENTS) fill the per-step ledger, each row as it
+    would be alone; a unit's dissipation is the step-order running sum of
+    ds * ds_dissipation over its steps.  A w that blows up ends the run in
+    BlowupOvershootError naming s: in step_w, or where w is still finite
+    but its ledger integrals overflow float64.  A step_w failure in a block
+    is reported only after the block's earlier steps are found to have
+    finite ledgers.
     """
-    n_units = int(round(s_end - w0.s))
-    if n_units < 1 or abs(s_end - w0.s - n_units) > 1e-9:
-        raise DomainError("run_similarity: s_end - w0.s must be a positive integer")
+    if not math.isfinite(s_end):
+        raise DomainError(f"run_similarity: s_end must be finite, got {s_end}")
+    n_units = math.floor(s_end - w0.s + 1e-9)
+    if n_units < 1:
+        raise DomainError(
+            f"run_similarity: s_end = {s_end:g} rounds to no whole unit of s "
+            f"after w0.s = {w0.s:.6g}"
+        )
     ds_eff = cfl_step(w0.nodes, ds)
     per_unit = int(round(1.0 / ds_eff))
     n_steps = n_units * per_unit
@@ -391,11 +402,12 @@ def run_similarity(
 
     t_run, t_step = time.perf_counter(), 0.0
     fields = [w0]
-    diss = np.zeros(n_units)
     # the per-step table: a row per member of FunctionalSnapshot, whose
-    # columns at the unit boundaries are the snapshots
+    # columns at the unit boundaries are the snapshots; beside it the
+    # ds_dissipation density of each step
     first = vars(snapshot(w0, cfg))
     table = np.empty((len(first), n_steps + 1))
+    density = np.empty(n_steps)
     table[:, 0] = list(first.values())
     step = dict(zip(first, table))  # the table's rows by name
     step_s = step["s"]
@@ -403,7 +415,7 @@ def run_similarity(
     block = np.empty((rows + 1, w0.values.size))
     block[0] = w0.values
 
-    current, acc, n = w0, 0.0, 0
+    current, n = w0, 0
     while n < n_steps:
         stop = min(n + rows, (n // per_unit + 1) * per_unit)
         failure = None
@@ -422,13 +434,8 @@ def run_similarity(
         after = w0._stepped(block[1 : r + 1], s=step_s[n + 1 : stop + 1])
         try:
             if r:
-                d = ds_dissipation(before, after)
+                density[n:stop] = ds_dissipation(before, after)
                 table[:, n + 1 : stop + 1] = list(vars(snapshot(after, cfg)).values())
-                for d_m in ds_eff * d:  # in step order
-                    acc += d_m
-            if failure is None and stop % per_unit == 0:
-                diss[stop // per_unit - 1], acc = acc, 0.0
-                fields.append(current)
         except NumericError as exc:  # integrate: a non-finite sample of a finite w
             for j in range(r):  # the first step whose own ledger overflows
                 row = after._stepped(block[j + 1], s=float(step_s[n + j + 1]))
@@ -444,15 +451,19 @@ def run_similarity(
             ) from exc
         if failure is not None:
             raise failure
+        if stop % per_unit == 0:
+            fields.append(current)
         block[0] = block[r]
         n = stop
+    # each unit's dissipation: cumsum adds in step order, np.sum pairwise
+    running = np.cumsum((ds_eff * density).reshape(n_units, per_unit), axis=1)
     return SimilarityRun(
         fields=fields,
         snapshots=[
             FunctionalSnapshot(*table[:, k * per_unit].tolist())
             for k in range(n_units + 1)
         ],
-        dissipation=diss,
+        dissipation=running[:, -1],
         step_s=step_s,
         step_L=step["L"],
         step_mass=step["mass"],

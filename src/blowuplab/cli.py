@@ -122,16 +122,19 @@ def _convert(section: str, key: str, raw: str):
     return value
 
 
-def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
+def parse_config(
+    text: str, overrides: list[str] | None = None, source: str = "<string>"
+) -> RunConfig:
     """Parse an INI document (plus --set overrides) into a validated RunConfig.
 
     Unknown sections or keys are rejected with the offending name; parameter
-    combinations violating the subcritical range are rejected as well.
+    combinations violating the subcritical range are rejected as well.  A
+    malformed document's error names it as source, such as its file path.
     """
     cp = configparser.ConfigParser(interpolation=None, strict=True)
     cp.optionxform = str  # keys are case-sensitive (N, T, A)
     try:
-        cp.read_string(text)
+        cp.read_string(text, source)
     except configparser.Error as exc:
         raise ParseError(f"malformed config: {exc}") from exc
 
@@ -326,8 +329,6 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
     params, solver = config.params, config.solver
     if not solver.T > 0.0:
         raise DomainError(f"similarity: solver.T must be positive, got {solver.T}")
-    if not math.isfinite(solver.s_end):
-        raise DomainError(f"similarity: solver.s_end must be finite, got {solver.s_end}")
     s0 = max(-np.log(solver.T), 2.0)
     nodes = line_grid(config.grid.extent, config.grid.resolution)
     w0 = SimField(
@@ -337,15 +338,7 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
         s=s0,
         params=params,
     )
-    # the last whole unit at or before s_end; the tolerance lets an s0 that
-    # is an integer up to rounding count as whole
-    n_units = math.floor(solver.s_end - s0 + 1e-9)
-    if n_units < 1:
-        raise DomainError(
-            f"similarity: solver.s_end = {solver.s_end:g} rounds to no whole unit "
-            f"of s after s0 = {s0:.6g}"
-        )
-    run = run_similarity(w0, s0 + n_units, solver.ds, config.functionals)
+    run = run_similarity(w0, solver.s_end, solver.ds, config.functionals)
     write_csv(
         outdir / "functionals.csv",
         list(FunctionalSnapshot.FIELDS),
@@ -373,15 +366,7 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
         ]),
     )
     if len(run.snapshots) >= 4:
-        audit = lyapunov_audit(run.snapshots, run.dissipation, run.step_L)
-        lyap = {
-            "passed": audit.passed,
-            "violations": [
-                {"s": v.s, "magnitude": v.magnitude, "kind": v.kind}
-                for v in audit.violations
-            ],
-            "max_step_increase": audit.max_step_increase,
-        }
+        lyap = asdict(lyapunov_audit(run.snapshots, run.dissipation, run.step_L))
     else:
         lyap = {"skipped": "run shorter than the 3 units of s the audit requires"}
     return {
@@ -523,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
         text = ""
         if args.config:
             text = _read(args.config, "--config", lambda p: Path(p).read_text("utf-8"))
-        config = parse_config(text, overrides=overrides)
+        config = parse_config(text, overrides=overrides, source=args.config or "<string>")
     except ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -454,6 +454,37 @@ class TestRunSimilarity:
         with pytest.raises(DomainError):
             run_similarity(w0, 2.5, 0.01, FunctionalConfig())
 
+    def test_runs_to_the_last_whole_unit_before_s_end(self):
+        # s_end = 3.5 from s0 = 2 holds one whole unit: the run is the
+        # s_end = 3 run, bit for bit
+        nodes = line_grid(20.0, 201)
+        w0 = SimField(
+            geometry="line",
+            nodes=nodes,
+            values=0.3 * np.exp(-nodes**2 / 8.0),
+            s=2.0,
+            params=P31,
+        )
+        whole = run_similarity(w0, 3.0, 0.01, FunctionalConfig())
+        part = run_similarity(w0, 3.5, 0.01, FunctionalConfig())
+        assert part.fields[-1].s == part.step_s[-1] == 3.0
+        np.testing.assert_array_equal(part.step_L, whole.step_L)
+        np.testing.assert_array_equal(part.dissipation, whole.dissipation)
+        np.testing.assert_array_equal(part.fields[-1].values, whole.fields[-1].values)
+
+    @pytest.mark.parametrize("s_end", [math.nan, math.inf])
+    def test_non_finite_s_end_named(self, s_end):
+        nodes = line_grid(20.0, 201)
+        w0 = SimField(
+            geometry="line",
+            nodes=nodes,
+            values=np.zeros(nodes.shape),
+            s=2.0,
+            params=P31,
+        )
+        with pytest.raises(DomainError, match=f"s_end must be finite, got {s_end}"):
+            run_similarity(w0, s_end, 0.01, FunctionalConfig())
+
     def test_radial_run_ledger(self):
         # N = 3 radial geometry end to end: decaying datum, audited
         params = Params(3.0, 1.0, N=3)

@@ -458,6 +458,18 @@ class TestMain:
             "error": f"fit_rate: T_hat must be finite, got {t_hat}"
         }
 
+    @pytest.mark.parametrize(
+        "text", ["p = 3\n", "[params]\np = 3\np = 2\n"], ids=["no-section", "repeated-key"]
+    )
+    def test_malformed_config_names_its_file(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["ode", "--config", str(path), "--output", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed config: ")
+        assert repr(str(path)) in err and "<string>" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("fault", ["missing", "not_utf8"])
     def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, fault):
         path = tmp_path / "run.ini"
@@ -490,18 +502,22 @@ class TestMain:
             ),
             (["physical", "--set", "solver.dt_safety=0", "--set", "grid.resolution=129"],
              "ConfigurationError"),
+            # the profile is the similarity datum at s0 = -log T, so the
+            # default T = 1 has no frame to start from
+            (["physical", "--set", "initial_data.kind=profile"],
+             r"ParseError: .*solver\.T <= exp\(-1\)"),
             (["similarity", "--set", "solver.ds=0"], "DomainError"),
             (["similarity", "--set", "solver.ds=-1"], "DomainError"),
             # s0 = -log T needs T > 0
             (["similarity", "--set", "solver.T=0"], "DomainError: .*solver.T must be positive"),
             # s0 = -log T = 9.21 lies past s_end = 8: no unit of s to run
             (["similarity", "--set", "solver.T=1e-4"],
-             r"DomainError: similarity: solver.s_end = 8 rounds to no whole unit "
-             r"of s after s0 = 9\.21034$"),
+             r"DomainError: run_similarity: s_end = 8 rounds to no whole unit "
+             r"of s after w0\.s = 9\.21034$"),
             # s0 = -log 0.1 = 2.30: s_end = 3 holds no whole unit after it
             (["similarity", "--set", "solver.T=0.1", "--set", "solver.s_end=3"],
-             r"DomainError: similarity: solver.s_end = 3 rounds to no whole unit "
-             r"of s after s0 = 2\.30259$"),
+             r"DomainError: run_similarity: s_end = 3 rounds to no whole unit "
+             r"of s after w0\.s = 2\.30259$"),
         ],
         ids=[
             "similarity-N=2",
@@ -509,6 +525,7 @@ class TestMain:
             "similarity-constant",
             "physical-m_stop-1e200",
             "physical-dt_safety=0",
+            "physical-profile-T=1",
             "ds=0",
             "ds=-1",
             "T=0",
@@ -558,7 +575,7 @@ class TestMain:
         cfg.solver.s_end = math.inf
         assert run(cfg) == 1
         report = json.loads((out / "report.json").read_text())
-        assert report["error"] == "DomainError: similarity: solver.s_end must be finite, got inf"
+        assert report["error"] == "DomainError: run_similarity: s_end must be finite, got inf"
 
     @pytest.mark.parametrize("p", ["1.0003", "1.0000001"])
     def test_physical_run_near_p_1_blows_up(self, tmp_path, p):
@@ -609,6 +626,17 @@ class TestMain:
         res = json.loads((out / "report.json").read_text())["results"]
         assert res["s0"] == pytest.approx(-math.log(0.1), rel=1e-15)
         assert (res["steps"], res["s_end"]) == (250, res["s0"] + 5)
+
+    def test_physical_profile_blows_up(self, tmp_path):
+        # psi_T(0) times the profile at s0 = -log 0.1 blows up; the run halts
+        # where the next step would leave t unchanged
+        out = tmp_path / "run"
+        argv = ["physical", "--set", "initial_data.kind=profile", "--set", "solver.T=0.1"]
+        assert main([*argv, "--output", str(out)]) == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert (res["status"], res["halt"], res["steps"]) == ("blown_up", "t_resolution", 672)
+        assert res["T_hat"] == pytest.approx(0.14323947055122757, rel=1e-12)
+        assert res["T_hat"] > res["t_halt"]
 
     def test_short_extent_similarity_runs(self, tmp_path):
         # the functional family needs no room beyond the grid: extent 8 runs
