@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
+from ._lapack import dgttrf, dgttrs
 from .errors import BlowupOvershootError, NumericError
 
 def laplacian_bands(

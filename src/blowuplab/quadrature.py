@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from .errors import ConfigurationError, ContractViolation, NumericError
 
 # Gregory's order-7 end correction as node weights: h * _GREGORY[j] is added

@@ -739,13 +739,17 @@ class TestMain:
         assert np.array_equal(got, np.array(vals))
 
 
-def test_import_loads_no_scipy_interpolate_or_special():
-    # the package needs only scipy.linalg.lapack; scipy.interpolate and
-    # scipy.special would add about a third of a second to every start
+def test_import_loads_no_scipy_linalg_interpolate_special_or_f2py():
+    # the package loads its three LAPACK routines from scipy's _flapack file;
+    # scipy.linalg's package init (with numpy.f2py and charset_normalizer),
+    # scipy.interpolate and scipy.special would each add a quarter to a
+    # third of a second to every start
     code = (
         "import sys, blowuplab.cli, blowuplab.verification\n"
         "print(*(m for m in sys.modules"
-        " if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'special'])))"
+        " if m.split('.')[:2] in (['scipy', 'linalg'], ['scipy', 'interpolate'],"
+        " ['scipy', 'special'], ['numpy', 'f2py'])"
+        " or m.split('.')[0] == 'charset_normalizer'))"
     )
     src = str(Path(blowuplab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

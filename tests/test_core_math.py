@@ -219,6 +219,29 @@ class TestSplit:
                 )
                 assert total == pytest.approx(eval_F(x, params), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "params", [P31, P3m1, Params(2.0, 2.0), Params(1.5, 1.0), Params(5.0, -2.0)], ids=str
+    )
+    def test_F2_against_mpmath(self, params):
+        # F2 = F - x f/(p+1) - F1 with F a 40-digit mp.quad of f over
+        # [0, 1, x]: independent of eval_F, unlike test_split_identity.  The
+        # worst relative error measured is 5.9e-10, at (3,1) and x = 1e3.
+        # At a = 1 the x^(p+1) terms of the identity cancel exactly, so
+        # F2 = O(x^(p-1)) is a difference of two terms larger by x^2: at
+        # x = 1e6 rounding alone leaves a relative error of 2.5e-3 at (3,1)
+        # and 7.1e-5 at (1.5,1), so the test stops at x = 1e3.
+        with mp.workdps(40):
+            p, a = mp.mpf(params.p), mp.mpf(params.a)
+
+            def f(v):
+                return v**p * mp.log(2 + v * v) ** a
+
+            for x in (0.5, 2.0, 10.0, 1e3):
+                xm = mp.mpf(x)
+                F1 = -(2 * a / (p + 1) ** 2) * xm ** (p + 1) * mp.log(2 + xm * xm) ** (a - 1)
+                want = mp.quad(f, [0, 1, xm]) - xm * f(xm) / (p + 1) - F1
+                assert eval_F2(x, params) == pytest.approx(float(want), rel=1e-9, abs=0.0)
+
     def test_F2_ratio_stabilizes(self):
         # F2(x) log^2(2+x^2) / (x f(x)) -> 4a(a-1)/(p+1)^3 (oracle-derived
         # limit; degenerate, i.e. zero, at a in {0, 1}).
