@@ -66,6 +66,26 @@ def test_criterion_1_ode_rate():
         assert check.passed
 
 
+def test_criterion_1_deviation_decreasing_fails_on_a_rise(monkeypatch):
+    # the ratio's deviation from kappa_a jumps by 0.1 at s = 20, inside [15, 30]
+    trajectory_table = verification.trajectory_table
+
+    def rising(traj, params):
+        header, table = trajectory_table(traj, params)
+        table, kap = table.copy(), kappa_a(params)
+        late = table[:, 0] >= 20.0
+        table[late, 4] = kap * (1.1 + np.abs(table[late, 4] / kap - 1.0))
+        return header, table
+
+    monkeypatch.setattr(verification, "trajectory_table", rising)
+    checks = [c for c in criterion_1_ode_rate().checks
+              if c.name.startswith("deviation_decreasing_15_30")]
+    assert len(checks) == len(verification.RATE_PAIRS)
+    for check in checks:
+        assert not check.passed
+        assert check.measured > 0.05
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="(2,2): the ratio deviation decays like a^2 log(s)/s and first"
@@ -180,17 +200,21 @@ def test_criterion_7_profile(corpus):
 
 def test_criterion_7_on_separatrix_fails_on_an_early_escape(corpus):
     # the final bracket's end that blows up escapes at s_end - 1: the tuned
-    # datum may have left the separatrix inside the profile run
+    # datum may have left the separatrix inside the profile run.  An escape
+    # at s_end fails too; one a step after it passes.
     pa = (3.0, 1.0)
     lam, probes = corpus.tuning[pa]
     end = min(r for r in probes if r[1] == +1)
-    s_early = verification.S0 + verification.PROFILE_UNITS - 1.0
-    moved = [(*end[:2], s_early, end[3]) if r == end else r for r in probes]
-    bad = dataclasses.replace(corpus, tuning={**corpus.tuning, pa: (lam, moved)})
-    checks = {c.name: c for c in criterion_7_profile(bad).checks}
-    assert not checks["on_separatrix[p=3,a=1]"].passed
-    assert checks["on_separatrix[p=3,a=1]"].measured == -1.0
-    assert checks["on_separatrix[p=3,a=-1]"].passed
+    s_end = verification.S0 + verification.PROFILE_UNITS
+    for s_esc, measured, passed in ((s_end - 1.0, 1.0, False),
+                                    (s_end, 0.0, False),
+                                    (s_end + 1 / 50, -1 / 50, True)):
+        moved = [(*end[:2], s_esc, end[3]) if r == end else r for r in probes]
+        bad = dataclasses.replace(corpus, tuning={**corpus.tuning, pa: (lam, moved)})
+        checks = {c.name: c for c in criterion_7_profile(bad).checks}
+        assert checks["on_separatrix[p=3,a=1]"].passed is passed
+        assert checks["on_separatrix[p=3,a=1]"].measured == pytest.approx(measured)
+        assert checks["on_separatrix[p=3,a=-1]"].passed
 
 
 def test_criterion_8_compares_at_s3_exactly():
@@ -240,3 +264,20 @@ def test_failed_suite_keeps_its_number_and_name(corpus, monkeypatch):
     assert failed.checks[0].note == "error: deliberate failure"
     assert all(r.passed_attainable for r in results if r is not failed)
     assert criterion_3_quadrature().name == "quadrature_exactness"
+
+
+def test_every_verdict_is_measured_within_bound(corpus):
+    # one rule decides every check; the verdicts are those of the suites
+    # before the rule, when each check stated its own comparison
+    checks = [c for r in verification.run_all_suites(corpus) for c in r.checks]
+    assert len(checks) == 97
+    for c in checks:
+        assert c.passed == (c.measured <= c.bound), c.name
+    assert [c.name for c in checks if not c.passed] == ["deviation_at_s30[p=2,a=2]"]
+
+
+def test_a_nan_measured_value_fails():
+    res = verification.SuiteResult(0, "nan")
+    res.add("nan", float("nan"), 1.0)
+    res.add("at_bound", 1.0, 1.0)
+    assert [c.passed for c in res.checks] == [False, True]

@@ -337,7 +337,7 @@ class TestVerifyReport:
             out = []
             for k in range(1, 9):
                 s = SuiteResult(criterion=k, name=f"fake_{k}")
-                s.add("check", True, 0.0, 1.0)
+                s.add("check", 0.0, 1.0)
                 out.append(s)
             return out
 
