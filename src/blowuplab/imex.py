@@ -12,10 +12,13 @@ Heun corrector on g,
 
 second order overall.  The step returns u* next to u_new: their gap is the
 local error of the first-order predictor, which the physical frame's step
-controller uses.  An Operator holds A's bands for one grid and the LU
-factors of both tridiagonal matrices for the last dt a step asked for: a
-similarity run keeps one ds and factors once, and the physical step
-controller, which changes dt on nearly every step, factors anew.
+controller uses.  An Operator holds A's bands for one grid and the last dt
+a step asked for.  A step at a new dt solves each tridiagonal matrix with
+one dgtsv call and keeps nothing; a step that repeats the last dt factors
+both matrices with dgttrf, and later steps at that dt only back-substitute
+with dgttrs.  The two routes give the same bits.  So a similarity run,
+whose ds is fixed, factors once, on its second step, and the physical step
+controller, which changes dt on nearly every step, almost never factors.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._lapack import dgttrf, dgttrs
+from ._lapack import dgtsv, dgttrf, dgttrs
 from .errors import BlowupOvershootError, NumericError
 
 def laplacian_bands(
@@ -65,10 +68,16 @@ def laplacian_bands(
     return np.vstack([upper, diag, lower])
 
 
-def _factor(bands: np.ndarray, alpha: float) -> tuple:
-    """dgttrf factors (dl, d, du, du2, ipiv) of I - alpha A."""
+def _matrix(bands: np.ndarray, alpha: float) -> np.ndarray:
+    """The bands of I - alpha A, freshly formed."""
     m = -alpha * bands
     m[1] += 1.0
+    return m
+
+
+def _factor(bands: np.ndarray, alpha: float) -> tuple:
+    """dgttrf factors (dl, d, du, du2, ipiv) of I - alpha A."""
+    m = _matrix(bands, alpha)
     *factors, info = dgttrf(m[2, :-1], m[1], m[0, 1:])
     if info != 0:  # pragma: no cover - A's spectrum lies in Re <= 0
         raise NumericError(
@@ -80,10 +89,10 @@ def _factor(bands: np.ndarray, alpha: float) -> tuple:
 
 
 class Operator:
-    """The implicit operator A of one grid: its read-only bands, and the
-    dgttrf factors of I - dt A and I - dt/2 A for the last dt asked for.
-    A field builds its operator once and hands it to every field stepped
-    from it."""
+    """The implicit operator A of one grid: its read-only bands, the last dt
+    a step asked for, and the dgttrf factors of I - dt A and I - dt/2 A once
+    that dt is asked for again.  A field builds its operator once and hands
+    it to every field stepped from it."""
 
     def __init__(self, nodes: np.ndarray, geometry: str, dimension: int, drift: bool = False):
         self.bands = laplacian_bands(np.asarray(nodes, dtype=float), geometry, dimension, drift)
@@ -91,27 +100,43 @@ class Operator:
         self._dt = None
         self._factors = None
 
-    def factors(self, dt: float) -> tuple:
-        """(predictor factors, corrector factors) at dt, factored only when
-        dt differs from the last dt asked for."""
+    def factors(self, dt: float) -> tuple | None:
+        """(predictor factors, corrector factors) when dt repeats the last
+        dt asked for, factored on its first repeat; None for a new dt, whose
+        step solves each matrix once and factors nothing."""
         if dt != self._dt:
+            self._dt, self._factors = dt, None
+        elif self._factors is None:
             self._factors = _factor(self.bands, dt), _factor(self.bands, 0.5 * dt)
-            self._dt = dt
         return self._factors
 
 
-def _solve(factors: tuple, rhs: np.ndarray, t: float, stage: str) -> np.ndarray:
-    """Solve (I - alpha A) x = rhs from that matrix's dgttrf factors; a
-    non-finite value is an overshoot.
+def _solve(
+    bands: np.ndarray, alpha: float, factors: tuple | None, rhs: np.ndarray, t: float, stage: str
+) -> np.ndarray:
+    """Solve (I - alpha A) x = rhs: from that matrix's dgttrf factors by
+    dgttrs, or with factors None by one dgtsv call that overwrites the
+    freshly formed matrix and the temporary rhs.  dgtsv eliminates with the
+    same pivots and the same operations as dgttrf followed by dgttrs, so
+    both routes give the same bits.  A non-finite value is an overshoot.
 
     Only the solution is checked.  The substitutions reach every entry of
     rhs and divide only by the nonzero pivots, and IEEE arithmetic keeps a
     value non-finite through additions, multiplications and such divisions,
     so a non-finite rhs always yields a non-finite solution.
     """
-    out, info = dgttrs(*factors, rhs)
-    if info != 0:  # pragma: no cover - only an invalid argument sets it
-        raise NumericError(f"imex_step: {stage} solve failed (dgttrs info {info})")
+    if factors is None:
+        m = _matrix(bands, alpha)
+        *_, out, info = dgtsv(
+            m[2, :-1], m[1], m[0, 1:], rhs,
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+        )
+        routine = "dgtsv"
+    else:
+        out, info = dgttrs(*factors, rhs)
+        routine = "dgttrs"
+    if info != 0:  # pragma: no cover - a singular matrix or an invalid argument
+        raise NumericError(f"imex_step: {stage} solve failed ({routine} info {info})")
     if not np.isfinite(out).all():
         raise BlowupOvershootError(f"imex_step: non-finite {stage} at t={t}")
     return out
@@ -132,17 +157,17 @@ def imex_step(
     Raises BlowupOvershootError on any non-finite value (the step went past
     the singularity)."""
     bands = operator.bands
-    predictor, corrector = operator.factors(dt)
+    predictor, corrector = operator.factors(dt) or (None, None)
     # One error state for the whole step, both explicit evaluations included:
     # an overflow anywhere leaves an inf in a right-hand side, and _solve
     # reports it.
     with np.errstate(over="ignore"):
         g0 = explicit(t, u)
         rhs = u + dt * g0
-        u_star = _solve(predictor, rhs, t, "predictor")
+        u_star = _solve(bands, dt, predictor, rhs, t, "predictor")
         g1 = explicit(t + dt, u_star)
         lap_u = bands[1] * u
         lap_u[:-1] += bands[0][1:] * u[1:]
         lap_u[1:] += bands[2][:-1] * u[:-1]
         rhs = u + 0.5 * dt * lap_u + 0.5 * dt * (g0 + g1)
-    return _solve(corrector, rhs, t, "corrector"), u_star
+    return _solve(bands, 0.5 * dt, corrector, rhs, t, "corrector"), u_star

@@ -209,6 +209,11 @@ def run_to_blowup(
         raise ConfigurationError(f"run_to_blowup: M_stop must be >= 1e6, got {M_stop}")
     if not safety > 0.0:
         raise ConfigurationError(f"run_to_blowup: safety must be positive, got {safety}")
+    tol_scale = 0.5 * safety**2  # tol = tol_scale max(M, 1)
+    if tol_scale == 0.0:
+        raise ConfigurationError(
+            f"run_to_blowup: safety {safety} makes the tolerance safety^2/2 underflow to 0"
+        )
     params = u0.params
     field_now = u0
     M = float(np.max(np.abs(u0.values)))
@@ -235,7 +240,7 @@ def run_to_blowup(
         t0 = time.perf_counter()
         trial, err = step(field_now, dt)
         t_step += time.perf_counter() - t0
-        ratio = err / (0.5 * safety**2 * max(M, 1.0))
+        ratio = err / (tol_scale * max(M, 1.0))
         if ratio > 1.0:
             rejected += 1
             dt *= max(_SHRINK_MIN, _FAC * ratio**-0.5)

@@ -427,7 +427,7 @@ class TestRunSimilarity:
 
     def test_run_factors_its_operator_once(self, monkeypatch):
         # every step of a run takes the same ds, so a run of any length
-        # factors one (predictor, corrector) pair
+        # factors one (predictor, corrector) pair, on its second step
         factored = []
         monkeypatch.setattr(imex, "_factor", lambda b, a: factored.append(a) or _factor(b, a))
         nodes = line_grid(20.0, 201)

@@ -502,6 +502,10 @@ class TestMain:
             ),
             (["physical", "--set", "solver.dt_safety=0", "--set", "grid.resolution=129"],
              "ConfigurationError"),
+            # the tolerance safety^2/2 underflows to 0 below a safety of about 3e-162
+            (["physical", "--set", "solver.dt_safety=1e-300", "--set", "grid.resolution=129"],
+             r"ConfigurationError: run_to_blowup: safety 1e-300 makes the tolerance "
+             r"safety\^2/2 underflow to 0$"),
             # the profile is the similarity datum at s0 = -log T, so the
             # default T = 1 has no frame to start from
             (["physical", "--set", "initial_data.kind=profile"],
@@ -525,6 +529,7 @@ class TestMain:
             "similarity-constant",
             "physical-m_stop-1e200",
             "physical-dt_safety=0",
+            "physical-dt_safety=1e-300",
             "physical-profile-T=1",
             "ds=0",
             "ds=-1",

@@ -8,7 +8,7 @@ from scipy.linalg import solve_banded
 from blowuplab import imex, physical_solver
 from blowuplab.core_math import Params, eval_f
 from blowuplab.errors import BlowupOvershootError, ConfigurationError, DomainError
-from blowuplab.imex import Operator, _factor, imex_step, laplacian_bands
+from blowuplab.imex import Operator, _factor, _solve, imex_step, laplacian_bands
 from blowuplab.initial_data import gaussian, line_grid
 from blowuplab.ode_blowup import time_to_blowup
 from blowuplab.physical_solver import (
@@ -178,8 +178,9 @@ class TestImexStep:
         ids=["line-401", "radial-N3-257"],
     )
     def test_matches_solve_banded_reference_bitwise(self, geometry, dimension, nodes, dt):
-        # the operator's LU factors reproduce a fresh banded solve bit for
-        # bit, on the step that factors and on the steps that reuse them
+        # the operator reproduces a fresh banded solve bit for bit: on the
+        # step that solves a new dt with dgtsv, on the step that factors the
+        # repeated dt and on the steps that reuse its factors
         u = 1.0 + 0.5 * np.exp(-nodes**2) + 0.1 * np.cos(nodes)
         operator = Operator(nodes, geometry, dimension)
         for k in range(4):
@@ -191,7 +192,7 @@ class TestImexStep:
 
     def test_same_size_grids_do_not_share_factors(self, monkeypatch):
         # each field builds the operator of its own grid; the fields stepped
-        # from it share that operator, which factors once per dt
+        # from it share that operator, which factors once, on a dt's second step
         factored = []
         monkeypatch.setattr(imex, "_factor", lambda b, a: factored.append(b) or _factor(b, a))
         fields = [line_field(nodes, 1.0 + 0.5 * np.exp(-nodes**2))
@@ -207,10 +208,12 @@ class TestImexStep:
         # two factors (predictor and corrector) per grid, each from its own bands
         assert [id(b) for b in factored] == [id(op.bands) for op in operators for _ in "pc"]
 
-    def test_changing_dt_rebuilds_every_step(self, monkeypatch):
-        # the physical step controller sets a new dt on nearly every step:
-        # each new dt factors anew, from the bands built once, and a step
-        # at the last dt reuses its factors
+    def test_new_dt_solves_repeated_dt_factors(self, monkeypatch):
+        # a dt's first step solves with dgtsv and factors nothing, its second
+        # step factors one (predictor, corrector) pair from the bands built
+        # once, and later steps at that dt reuse the pair; a dt the operator
+        # saw before the last one is new again.  Every step matches the
+        # reference bit for bit.
         built, factored = [], []
         monkeypatch.setattr(
             imex, "laplacian_bands", lambda *a: built.append(a) or laplacian_bands(*a)
@@ -218,14 +221,41 @@ class TestImexStep:
         monkeypatch.setattr(imex, "_factor", lambda b, a: factored.append(a) or _factor(b, a))
         nodes = line_grid(10.0, 513)
         f = line_field(nodes, 1.0 + 0.5 * np.exp(-nodes**2))
-        dts = [1e-4 * 0.8**k for k in range(12)]
-        for dt in dts:
-            for _ in range(2):
-                ref, _ = _reference_step(nodes, "line", 1, f.values, f.time, dt, _reaction)
-                f, _ = step(f, dt)
-                np.testing.assert_array_equal(f.values, ref)
+        dts = [1e-4 * 0.8**k for k in range(6)]
+        for dt, repeat in [(dt, k) for dt in dts for k in range(3)] + [(dts[0], 0)]:
+            before = len(factored)
+            ref, _ = _reference_step(nodes, "line", 1, f.values, f.time, dt, _reaction)
+            f, _ = step(f, dt)
+            np.testing.assert_array_equal(f.values, ref)
+            assert factored[before:] == ([dt, 0.5 * dt] if repeat == 1 else [])
         assert len(built) == 1
-        assert factored == [a for dt in dts for a in (dt, 0.5 * dt)]
+
+    @pytest.mark.parametrize("drift", [False, True], ids=["no-drift", "drift"])
+    @pytest.mark.parametrize(
+        "geometry, dimension, nodes",
+        [
+            ("line", 1, line_grid(10.0, 513)),
+            ("radial", 3, radial_grid(10.0, 257)),
+            ("line", 1, line_grid(100.0, 201)),
+        ],
+        ids=["line-513", "radial-N3-257", "line-extent100-201"],
+    )
+    def test_new_dt_solve_matches_factored_solve_bitwise(self, geometry, dimension, nodes, drift):
+        # a new dt's dgtsv and a repeated dt's dgttrf + dgttrs give the same
+        # bits, for dt from 1e-10 to 10; on the extent-100 grid the drift
+        # turns the off-diagonals negative ((R - h) h > 4) and dgttrf pivots
+        bands = laplacian_bands(nodes, geometry, dimension, drift)
+        rng = np.random.default_rng(20261020)
+        pivots = 0
+        for dt in np.logspace(-10.0, 1.0, 34):
+            rhs = rng.standard_normal(nodes.size) * 10.0 ** rng.uniform(-3.0, 8.0)
+            factors = _factor(bands, dt)
+            pivots += int(np.count_nonzero(factors[-1] != np.arange(1, nodes.size + 1)))
+            new = _solve(bands, dt, None, rhs.copy(), 0.0, "predictor")
+            repeated = _solve(bands, dt, factors, rhs.copy(), 0.0, "predictor")
+            assert new.tobytes() == repeated.tobytes()
+        if drift and nodes[-1] == 100.0:
+            assert pivots > 0
 
     @pytest.mark.parametrize("stage", ["predictor", "corrector"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
@@ -237,7 +267,9 @@ class TestImexStep:
     )
     def test_nonfinite_rhs_is_overshoot(self, geometry, dimension, nodes, where, bad, stage):
         # _solve checks only its solution: one non-finite right-hand-side
-        # entry, anywhere, must still make that stage's solution non-finite
+        # entry, anywhere, must still make that stage's solution non-finite,
+        # on both routes: a fresh operator solves the new dt with dgtsv, and
+        # one that has stepped once at that dt factors it for dgttrs
         i = {"first": 0, "middle": nodes.size // 2, "last": nodes.size - 1}[where]
         u = 1.0 + 0.5 * np.exp(-(nodes**2))
         t0 = 0.25
@@ -248,11 +280,36 @@ class TestImexStep:
                 g[i] = bad
             return g
 
-        with pytest.raises(BlowupOvershootError, match=rf"non-finite {stage} at t=0\.25$"):
-            imex_step(Operator(nodes, geometry, dimension), u, t0, 1e-3, explicit)
+        fresh, repeated = (Operator(nodes, geometry, dimension) for _ in range(2))
+        imex_step(repeated, u, 0.0, 1e-3, _reaction)
+        for operator in (fresh, repeated):
+            with pytest.raises(BlowupOvershootError, match=rf"non-finite {stage} at t=0\.25$"):
+                imex_step(operator, u, t0, 1e-3, explicit)
+        assert fresh._factors is None and repeated._factors is not None
 
 
 class TestRunToBlowup:
+    @pytest.mark.parametrize("a", [1.0, -1.0])
+    def test_run_factors_nothing_and_matches_factoring_every_dt(self, monkeypatch, a):
+        # on the benchmark's datum, a Gaussian on floor 1 over 513 nodes of
+        # extent 10, the PI controller sets a new dt on every step, so the
+        # run factors nothing; it gives the same bits as a run whose
+        # operator factors every dt and solves only with dgttrs
+        nodes = line_grid(10.0, 513)
+        u0 = field("line", nodes, 1.0 + 0.05 * np.exp(-((nodes / 4.0) ** 2)), Params(3.0, a))
+        factored = []
+        monkeypatch.setattr(imex, "_factor", lambda b, al: factored.append(al) or _factor(b, al))
+        run = run_to_blowup(u0, M_stop=1e8)
+        assert run.status == "blown_up"
+        assert factored == []
+        monkeypatch.setattr(
+            Operator, "factors", lambda op, dt: (_factor(op.bands, dt), _factor(op.bands, 0.5 * dt))
+        )
+        forced = run_to_blowup(u0, M_stop=1e8)
+        assert run.sup_history.tobytes() == forced.sup_history.tobytes()
+        assert run.dts.tobytes() == forced.dts.tobytes()
+        assert run.T_hat.hex() == forced.T_hat.hex()
+
     def test_constant_data_recovers_ode_time(self):
         nodes = line_grid(5.0, 129)
         res = run_to_blowup(line_field(nodes, 1.0), M_stop=1e8)
@@ -333,6 +390,15 @@ class TestRunToBlowup:
         # once and report blow-up
         nodes = line_grid(5.0, 129)
         with pytest.raises(ConfigurationError, match="safety must be positive"):
+            run_to_blowup(line_field(nodes, 1.0), safety=safety)
+
+    @pytest.mark.parametrize("safety", [1e-300, 1e-162])
+    def test_safety_whose_tolerance_underflows_is_refused(self, safety):
+        # safety^2/2 rounds to 0 below a safety of about 3e-162, and every
+        # error ratio err/tol would then divide by zero
+        assert 0.5 * safety**2 == 0.0
+        nodes = line_grid(5.0, 129)
+        with pytest.raises(ConfigurationError, match=rf"safety {safety} makes the tolerance"):
             run_to_blowup(line_field(nodes, 1.0), safety=safety)
 
     def test_radial_blowup(self):
