@@ -20,7 +20,7 @@ from typing import NoReturn
 import numpy as np
 
 from .core_math import LOG_U_SWITCH, Params, eval_f
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericError
 from .imex import Operator, imex_step
 from .ode_blowup import time_to_blowup
 
@@ -145,6 +145,11 @@ _GROWTH_MAX = 2.0
 _SHRINK_MIN = 0.2
 _RATIO_FLOOR = 1e-8
 
+# run_to_blowup's budget of attempts.  The cap safety M/f(M) lets log M grow
+# by about safety a step, so M_stop takes at least log(M_stop/max(M0, 1))/safety
+# steps (runs take about twice that); the default runs take 446-766.
+_MAX_ATTEMPTS = 100_000
+
 
 def _reaction_timescale(M: float, params: Params) -> float:
     """M / f(M) for M > 0, in Python floats: the same formula as eval_f,
@@ -201,7 +206,9 @@ def run_to_blowup(
     growing it at most _GROWTH_MAX-fold (not at all right after a
     rejection), and dt never exceeds safety M/f(M), the reaction timescale
     that dominates near blow-up.  The first attempt takes
-    safety min(h^2, M/f(M)).  On blow-up
+    safety min(h^2, M/f(M)).  A safety that needs more than _MAX_ATTEMPTS
+    steps to reach M_stop is a ConfigurationError, and a run that makes
+    _MAX_ATTEMPTS attempts without halting a NumericError.  On blow-up
     T_hat = t_halt + time_to_blowup(max|u|), the ODE extrapolation of the
     remaining time.  p, a and N are those of u0.params.
     """
@@ -217,6 +224,12 @@ def run_to_blowup(
     params = u0.params
     field_now = u0
     M = float(np.max(np.abs(u0.values)))
+    least = math.log(min(M_stop, np.finfo(float).max) / max(M, 1.0)) / safety
+    if least > _MAX_ATTEMPTS:
+        raise ConfigurationError(
+            f"run_to_blowup: safety {safety:g} needs at least {least:.3g} steps "
+            f"to reach M_stop = {M_stop:g}, over the budget of {_MAX_ATTEMPTS} attempts"
+        )
     history = [(u0.time, M)]
     dts, limits = [], []
     rejected = 0
@@ -237,6 +250,9 @@ def run_to_blowup(
         if field_now.time + dt == field_now.time:
             status, halt = "blown_up", "t_resolution"
             break
+        if len(dts) + rejected == _MAX_ATTEMPTS:
+            raise NumericError(f"run_to_blowup: no halt after {_MAX_ATTEMPTS} attempts, "
+                               f"at t = {field_now.time:.17g}, M = {M:.6g}")
         t0 = time.perf_counter()
         trial, err = step(field_now, dt)
         t_step += time.perf_counter() - t0

@@ -14,8 +14,12 @@ import numpy as np
 import pytest
 
 from blowuplab import core_math, verification
+from blowuplab.analysis import SimilarityRun, lyapunov_audit, run_similarity
 from blowuplab.core_math import Params, kappa_a
+from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot
+from blowuplab.initial_data import line_grid, random_smooth_shape
 from blowuplab.ode_blowup import asymptotic_ratio, integrate_vT
+from blowuplab.similarity_solver import DEFAULT_DS, SimField
 from blowuplab.verification import (
     build_audit_corpus,
     criterion_1_ode_rate,
@@ -141,6 +145,84 @@ def test_criterion_4_lyapunov(corpus):
     res = report(criterion_4_lyapunov(corpus))
     assert_attainable(res)
     assert len(corpus.runs) == 12  # 5 random + 1 near-profile, per (p, a)
+    # one check per inequality and run, each a signed slack, far from 0
+    families = ("decrement", "unit_monotone", "step_monotone")
+    assert [c.name for c in res.checks] == [
+        f"{family}[{name}]" for name, _ in corpus.runs for family in families
+    ]
+    assert all(c.measured < -0.1 for c in res.checks)
+
+
+def _constructed_run(L_units, dissipation, step_L):
+    """A run holding only a Lyapunov ledger: L at the AUDIT_UNITS + 1 unit
+    boundaries, each unit's dissipation and L at every step of 1/50."""
+    per_unit = (len(step_L) - 1) // verification.AUDIT_UNITS
+    snapshots = [
+        FunctionalSnapshot(s=verification.S0 + k, E=0.0, J=0.0, H_m=0.0, N_m=0.0,
+                           I=0.0, L0=0.0, L=float(L), mass=0.0)
+        for k, L in enumerate(L_units)
+    ]
+    return SimilarityRun(
+        fields=[],
+        snapshots=snapshots,
+        dissipation=np.asarray(dissipation, dtype=float),
+        step_s=verification.S0 + np.arange(len(step_L)) / per_unit,
+        step_L=np.asarray(step_L, dtype=float),
+        step_mass=np.zeros(len(step_L)),
+        ds=1.0 / per_unit,
+    )
+
+
+def _failing_families(run):
+    corpus = verification.AuditCorpus(runs=[("w", run)], profile_runs={}, tuning={})
+    return [c.name for c in criterion_4_lyapunov(corpus).checks if not c.passed]
+
+
+def _step_bump():
+    step_L = np.linspace(1.0, 0.4, 301)
+    step_L[150] = step_L[149] + 1e-3
+    return step_L
+
+
+# One ledger per criterion 4 family on which that family's check fails and
+# the other two pass.
+CRITERION_4_WITNESSES = {
+    # L falls by 0.1 per unit while D = 1 asks for 0.5
+    "decrement": (1.0 - 0.1 * np.arange(7), np.ones(6), np.linspace(1.0, 0.4, 301)),
+    # L rises by 1e-5 per unit, within the decrement's tolerance, and by
+    # 2e-7 per step
+    "unit_monotone": (1e-5 * np.arange(7), np.zeros(6), 2e-7 * np.arange(301)),
+    # L falls per unit but rises by 1e-3 over one step
+    "step_monotone": (1.0 - 0.1 * np.arange(7), np.zeros(6), _step_bump()),
+}
+
+
+@pytest.mark.parametrize("family", list(CRITERION_4_WITNESSES))
+def test_criterion_4_witness_fails_only_its_family(family):
+    run = _constructed_run(*CRITERION_4_WITNESSES[family])
+    assert _failing_families(run) == [f"{family}[w]"]
+
+
+def test_criterion_4_fails_on_a_corpus_datum_at_theta_100(corpus):
+    # theta s^(-3/4) is what makes L fall: at theta = 100 the corpus datum
+    # random[p=3,a=-1,seed=0] breaks all three inequalities in its first
+    # unit, where at the default theta = 800 it passes them
+    name = "random[p=3,a=-1,seed=0]"
+    params = Params(3.0, -1.0)
+    nodes = line_grid(verification.GRID_RADIUS, verification.GRID_NODES)
+    w0 = SimField(geometry="line", nodes=nodes,
+                  values=0.7 * random_smooth_shape(nodes, params, 0),
+                  s=verification.S0, params=params)
+    run = run_similarity(w0, verification.S0 + verification.AUDIT_UNITS, DEFAULT_DS,
+                         FunctionalConfig(theta=100.0))
+    assert _failing_families(run) == [
+        "decrement[w]", "unit_monotone[w]", "step_monotone[w]"
+    ]
+    rep = lyapunov_audit(run.snapshots, run.dissipation, run.step_L)
+    assert rep.decrement[0] == pytest.approx(2.63, abs=0.01)
+    assert rep.unit_rise[0] == pytest.approx(2.60, abs=0.01)
+    assert (rep.step_rise, rep.step_rise_s) == (pytest.approx(0.75, abs=0.01), 2.02)
+    assert _failing_families(dict(corpus.runs)[name]) == []
 
 
 def test_criterion_5_rate_recovery():
@@ -270,7 +352,7 @@ def test_every_verdict_is_measured_within_bound(corpus):
     # one rule decides every check; the verdicts are those of the suites
     # before the rule, when each check stated its own comparison
     checks = [c for r in verification.run_all_suites(corpus) for c in r.checks]
-    assert len(checks) == 97
+    assert len(checks) == 109
     for c in checks:
         assert c.passed == (c.measured <= c.bound), c.name
     assert [c.name for c in checks if not c.passed] == ["deviation_at_s30[p=2,a=2]"]

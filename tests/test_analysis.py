@@ -292,7 +292,10 @@ class TestLyapunovAudit:
         snaps = constant_ledger([1.5, 2.0, 3.0, 5.0])
         rep = lyapunov_audit(snaps, np.array([0.2, 0.5, 1.0]), [sn.L for sn in snaps])
         assert not rep.passed
-        assert all(v.magnitude > 0 for v in rep.violations)
+        # every unit breaks both per-unit inequalities, and L rises per step
+        assert min(rep.decrement) > 0.0
+        assert min(rep.unit_rise) > 1e-6
+        assert rep.step_rise > 1e-6
 
     def test_step_series_check(self):
         snaps = constant_ledger([5.0, 3.0, 2.0, 1.5])
@@ -300,7 +303,10 @@ class TestLyapunovAudit:
             snaps, np.zeros(3), step_L=np.array([5.0, 4.0, 4.0 + 1e-3, 1.5])
         )
         assert not rep.passed
-        assert rep.max_step_increase == pytest.approx(1e-3)
+        assert rep.step_rise == pytest.approx(1e-3)
+        # the per-unit inequalities hold: only the step rise fails
+        assert max(rep.decrement) <= 0.0
+        assert max(rep.unit_rise) <= 1e-6
 
     def test_step_violation_located_at_its_s(self):
         # s0 = 2, ds = 0.01: a bump injected at step 300 sits at s = 5
@@ -308,13 +314,28 @@ class TestLyapunovAudit:
         step_L = np.linspace(5.0, 1.0, 401)
         step_L[300] += 0.05
         rep = lyapunov_audit(snaps, np.zeros(4), step_L=step_L)
-        (step,) = [v for v in rep.violations if v.kind == "step"]
-        assert step.s == 5.0
+        assert rep.step_rise > 1e-6
+        assert rep.step_rise_s == 5.0
 
     def test_needs_three_units(self):
         snaps = constant_ledger([1.0, 0.5])
         with pytest.raises(DomainError):
             lyapunov_audit(snaps, np.zeros(1), [sn.L for sn in snaps])
+
+    def test_step_series_must_span_the_snapshots(self):
+        snaps = constant_ledger([5.0, 3.0, 2.0, 1.5])
+        with pytest.raises(DomainError, match="step_L"):
+            lyapunov_audit(snaps, np.zeros(3), step_L=[5.0, 3.0, 2.0])
+
+    def test_measures_are_signed_slacks(self):
+        # L falls by 1 per unit with no dissipation: each measure reads how
+        # far its inequality is from failing, not 0
+        snaps = constant_ledger([3.0, 2.0, 1.0, 0.0])
+        rep = lyapunov_audit(snaps, np.zeros(3), np.linspace(3.0, 0.0, 7))
+        assert rep.passed
+        assert rep.unit_rise == [-1.0, -1.0, -1.0]
+        assert rep.decrement == [-1.0 - 1e-3 * (1.0 + L) for L in (3.0, 2.0, 1.0)]
+        assert (rep.step_rise, rep.step_rise_s) == (-0.5, 2.5)
 
 
 class TestRunSimilarity:

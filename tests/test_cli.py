@@ -506,12 +506,22 @@ class TestMain:
             (["physical", "--set", "solver.dt_safety=1e-300", "--set", "grid.resolution=129"],
              r"ConfigurationError: run_to_blowup: safety 1e-300 makes the tolerance "
              r"safety\^2/2 underflow to 0$"),
+            # reaching M_stop takes at least log(M_stop/M0)/safety steps,
+            # which no attempt budget covers: refused before the first step
+            (["physical", "--set", "solver.dt_safety=1e-100", "--set", "grid.resolution=129"],
+             r"ConfigurationError: run_to_blowup: safety 1e-100 needs at least "
+             r"1\.82e\+101 steps to reach M_stop = 1e\+08, over the budget of "
+             r"100000 attempts$"),
             # the profile is the similarity datum at s0 = -log T, so the
             # default T = 1 has no frame to start from
             (["physical", "--set", "initial_data.kind=profile"],
              r"ParseError: .*solver\.T <= exp\(-1\)"),
             (["similarity", "--set", "solver.ds=0"], "DomainError"),
             (["similarity", "--set", "solver.ds=-1"], "DomainError"),
+            # 6e12 steps: the per-step ledger would need 4.5e5 GiB
+            (["similarity", "--set", "solver.ds=1e-12"],
+             r"DomainError: run_similarity: ds = 1e-12 takes 6000000000000 steps "
+             r"on 401 nodes, a ledger of 4\.47e\+05 GiB, over the 1 GiB limit$"),
             # s0 = -log T needs T > 0
             (["similarity", "--set", "solver.T=0"], "DomainError: .*solver.T must be positive"),
             # s0 = -log T = 9.21 lies past s_end = 8: no unit of s to run
@@ -530,9 +540,11 @@ class TestMain:
             "physical-m_stop-1e200",
             "physical-dt_safety=0",
             "physical-dt_safety=1e-300",
+            "physical-dt_safety=1e-100",
             "physical-profile-T=1",
             "ds=0",
             "ds=-1",
+            "ds=1e-12",
             "T=0",
             "s_end-before-s0",
             "s_end-within-a-unit-of-s0",
