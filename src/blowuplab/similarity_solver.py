@@ -151,7 +151,7 @@ DEFAULT_DS = 1.0 / 50
 def cfl_step(nodes: np.ndarray, ds_requested: float) -> float:
     """Largest step <= ds_requested that divides 1 exactly, so runs land on
     unit-s boundaries.  Raises DomainError unless ds_requested is finite and
-    positive.
+    positive, with a finite 1/ds_requested.
 
     The name and the nodes argument are those of the time when the explicit
     drift's CFL bound on the grid capped the step as well; the benchmark's
@@ -159,4 +159,7 @@ def cfl_step(nodes: np.ndarray, ds_requested: float) -> float:
     """
     if not (0.0 < ds_requested < np.inf):
         raise DomainError(f"cfl_step: ds must be finite and positive, got {ds_requested}")
-    return 1.0 / int(np.ceil(1.0 / ds_requested))
+    per_unit = np.ceil(1.0 / ds_requested)
+    if per_unit == np.inf:
+        raise DomainError(f"cfl_step: ds = {ds_requested:g} makes 1/ds overflow float64")
+    return 1.0 / int(per_unit)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import blowuplab
+from blowuplab import physical_solver
 from blowuplab.cli import (
     _SCHEMA,
     RunConfig,
@@ -506,12 +507,6 @@ class TestMain:
             (["physical", "--set", "solver.dt_safety=1e-300", "--set", "grid.resolution=129"],
              r"ConfigurationError: run_to_blowup: safety 1e-300 makes the tolerance "
              r"safety\^2/2 underflow to 0$"),
-            # reaching M_stop takes at least log(M_stop/M0)/safety steps,
-            # which no attempt budget covers: refused before the first step
-            (["physical", "--set", "solver.dt_safety=1e-100", "--set", "grid.resolution=129"],
-             r"ConfigurationError: run_to_blowup: safety 1e-100 needs at least "
-             r"1\.82e\+101 steps to reach M_stop = 1e\+08, over the budget of "
-             r"100000 attempts$"),
             # the profile is the similarity datum at s0 = -log T, so the
             # default T = 1 has no frame to start from
             (["physical", "--set", "initial_data.kind=profile"],
@@ -522,6 +517,9 @@ class TestMain:
             (["similarity", "--set", "solver.ds=1e-12"],
              r"DomainError: run_similarity: ds = 1e-12 takes 6000000000000 steps "
              r"on 401 nodes, a ledger of 4\.47e\+05 GiB, over the 1 GiB limit$"),
+            # 1/ds overflows float64 below a ds of about 5.6e-309
+            (["similarity", "--set", "solver.ds=1e-309"],
+             r"DomainError: cfl_step: ds = 1e-309 makes 1/ds overflow float64$"),
             # s0 = -log T needs T > 0
             (["similarity", "--set", "solver.T=0"], "DomainError: .*solver.T must be positive"),
             # s0 = -log T = 9.21 lies past s_end = 8: no unit of s to run
@@ -540,11 +538,11 @@ class TestMain:
             "physical-m_stop-1e200",
             "physical-dt_safety=0",
             "physical-dt_safety=1e-300",
-            "physical-dt_safety=1e-100",
             "physical-profile-T=1",
             "ds=0",
             "ds=-1",
             "ds=1e-12",
+            "ds=1e-309",
             "T=0",
             "s_end-before-s0",
             "s_end-within-a-unit-of-s0",
@@ -555,6 +553,30 @@ class TestMain:
         assert main([*argv, "--output", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
         assert re.match(error, report["error"])
+
+    def test_attempt_budget_error_in_report(self, tmp_path, monkeypatch):
+        # at safety 1e-100 t advances by about 1e-100 a step and no halt
+        # comes within any budget; the full budget of 100,000 attempts takes
+        # seconds, so this runs on one of 1,000
+        monkeypatch.setattr(physical_solver, "_MAX_ATTEMPTS", 1000)
+        out = tmp_path / "run"
+        argv = ["physical", "--set", "solver.dt_safety=1e-100", "--set", "grid.resolution=129"]
+        assert main([*argv, "--output", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert re.match(r"NumericError: run_to_blowup: no halt after 1000 attempts, "
+                        r"at t = .*, M = 1\.2$", report["error"])
+
+    def test_large_m_stop_at_small_safety_halts_on_t_resolution(self, tmp_path):
+        # climbing to M = 1e200 would take over 1.15e5 steps, past the attempt
+        # budget, but t + dt == t ends the run at M = 2.0e6, every step
+        # error-limited
+        out = tmp_path / "run"
+        argv = ["physical", "--set", "solver.m_stop=1e200", "--set", "solver.dt_safety=0.004",
+                "--set", "grid.resolution=129"]
+        assert main([*argv, "--output", str(out)]) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert (results["halt"], results["status"], results["steps"]) == (
+            "t_resolution", "blown_up", 9063)
 
     @pytest.mark.parametrize("option", [["--set", "params.p=2"], ["--config", "run.ini"]])
     def test_verify_takes_no_config(self, tmp_path, capsys, option):

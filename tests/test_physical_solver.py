@@ -406,15 +406,8 @@ class TestRunToBlowup:
         with pytest.raises(ConfigurationError, match=rf"safety {safety} makes the tolerance"):
             run_to_blowup(line_field(nodes, 1.0), safety=safety)
 
-    def test_safety_beyond_the_attempt_budget_is_refused(self):
-        # from M0 = 1, M_stop = 1e8 takes at least log(1e8)/safety steps
-        nodes = line_grid(5.0, 129)
-        with pytest.raises(ConfigurationError, match=r"safety 1e-100 needs at least 1\.84e\+101 steps"):
-            run_to_blowup(line_field(nodes, 1.0), safety=1e-100)
-
     def test_attempts_past_the_budget_are_a_numeric_error(self, monkeypatch):
-        # the lower bound, log(1e8)/0.05 = 368 steps, fits a budget of 400,
-        # but the run takes more attempts than that
+        # this run takes more than 400 attempts to reach M_stop
         monkeypatch.setattr(physical_solver, "_MAX_ATTEMPTS", 400)
         nodes = line_grid(5.0, 129)
         with pytest.raises(NumericError, match=r"no halt after 400 attempts, at t = .*, M = "):
