@@ -297,7 +297,7 @@ def tune_blowup_amplitude(
                 w = step_w(w, ds_eff)
             except BlowupOvershootError:
                 return +1, k
-            peak = float(np.max(np.abs(w.values)))
+            peak = w.sup
             if peak > 2.5 * kap:
                 return +1, k
             if peak < 0.4 * kap:
@@ -405,7 +405,7 @@ def run_similarity(
         try:
             for m in range(n + 1, stop + 1):
                 nxt = step_w(current, ds_eff)
-                current = nxt._stepped(nxt.values, s=w0.s + m / per_unit)  # the clock
+                current = nxt._stepped(nxt.values, nxt.sup, s=w0.s + m / per_unit)  # the clock
                 block[m - n] = current.values
                 step_s[m] = current.s
         except BlowupOvershootError as exc:

@@ -109,7 +109,7 @@ def per_row(fn, s):
     return tuple(np.array(col) for col in zip(*(fn(float(si)) for si in s)))
 
 
-def eval_f(u, params: Params):
+def eval_f(u, params: Params, abs_max: tuple[np.ndarray, float] | None = None):
     """f(u) = |u|^(p-1) u log^a(2 + u^2).  Odd in u; sign f(u) = sign u.
 
     The log is _ell at log phi = 0: log(2 + u*u) at each node with
@@ -118,15 +118,28 @@ def eval_f(u, params: Params):
     inf propagate through it) and, at or below 1e150, makes the log one
     log(2 + u*u) pass.  Inputs whose image exceeds float64 yield inf;
     callers near blow-up treat that as the overshoot signal.
+
+    abs_max, the pair (|u|, max|u|) of an array u whose max its caller has
+    already checked finite, stands in for that reduction.  eval_f then sets
+    no floating-point error state of its own: imex_step calls it twice per
+    step inside its own.  Without the pair it silences overflow itself.
     """
     arr = np.asarray(u, dtype=float)
+    if abs_max is not None:
+        return _f(arr, *abs_max, params)
     ax, u_max = _abs_max(arr, "eval_f")
-    p, a = params.p, params.a
     with np.errstate(over="ignore"):
-        out = ax ** (p - 1.0) * arr
-        if a != 0.0:
-            out *= _ell(0.0, arr, ax, u_max) ** a
+        out = _f(arr, ax, u_max, params)
     return float(out) if arr.ndim == 0 else out
+
+
+def _f(u: np.ndarray, au: np.ndarray, u_max: float, params: Params):
+    """f(u) from u, |u| = au and u_max = max|u|, under the caller's error state."""
+    p, a = params.p, params.a
+    out = au ** (p - 1.0) * u
+    if a != 0.0:
+        out *= _ell(0.0, u, au, u_max) ** a
+    return out
 
 
 def eval_F(u: float, params: Params) -> float:
@@ -216,7 +229,9 @@ def _ell(lp: float, w: np.ndarray, aw: np.ndarray, w_max: float):
         )
 
 
-def rescaled_nonlinearity(s: float, w, params: Params):
+def rescaled_nonlinearity(
+    s: float, w, params: Params, abs_max: tuple[np.ndarray, float] | None = None
+):
     """Source term of the similarity-frame equation, in cancellation form.
 
     Returns s^(-a) |w|^(p-1) w log^a(2 + phi(s)^2 w^2), the log by _ell at
@@ -227,10 +242,12 @@ def rescaled_nonlinearity(s: float, w, params: Params):
     It sets no floating-point error state of its own: the similarity step
     calls it twice per step inside imex_step's.  Only a |w| near the float64
     limit (|w|^p beyond 1.8e308) overflows; the result is then inf, with
-    numpy's overflow warning unless the caller has silenced it.
+    numpy's overflow warning unless the caller has silenced it.  abs_max,
+    the pair (|w|, max|w|) of an array w whose max imex_step has checked
+    finite, stands in for the function's own reduction, as in eval_f.
     """
     arr = np.asarray(w, dtype=float)
-    aw, w_max = _abs_max(arr, "rescaled_nonlinearity")
+    aw, w_max = abs_max if abs_max is not None else _abs_max(arr, "rescaled_nonlinearity")
     p, a = params.p, params.a
     out = aw ** (p - 1.0) * arr
     if a != 0.0:

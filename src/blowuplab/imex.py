@@ -12,17 +12,21 @@ Heun corrector on g,
 
 second order overall.  The step returns u* next to u_new: their gap is the
 local error of the first-order predictor, which the physical frame's step
-controller uses.  An Operator holds A's bands for one grid and the last dt
-a step asked for.  A step at a new dt solves each tridiagonal matrix with
-one dgtsv call and keeps nothing; a step that repeats the last dt factors
-both matrices with dgttrf, and later steps at that dt only back-substitute
-with dgttrs.  The two routes give the same bits.  So a similarity run,
-whose ds is fixed, factors once, on its second step, and the physical step
-controller, which changes dt on nearly every step, almost never factors.
+controller uses.  It also returns max|u_new|: the one reduction that checks
+u_new for finiteness is the sup its callers read.
+
+An Operator holds A's bands for one grid and the last dt a step asked for.
+A step at a new dt solves each tridiagonal matrix with one dgtsv call and
+keeps nothing; a step that repeats the last dt factors both matrices with
+dgttrf, and later steps at that dt only back-substitute with dgttrs.  The
+two routes give the same bits.  So a similarity run, whose ds is fixed,
+factors once, on its second step, and the physical step controller, which
+changes dt on nearly every step, almost never factors.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -112,18 +116,14 @@ class Operator:
 
 
 def _solve(
-    bands: np.ndarray, alpha: float, factors: tuple | None, rhs: np.ndarray, t: float, stage: str
+    bands: np.ndarray, alpha: float, factors: tuple | None, rhs: np.ndarray, stage: str
 ) -> np.ndarray:
-    """Solve (I - alpha A) x = rhs: from that matrix's dgttrf factors by
-    dgttrs, or with factors None by one dgtsv call that overwrites the
-    freshly formed matrix and the temporary rhs.  dgtsv eliminates with the
-    same pivots and the same operations as dgttrf followed by dgttrs, so
-    both routes give the same bits.  A non-finite value is an overshoot.
-
-    Only the solution is checked.  The substitutions reach every entry of
-    rhs and divide only by the nonzero pivots, and IEEE arithmetic keeps a
-    value non-finite through additions, multiplications and such divisions,
-    so a non-finite rhs always yields a non-finite solution.
+    """Solve (I - alpha A) x = rhs in rhs's buffer: from that matrix's dgttrf
+    factors by dgttrs, or with factors None by one dgtsv call that also
+    overwrites the freshly formed matrix.  dgtsv eliminates with the same
+    pivots and the same operations as dgttrf followed by dgttrs, so both
+    routes give the same bits.  The solution is not checked here: the step
+    checks it by its max (see _checked_abs_max).
     """
     if factors is None:
         m = _matrix(bands, alpha)
@@ -133,41 +133,75 @@ def _solve(
         )
         routine = "dgtsv"
     else:
-        out, info = dgttrs(*factors, rhs)
+        out, info = dgttrs(*factors, rhs, overwrite_b=1)
         routine = "dgttrs"
     if info != 0:  # pragma: no cover - a singular matrix or an invalid argument
         raise NumericError(f"imex_step: {stage} solve failed ({routine} info {info})")
-    if not np.isfinite(out).all():
-        raise BlowupOvershootError(f"imex_step: non-finite {stage} at t={t}")
     return out
+
+
+def _checked_abs_max(x: np.ndarray, t: float, stage: str) -> tuple[np.ndarray, float]:
+    """|x| and max|x| of a stage's solution.  NaN and inf propagate through
+    the max, so it is also the finiteness check: a non-finite value is an
+    overshoot.
+
+    Only the solution needs checking.  The substitutions reach every entry
+    of the right-hand side and divide only by the nonzero pivots, and IEEE
+    arithmetic keeps a value non-finite through additions, multiplications
+    and such divisions, so a non-finite right-hand side always yields a
+    non-finite solution.
+    """
+    ax = np.abs(x)
+    x_max = float(ax.max())
+    if not math.isfinite(x_max):
+        raise BlowupOvershootError(f"imex_step: non-finite {stage} at t={t}")
+    return ax, x_max
 
 
 def imex_step(
     operator: Operator,
     u: np.ndarray,
+    u_max: float,
     t: float,
     dt: float,
-    explicit: Callable[[float, np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance u by dt with operator's A implicit and the explicit terms
-    g(t, u) = explicit(t, u).  explicit runs with floating-point overflow
-    silenced, so it may overflow to inf without a warning.  Returns
-    (u_new, u*): the second-order result and the first-order predictor,
-    whose gap is an embedded estimate of the predictor's local error.
-    Raises BlowupOvershootError on any non-finite value (the step went past
-    the singularity)."""
+    explicit: Callable[[float, np.ndarray, tuple[np.ndarray, float]], np.ndarray],
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Advance u, a finite field with max|u| = u_max, by dt with operator's
+    A implicit and the explicit terms g(t, x) = explicit(t, x, (|x|, max|x|)).
+    explicit returns a new array, which the step may overwrite, and runs
+    with floating-point overflow silenced, so it may overflow to inf
+    without a warning.  Returns (u_new, max|u_new|, u*): the second-order
+    result, its sup, and the first-order predictor, whose gap to u_new is
+    an embedded estimate of the predictor's local error.  Raises
+    BlowupOvershootError on any non-finite value (the step went past the
+    singularity).
+
+    One reduction per array: max|u*| and max|u_new| check the two
+    solutions for finiteness, and hand their explicit terms (and the
+    caller) the sup.  The right-hand sides are formed in place, with the
+    operations of u + dt g0 and u + dt/2 A u + dt/2 (g0 + g1) in their
+    order, so every bit is theirs.
+    """
     bands = operator.bands
     predictor, corrector = operator.factors(dt) or (None, None)
     # One error state for the whole step, both explicit evaluations included:
-    # an overflow anywhere leaves an inf in a right-hand side, and _solve
-    # reports it.
+    # an overflow anywhere leaves an inf in a right-hand side, and the max
+    # of that stage's solution reports it.
     with np.errstate(over="ignore"):
-        g0 = explicit(t, u)
-        rhs = u + dt * g0
-        u_star = _solve(bands, dt, predictor, rhs, t, "predictor")
-        g1 = explicit(t + dt, u_star)
-        lap_u = bands[1] * u
-        lap_u[:-1] += bands[0][1:] * u[1:]
-        lap_u[1:] += bands[2][:-1] * u[:-1]
-        rhs = u + 0.5 * dt * lap_u + 0.5 * dt * (g0 + g1)
-    return _solve(bands, 0.5 * dt, corrector, rhs, t, "corrector"), u_star
+        g0 = explicit(t, u, (np.abs(u), u_max))
+        rhs = dt * g0
+        rhs += u
+        u_star = _solve(bands, dt, predictor, rhs, "predictor")
+        g1 = explicit(t + dt, u_star, _checked_abs_max(u_star, t, "predictor"))
+        half = 0.5 * dt
+        rhs = bands[1] * u  # A u, then u + dt/2 A u
+        rhs[:-1] += bands[0][1:] * u[1:]
+        rhs[1:] += bands[2][:-1] * u[:-1]
+        rhs *= half
+        rhs += u
+        g1 += g0
+        g1 *= half
+        rhs += g1
+        u_new = _solve(bands, half, corrector, rhs, "corrector")
+        _, u_new_max = _checked_abs_max(u_new, t, "corrector")
+    return u_new, u_new_max, u_star

@@ -40,6 +40,8 @@ def line_grid(extent: float, resolution: int) -> np.ndarray:
 def gaussian(
     nodes: np.ndarray, amplitude: float, width: float, floor: float = 0.0
 ) -> np.ndarray:
-    """floor + amplitude exp(-(x/width)^2) on the nodes; floor > 0 gives
-    constant-dominating data."""
-    return floor + amplitude * np.exp(-((nodes / width) ** 2))
+    """floor + amplitude exp(-(x/width)^2) on the nodes, width > 0; floor > 0
+    gives constant-dominating data.  Where x/width or its square overflows,
+    the exponential is its limit 0."""
+    with np.errstate(over="ignore"):
+        return floor + amplitude * np.exp(-((nodes / width) ** 2))

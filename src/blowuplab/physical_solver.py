@@ -33,7 +33,9 @@ class Field:
     The public constructor checks the grid and the values; _stepped, the
     constructor a step uses, checks nothing again.  What is derived from
     the grid alone (operator, and SimField's rule) is built on first use
-    and inherited by every field stepped from this one.
+    and inherited by every field stepped from this one.  sup, max|values|,
+    is the step's own reduction on a stepped field and is computed on first
+    read on any other.
     """
 
     geometry: str  # "line" or "radial"
@@ -64,16 +66,25 @@ class Field:
     def _refuse(self, reason: str) -> NoReturn:
         raise ConfigurationError(f"{type(self).__name__}: {reason}")
 
-    def _stepped(self, values: np.ndarray, **clock: float):
+    def _stepped(self, values: np.ndarray, sup: float | None = None, **clock: float):
         """This field's grid with a step's values at the step's later time
         (time= or s=).  The grid was checked when this field was built,
         imex_step has checked the values for finiteness, a step keeps their
         shape and only advances the clock: what the constructor checked
         still holds.  Copying __dict__ also hands over the grid's operator
-        and rule once built."""
+        and rule once built.  sup is max|values| when the caller has it (a
+        step does); without it this field's cached sup, which belongs to
+        other values, is dropped and computed again on first read."""
         out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__, values=values, **clock)
+        out.__dict__.update(self.__dict__, values=values, sup=sup, **clock)
+        if sup is None:
+            del out.__dict__["sup"]
         return out
+
+    @cached_property
+    def sup(self) -> float:
+        """max|values|."""
+        return float(np.max(np.abs(self.values)))
 
     @cached_property
     def operator(self) -> Operator:
@@ -115,19 +126,21 @@ class PhysicalRunResult:
 def step(field_in: GridField, dt: float) -> tuple[GridField, float]:
     """One imex_step of size dt with the reaction f(u) as the explicit term.
 
-    Returns the new field and max|u_new - u*|, the gap to the step's
-    first-order predictor: an estimate of the local error, O(dt^2).
-    Raises BlowupOvershootError if the step produces non-finite values.
+    Returns the new field, with its sup, and max|u_new - u*|, the gap to
+    the step's first-order predictor: an estimate of the local error,
+    O(dt^2).  Raises BlowupOvershootError if the step produces non-finite
+    values.
     """
     if not (dt > 0.0):
         raise DomainError(f"step: dt must be positive, got {dt}")
     params = field_in.params
-    u_new, u_star = imex_step(
-        field_in.operator, field_in.values, field_in.time, dt,
-        lambda t, u: eval_f(u, params),
+    u_new, u_max, u_star = imex_step(
+        field_in.operator, field_in.values, field_in.sup, field_in.time, dt,
+        lambda t, u, abs_max: eval_f(u, params, abs_max),
     )
-    error = float(np.max(np.abs(u_new - u_star)))
-    return field_in._stepped(u_new, time=field_in.time + dt), error
+    # the gap in u*'s buffer, which nothing reads after the step
+    gap = np.abs(np.subtract(u_new, u_star, out=u_star), out=u_star)
+    return field_in._stepped(u_new, u_max, time=field_in.time + dt), float(gap.max())
 
 
 # What set an accepted step's dt: the reaction-timescale cap, the error
@@ -216,14 +229,18 @@ def run_to_blowup(
         raise ConfigurationError(f"run_to_blowup: M_stop must be >= 1e6, got {M_stop}")
     if not safety > 0.0:
         raise ConfigurationError(f"run_to_blowup: safety must be positive, got {safety}")
-    tol_scale = 0.5 * safety**2  # tol = tol_scale max(M, 1)
-    if tol_scale == 0.0:
+    try:
+        tol_scale = 0.5 * safety**2  # tol = tol_scale max(M, 1)
+    except OverflowError:  # safety above about 1.3e154
+        tol_scale = math.inf
+    if not 0.0 < tol_scale < math.inf:
         raise ConfigurationError(
-            f"run_to_blowup: safety {safety} makes the tolerance safety^2/2 underflow to 0"
+            f"run_to_blowup: safety {safety} makes the tolerance safety^2/2 "
+            + ("underflow to 0" if tol_scale == 0.0 else "overflow float64")
         )
     params = u0.params
     field_now = u0
-    M = float(np.max(np.abs(u0.values)))
+    M = u0.sup
     history = [(u0.time, M)]
     dts, limits = [], []
     rejected = 0
@@ -258,7 +275,7 @@ def run_to_blowup(
             grow_max = 1.0  # no growth on the step after a rejection
         else:
             field_now = trial
-            M = float(np.max(np.abs(trial.values)))
+            M = trial.sup
             history.append((field_now.time, M))
             dts.append(dt)
             limits.append(limit)

@@ -103,9 +103,10 @@ def to_similarity(
     )
 
 
-def _explicit_terms(params: Params, s: float, w: np.ndarray) -> np.ndarray:
+def _explicit_terms(params: Params, s: float, w: np.ndarray, abs_max) -> np.ndarray:
     linear = -(1.0 / (params.p - 1.0)) * (1.0 - params.a / s) * w
-    return linear + rescaled_nonlinearity(s, w, params)
+    linear += rescaled_nonlinearity(s, w, params, abs_max)
+    return linear
 
 
 def step_w(field_in: SimField, ds: float) -> SimField:
@@ -114,18 +115,21 @@ def step_w(field_in: SimField, ds: float) -> SimField:
 
     No CFL bound limits ds, since the drift is implicit.  Raises DomainError
     unless ds > 0, and BlowupOvershootError, naming s, on non-finite values.
+    The new field carries its sup, the step's own max|w|.
     """
     if not (ds > 0.0):
         raise DomainError(f"step_w: ds must be positive, got {ds}")
     params = field_in.params
     explicit = partial(_explicit_terms, params)
     try:
-        w_new, _ = imex_step(field_in.operator, field_in.values, field_in.s, ds, explicit)
+        w_new, w_max, _ = imex_step(
+            field_in.operator, field_in.values, field_in.sup, field_in.s, ds, explicit
+        )
     except BlowupOvershootError as exc:
         raise BlowupOvershootError(
             f"step_w: w blew up in the step from s={field_in.s} to s={field_in.s + ds}"
         ) from exc
-    return field_in._stepped(w_new, s=field_in.s + ds)
+    return field_in._stepped(w_new, w_max, s=field_in.s + ds)
 
 
 def ds_dissipation(before: SimField, after: SimField):

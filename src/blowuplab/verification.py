@@ -450,7 +450,7 @@ def criterion_8_frame_equivalence(res: SuiteResult) -> None:
     f = u0
     for n in range(1, n_steps + 1):
         f, _ = step(f, dt)
-        f = f._stepped(f.values, time=n * dt)  # the clock, counted as s is
+        f = f._stepped(f.values, f.sup, time=n * dt)  # the clock, counted as s is
     w_phys = to_similarity(f, 0.0, T, y)
 
     ws = SimField(geometry="line", nodes=y, values=w0, s=S0, params=params)

@@ -20,7 +20,7 @@ from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot, snapshot
 from blowuplab.imex import _factor
 from blowuplab.initial_data import line_grid, profile_shape
 from blowuplab.quadrature import integrate
-from blowuplab.similarity_solver import SimField, ds_dissipation, step_w
+from blowuplab.similarity_solver import DEFAULT_DS, SimField, ds_dissipation, step_w
 
 P31 = Params(3.0, 1.0)
 
@@ -445,6 +445,39 @@ class TestRunSimilarity:
         )
         assert [f.s for f in run.fields] == [s0 + k for k in range(4)]
         assert [sn.s for sn in run.snapshots] == [s0 + k for k in range(4)]
+
+    def test_every_sup_is_its_fields_max_bitwise(self, monkeypatch):
+        # along a 300-step run each stepped field, each field re-stamped on
+        # the run's clock and each unit field carries the sup its step set,
+        # max|values| to the bit.  The ledger's blocks, built from w0 once
+        # its sup is cached, hold other values and carry no sup.
+        stepped, block_sups = [], []
+
+        def recording_step_w(w, ds):
+            stepped.append(step_w(w, ds))
+            return stepped[-1]
+
+        def recording_dissipation(before, after):
+            block_sups.append(("sup" in vars(before), "sup" in vars(after)))
+            return ds_dissipation(before, after)
+
+        monkeypatch.setattr(analysis, "step_w", recording_step_w)
+        monkeypatch.setattr(analysis, "ds_dissipation", recording_dissipation)
+        nodes = line_grid(20.0, 401)
+        w0 = SimField(
+            geometry="line", nodes=nodes, values=0.7 * profile_shape(nodes, 2.0, P31),
+            s=2.0, params=P31,
+        )
+        run = run_similarity(w0, 8.0, DEFAULT_DS, FunctionalConfig())
+        assert len(stepped) == len(run.step_s) - 1 == 300
+        for f in [*stepped, *run.fields[1:]]:
+            assert "sup" in vars(f)  # set by the step, not computed on read
+            assert f.sup.hex() == float(np.max(np.abs(f.values))).hex()
+        assert "sup" in vars(w0) and block_sups
+        assert set(block_sups) == {(False, False)}
+        block = w0._stepped(np.stack([w0.values, 2.0 * w0.values]), s=np.array([2.0, 2.5]))
+        assert "sup" not in vars(block)
+        assert block.sup == 2.0 * w0.sup
 
     def test_run_factors_its_operator_once(self, monkeypatch):
         # every step of a run takes the same ds, so a run of any length

@@ -8,15 +8,19 @@ import re
 import subprocess
 import sys
 import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 import blowuplab
-from blowuplab import physical_solver
+from blowuplab import errors, physical_solver
 from blowuplab.cli import (
     _SCHEMA,
+    INITIAL_KINDS,
     RunConfig,
     main,
     parse_config,
@@ -136,6 +140,16 @@ class TestParseConfig:
     def test_low_resolution_rejected(self):
         with pytest.raises(ParseError, match="resolution"):
             parse_config("[grid]\nresolution = 32\n")
+
+    @pytest.mark.parametrize("width", ["0", "-1"])
+    def test_gaussian_needs_a_positive_width(self, width):
+        # exp(-(x/0)^2) is 0/0 at x = 0; a width the datum does not read is
+        # not checked
+        with pytest.raises(ParseError, match=f"initial_data.width must be positive .*{width}"):
+            parse_config("", [f"initial_data.width={width}", "run.scenario=physical"])
+        with pytest.raises(ParseError, match="initial_data.width"):
+            parse_config("", [f"initial_data.width={width}", "initial_data.kind=gaussian"])
+        parse_config("", [f"initial_data.width={width}"])  # the profile
 
     def test_scenario_default_datum(self):
         # the physical scenario starts from a Gaussian, every other from the
@@ -507,6 +521,10 @@ class TestMain:
             (["physical", "--set", "solver.dt_safety=1e-300", "--set", "grid.resolution=129"],
              r"ConfigurationError: run_to_blowup: safety 1e-300 makes the tolerance "
              r"safety\^2/2 underflow to 0$"),
+            # and safety^2 overflows float64 above a safety of about 1.3e154
+            (["physical", "--set", "solver.dt_safety=1e200", "--set", "grid.resolution=129"],
+             r"ConfigurationError: run_to_blowup: safety 1e\+200 makes the tolerance "
+             r"safety\^2/2 overflow float64$"),
             # the profile is the similarity datum at s0 = -log T, so the
             # default T = 1 has no frame to start from
             (["physical", "--set", "initial_data.kind=profile"],
@@ -538,6 +556,7 @@ class TestMain:
             "physical-m_stop-1e200",
             "physical-dt_safety=0",
             "physical-dt_safety=1e-300",
+            "physical-dt_safety=1e200",
             "physical-profile-T=1",
             "ds=0",
             "ds=-1",
@@ -776,6 +795,85 @@ class TestMain:
         write_csv(path, ["x"], [(v,) for v in vals])
         got = np.loadtxt(path, skiprows=1)
         assert np.array_equal(got, np.array(vals))
+
+
+def _log_uniform(lo, hi):
+    """Floats spread over the decades from lo to hi."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# A strategy for every key of cli._SCHEMA but the run section, which the
+# subcommand and --output set.  The ranges keep an example cheap: small grids,
+# at most a few thousand steps, and no dt_safety or ds so small that the run
+# only ends on its step budget (tested on its own, it takes seconds).  Past
+# that they reach values the CLI refuses, data that blow up inside a step,
+# and tolerances and caps that leave float64.
+_CONFIG_KEYS = {
+    "params.p": st.floats(1.05, 6.0),
+    "params.a": st.floats(-3.0, 3.0),
+    "params.N": st.integers(1, 3),
+    "initial_data.kind": st.sampled_from(INITIAL_KINDS),
+    "initial_data.value": st.one_of(st.floats(-5.0, 5.0), _log_uniform(1.0, 1e200)),
+    "initial_data.amplitude": st.one_of(st.floats(-5.0, 20.0), _log_uniform(1.0, 1e200)),
+    "initial_data.width": st.floats(0.0, 5.0),
+    "initial_data.floor": st.floats(-2.0, 3.0),
+    "initial_data.path": st.sampled_from(["", "no-such-datum.csv"]),
+    "grid.extent": st.floats(0.5, 30.0),
+    "grid.resolution": st.integers(60, 129),
+    "solver.T": st.one_of(st.floats(-0.5, 1.5), _log_uniform(1e-6, 1.0)),
+    "solver.s_end": st.floats(0.0, 12.0),
+    "solver.s_max": st.floats(0.0, 40.0),
+    "solver.ds": st.one_of(st.floats(-0.1, 1.0), _log_uniform(0.005, 1e300)),
+    "solver.dt_safety": st.one_of(st.floats(-0.1, 2.0), _log_uniform(0.01, 1e300)),
+    "solver.m_stop": _log_uniform(1e3, 1e300),
+    "solver.t_max": st.floats(-1.0, 20.0),
+    "functionals.m0": st.floats(-1.0, 30.0),
+    "functionals.theta": _log_uniform(1e-3, 1e4),
+    "functionals.A": st.floats(-1.0, 10.0),
+}
+
+
+def test_config_strategies_cover_the_schema():
+    assert set(_CONFIG_KEYS) == {
+        f"{section}.{key}" for section, keys in _SCHEMA.items() if section != "run"
+        for key in keys
+    }
+
+
+class TestEveryAcceptedConfigEnds:
+    """Every config the CLI accepts exits 0 or 1 within a deadline, writes a
+    report.json that strict JSON reads, and reports only BlowupLabErrors."""
+
+    @settings(max_examples=25, derandomize=True, database=None,
+              deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        scenario=st.sampled_from(["ode", "physical", "similarity"]),
+        config=st.fixed_dictionaries({}, optional=_CONFIG_KEYS),
+    )
+    # a step's solution overflows: the step's max of it is the overshoot
+    @example(scenario="physical", config={
+        "solver.m_stop": 1e200, "grid.resolution": 129, "initial_data.kind": "constant",
+        "initial_data.value": 1e100})
+    @example(scenario="similarity", config={
+        "initial_data.kind": "gaussian", "grid.resolution": 129})
+    # the tolerance dt_safety^2/2 overflows float64
+    @example(scenario="physical", config={"solver.dt_safety": 1e200, "grid.resolution": 64})
+    def test_runs_or_names_its_error(self, tmp_path_factory, scenario, config):
+        overrides = [f"{key}={value!r}" for key, value in config.items()]
+        try:
+            parse_config("", [*overrides, f"run.scenario={scenario}"])
+        except ParseError:
+            assume(False)  # refused before a run: exit 2, and no report
+        out = tmp_path_factory.mktemp("run")
+        argv = [scenario, *(a for o in overrides for a in ("--set", o)), "--output", str(out)]
+        code = main(argv)
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=lambda c: pytest.fail(f"report.json holds {c}"))
+        error = report["error"]
+        assert (code, error is None) in ((0, True), (1, False)), error
+        if error is not None:
+            kind = getattr(errors, error.split(":")[0], None)
+            assert isinstance(kind, type) and issubclass(kind, errors.BlowupLabError), error
 
 
 def test_import_loads_no_scipy_linalg_interpolate_special_or_f2py():

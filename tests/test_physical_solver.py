@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
 from blowuplab import imex, physical_solver
-from blowuplab.core_math import Params, eval_f
+from blowuplab.core_math import Params, eval_f, rescaled_nonlinearity
 from blowuplab.errors import (
     BlowupOvershootError,
     ConfigurationError,
@@ -101,8 +101,8 @@ class TestStep:
         nodes = line_grid(8.0, 257)
         f = line_field(nodes, gaussian(nodes, 1.0, 2.0, floor=0.5))
         errs = [step(f, dt)[1] for dt in (4e-4, 2e-4, 1e-4)]
-        u_new, u_star = imex_step(
-            Operator(f.nodes, "line", 1), f.values, 0.0, 1e-4, lambda t, v: eval_f(v, P31)
+        u_new, _, u_star = imex_step(
+            Operator(f.nodes, "line", 1), f.values, f.sup, 0.0, 1e-4, _reaction
         )
         assert errs[2] == float(np.max(np.abs(u_new - u_star)))
         assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.05)
@@ -141,8 +141,14 @@ class TestStep:
         assert order >= 1.5
 
 
-def _reaction(t, v):
-    return eval_f(v, P31)
+def _reaction(t, v, abs_max=None):
+    """f(v) at (3,1): with imex_step's (|v|, max|v|) pair, or alone, as the
+    reference step calls it."""
+    return eval_f(v, P31, abs_max)
+
+
+def _sup(u):
+    return float(np.max(np.abs(u)))
 
 
 def _reference_step(nodes, geometry, dimension, u, t, dt, explicit):
@@ -172,8 +178,11 @@ class TestImexStep:
         u = np.exp(-((nodes - 1.0) ** 2)) + 0.3 * np.sin(nodes)
         mass = h * (u.sum() - 0.5 * (u[0] + u[-1]))
         operator = Operator(nodes, "line", 1)
+        u_max = _sup(u)
         for k in range(200):
-            u, _ = imex_step(operator, u, k * 1e-2, 1e-2, lambda t, v: np.zeros_like(v))
+            u, u_max, _ = imex_step(
+                operator, u, u_max, k * 1e-2, 1e-2, lambda t, v, abs_max: np.zeros_like(v)
+            )
         assert abs(h * (u.sum() - 0.5 * (u[0] + u[-1])) - mass) < 1e-12
 
     @pytest.mark.parametrize("dt", [2e-5, 1.0 / 112.0])
@@ -185,14 +194,16 @@ class TestImexStep:
     def test_matches_solve_banded_reference_bitwise(self, geometry, dimension, nodes, dt):
         # the operator reproduces a fresh banded solve bit for bit: on the
         # step that solves a new dt with dgtsv, on the step that factors the
-        # repeated dt and on the steps that reuse its factors
+        # repeated dt and on the steps that reuse its factors; the sup it
+        # returns is max|u_new| to the bit
         u = 1.0 + 0.5 * np.exp(-nodes**2) + 0.1 * np.cos(nodes)
         operator = Operator(nodes, geometry, dimension)
         for k in range(4):
             ref, ref_star = _reference_step(nodes, geometry, dimension, u, k * dt, dt, _reaction)
-            out, out_star = imex_step(operator, u, k * dt, dt, _reaction)
+            out, out_max, out_star = imex_step(operator, u, _sup(u), k * dt, dt, _reaction)
             np.testing.assert_array_equal(out, ref)
             np.testing.assert_array_equal(out_star, ref_star)
+            assert out_max.hex() == _sup(ref).hex()
             u = ref
 
     def test_same_size_grids_do_not_share_factors(self, monkeypatch):
@@ -256,8 +267,8 @@ class TestImexStep:
             rhs = rng.standard_normal(nodes.size) * 10.0 ** rng.uniform(-3.0, 8.0)
             factors = _factor(bands, dt)
             pivots += int(np.count_nonzero(factors[-1] != np.arange(1, nodes.size + 1)))
-            new = _solve(bands, dt, None, rhs.copy(), 0.0, "predictor")
-            repeated = _solve(bands, dt, factors, rhs.copy(), 0.0, "predictor")
+            new = _solve(bands, dt, None, rhs.copy(), "predictor")
+            repeated = _solve(bands, dt, factors, rhs.copy(), "predictor")
             assert new.tobytes() == repeated.tobytes()
         if drift and nodes[-1] == 100.0:
             assert pivots > 0
@@ -271,26 +282,38 @@ class TestImexStep:
         ids=["line", "radial-N3"],
     )
     def test_nonfinite_rhs_is_overshoot(self, geometry, dimension, nodes, where, bad, stage):
-        # _solve checks only its solution: one non-finite right-hand-side
-        # entry, anywhere, must still make that stage's solution non-finite,
-        # on both routes: a fresh operator solves the new dt with dgtsv, and
-        # one that has stepped once at that dt factors it for dgttrs
+        # the step checks only each stage's solution, by its max: one
+        # non-finite right-hand-side entry, anywhere, must still make that
+        # stage's solution non-finite and its max NaN or inf, on both
+        # routes: a fresh operator solves the new dt with dgtsv, and one
+        # that has stepped once at that dt factors it for dgttrs
         i = {"first": 0, "middle": nodes.size // 2, "last": nodes.size - 1}[where]
         u = 1.0 + 0.5 * np.exp(-(nodes**2))
         t0 = 0.25
 
-        def explicit(t, v):
-            g = eval_f(v, P31)
+        def explicit(t, v, abs_max):
+            g = eval_f(v, P31, abs_max)
             if (t == t0) == (stage == "predictor"):  # g0 feeds both, g1 only the corrector
                 g[i] = bad
             return g
 
         fresh, repeated = (Operator(nodes, geometry, dimension) for _ in range(2))
-        imex_step(repeated, u, 0.0, 1e-3, _reaction)
+        imex_step(repeated, u, _sup(u), 0.0, 1e-3, _reaction)
         for operator in (fresh, repeated):
             with pytest.raises(BlowupOvershootError, match=rf"non-finite {stage} at t=0\.25$"):
-                imex_step(operator, u, t0, 1e-3, explicit)
+                imex_step(operator, u, _sup(u), t0, 1e-3, explicit)
         assert fresh._factors is None and repeated._factors is not None
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_nonfinite_input_without_a_pair_is_a_domain_error(self, bad):
+        # called alone, with a raw array and no (|x|, max|x|) pair, each
+        # explicit term takes its own max and refuses a non-finite input
+        u = np.ones(129)
+        u[64] = bad
+        with pytest.raises(DomainError, match="eval_f: non-finite input"):
+            eval_f(u, P31)
+        with pytest.raises(DomainError, match="rescaled_nonlinearity: non-finite input"):
+            rescaled_nonlinearity(3.0, u, P31)
 
 
 class TestRunToBlowup:
@@ -552,6 +575,26 @@ class TestGridField:
         with pytest.raises(AttributeError):
             f.time = 0.0
 
+    def test_every_sup_is_its_fields_max_bitwise(self, monkeypatch):
+        # each attempt of a run, rejected ones included, carries the sup its
+        # step set, max|values| to the bit, and run_to_blowup's M history
+        # reads it.  A field built from one whose sup is cached, with other
+        # values, carries no sup.
+        attempts = _record_steps(monkeypatch)
+        nodes = line_grid(10.0, 513)
+        res = run_to_blowup(line_field(nodes, gaussian(nodes, 20.0, 0.2)), M_stop=1e6)
+        assert res.rejected > 0
+        for _, _, out, _ in attempts:
+            assert "sup" in vars(out)  # set by the step, not computed on read
+            assert out.sup.hex() == _sup(out.values).hex()
+        kept = {id(f) for f, _, _, _ in attempts} | {id(res.field)}
+        accepted = [out.sup for _, _, out, _ in attempts if id(out) in kept]
+        np.testing.assert_array_equal(res.sup_history[1:, 1], accepted)
+        f = res.field
+        other = f._stepped(0.5 * f.values, time=f.time)
+        assert "sup" not in vars(other)
+        assert other.sup == 0.5 * f.sup
+
     @pytest.mark.parametrize("N", [2, 3])
     def test_step_takes_N_from_params(self, N):
         # the radial operator's (N-1)/r term comes from params.N alone
@@ -559,8 +602,9 @@ class TestGridField:
         nodes = radial_grid(5.0, 129)
         u0 = field("radial", nodes, 1.0 + 0.2 * np.exp(-nodes**2), params)
         f, err = step(u0, 1e-3)
-        u_new, u_star = imex_step(
-            Operator(nodes, "radial", N), u0.values, 0.0, 1e-3, lambda t, v: eval_f(v, params)
+        u_new, _, u_star = imex_step(
+            Operator(nodes, "radial", N), u0.values, u0.sup, 0.0, 1e-3,
+            lambda t, v, abs_max: eval_f(v, params, abs_max),
         )
         np.testing.assert_array_equal(f.values, u_new)
         assert err == float(np.max(np.abs(u_new - u_star)))
