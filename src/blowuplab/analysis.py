@@ -328,11 +328,12 @@ class SimilarityRun:
     time_functionals: float = 0.0  # wall seconds in the rest: the functional ledger
 
 
-# run_similarity takes its per-step ledger in blocks: the steps up to the
-# next unit boundary, or fewer, so that a block ends once it holds
-# _LEDGER_BLOCK_ELEMENTS values (rows x nodes), whatever ds and the grid.
-# Each array the ledger forms from a block then stays near 64 KiB: at 2^14
-# values the benchmark's peak RSS rose by 1.1-1.4 MB, at 2^13 by under 0.1.
+# run_similarity takes its per-step ledger in blocks: the next
+# ceil(_LEDGER_BLOCK_ELEMENTS / nodes) steps, across unit boundaries, so a
+# block holds about _LEDGER_BLOCK_ELEMENTS values (rows x nodes), whatever ds
+# and the grid.  Each array the ledger forms from a block then stays near
+# 64 KiB: at 2^14 values the benchmark's peak RSS rose by 1.1-1.4 MB, at 2^13
+# by under 0.1.
 _LEDGER_BLOCK_ELEMENTS = 2**13
 # The largest ledger run_similarity allocates (per-step table and density,
 # unit fields): at the default s_end, ds = 1e-6 (6e6 steps, 0.45 GiB) fits.
@@ -355,12 +356,14 @@ def run_similarity(
     unit of s, and the n-th field is at w0.s + n/m, so snapshots land on
     w0.s + k.  One snapshot and one ds_dissipation call per block of steps
     (see _LEDGER_BLOCK_ELEMENTS) fill the per-step ledger, each row as it
-    would be alone; a unit's dissipation is the step-order running sum of
-    ds * ds_dissipation over its steps.  A w that blows up ends the run in
-    BlowupOvershootError naming s: in step_w, or where w is still finite
-    but its ledger integrals overflow float64.  A step_w failure in a block
-    is reported only after the block's earlier steps are found to have
-    finite ledgers.  A ledger over _LEDGER_MAX_BYTES is a DomainError
+    would be alone, so how the steps fall into blocks changes no bit; a
+    unit's dissipation is the step-order running sum of ds * ds_dissipation
+    over its steps.  A w that blows up ends the run in BlowupOvershootError
+    naming s: in step_w, or where w is still finite but its ledger integrals
+    overflow float64.  Any NumericError in a block, from step_w or the
+    ledger, replays the block's completed steps in step order: the first
+    whose own ledger overflows is the error, and otherwise the original
+    error is re-raised.  A ledger over _LEDGER_MAX_BYTES is a DomainError
     naming ds, before any step.
     """
     if not math.isfinite(s_end):
@@ -374,7 +377,7 @@ def run_similarity(
     ds_eff = cfl_step(w0.nodes, ds)
     per_unit = int(round(1.0 / ds_eff))
     n_steps = n_units * per_unit
-    rows = min(per_unit, -(-_LEDGER_BLOCK_ELEMENTS // w0.nodes.size))
+    rows = -(-_LEDGER_BLOCK_ELEMENTS // w0.nodes.size)
 
     t_run, t_step = time.perf_counter(), 0.0
     fields = [w0]
@@ -393,50 +396,41 @@ def run_similarity(
     table[:, 0] = list(first.values())
     step = dict(zip(first, table))  # the table's rows by name
     step_s = step["s"]
-    # row 0: the field before the block; rows 1..r: the block's steps
+    # row 0: the field before the block; rows 1..m-n: the block's steps
     block = np.empty((rows + 1, w0.values.size))
     block[0] = w0.values
 
     current, n = w0, 0
     while n < n_steps:
-        stop = min(n + rows, (n // per_unit + 1) * per_unit)
-        failure = None
+        stop, m = min(n + rows, n_steps), n  # m: the last step taken
         t0 = time.perf_counter()
         try:
-            for m in range(n + 1, stop + 1):
+            while m < stop:
                 nxt = step_w(current, ds_eff)
+                m += 1
                 current = nxt._stepped(nxt.values, nxt.sup, s=w0.s + m / per_unit)  # the clock
                 block[m - n] = current.values
                 step_s[m] = current.s
-        except BlowupOvershootError as exc:
-            failure, stop = exc, m - 1
-        t_step += time.perf_counter() - t0
-        r = stop - n
-        before = w0._stepped(block[:r], s=step_s[n:stop])
-        after = w0._stepped(block[1 : r + 1], s=step_s[n + 1 : stop + 1])
-        try:
-            if r:
-                density[n:stop] = ds_dissipation(before, after)
-                table[:, n + 1 : stop + 1] = list(vars(snapshot(after, cfg)).values())
-        except NumericError as exc:  # integrate: a non-finite sample of a finite w
-            for j in range(r):  # the first step whose own ledger overflows
-                row = after._stepped(block[j + 1], s=float(step_s[n + j + 1]))
+                if m % per_unit == 0:
+                    fields.append(current)
+            t_step += time.perf_counter() - t0
+            after = w0._stepped(block[1 : m - n + 1], s=step_s[n + 1 : m + 1])
+            density[n:m] = ds_dissipation(w0._stepped(block[: m - n], s=step_s[n:m]), after)
+            table[:, n + 1 : m + 1] = list(vars(snapshot(after, cfg)).values())
+        except NumericError:  # a step's overshoot, or a ledger integral's overflow
+            for j in range(n + 1, m + 1):  # the first step whose own ledger overflows
+                row = w0._stepped(block[j - n], s=float(step_s[j]))
                 try:
-                    ds_dissipation(before._stepped(block[j], s=float(step_s[n + j])), row)
+                    ds_dissipation(w0._stepped(block[j - n - 1], s=float(step_s[j - 1])), row)
                     snapshot(row, cfg)
                 except NumericError as row_exc:
-                    exc, stop = row_exc, n + j + 1
-                    break
-            raise BlowupOvershootError(
-                f"run_similarity: w blew up by s={step_s[stop]}: its ledger "
-                f"overflows ({exc})"
-            ) from exc
-        if failure is not None:
-            raise failure
-        if stop % per_unit == 0:
-            fields.append(current)
-        block[0] = block[r]
-        n = stop
+                    raise BlowupOvershootError(
+                        f"run_similarity: w blew up by s={step_s[j]}: its ledger "
+                        f"overflows ({row_exc})"
+                    ) from row_exc
+            raise
+        block[0] = block[m - n]
+        n = m
     # each unit's dissipation: cumsum adds in step order, np.sum pairwise
     running = np.cumsum((ds_eff * density).reshape(n_units, per_unit), axis=1)
     return SimilarityRun(

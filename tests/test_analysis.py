@@ -15,7 +15,13 @@ from blowuplab.analysis import (
     run_similarity,
 )
 from blowuplab.core_math import Params, kappa_a, phi
-from blowuplab.errors import DomainError, FitError, NumericError, ResolutionError
+from blowuplab.errors import (
+    BlowupOvershootError,
+    DomainError,
+    FitError,
+    NumericError,
+    ResolutionError,
+)
 from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot, snapshot
 from blowuplab.imex import _factor
 from blowuplab.initial_data import line_grid, profile_shape
@@ -377,17 +383,19 @@ class TestRunSimilarity:
         assert rep.passed
 
     @pytest.mark.parametrize(
-        "geometry, params, s0",
+        "geometry, params, s0, ds, n_units",
         [
-            ("line", P31, 2.0),
-            ("radial", Params(3.0, 1.0, N=3), 2.0),
-            ("line", Params(3.0, 0.0), 2.0),
+            ("line", P31, 2.0, 0.01, 3),
+            ("radial", Params(3.0, 1.0, N=3), 2.0, 0.01, 3),
+            ("line", Params(3.0, 0.0), 2.0, 0.01, 3),
             # log(phi(100) 0.3) = 46.5: the core's nodes take G from the rule
-            ("line", P31, 100.0),
+            ("line", P31, 100.0, 0.01, 3),
+            # 10 steps a unit against 41-row blocks: each block spans 4 units
+            ("line", P31, 2.0, 0.1, 10),
         ],
-        ids=["line", "radial-N3", "a=0", "G-rule"],
+        ids=["line", "radial-N3", "a=0", "G-rule", "ds=0.1"],
     )
-    def test_block_ledger_is_the_per_field_ledger(self, geometry, params, s0):
+    def test_block_ledger_is_the_per_field_ledger(self, geometry, params, s0, ds, n_units):
         # every ledger value of the run equals, bit for bit, the same quantity
         # of a lone field re-stepped on the run's clock: L by snapshot (the
         # whole family at the unit boundaries), mass by integrate, and each
@@ -403,17 +411,19 @@ class TestRunSimilarity:
             params=params,
         )
         cfg = FunctionalConfig()
-        run = run_similarity(w0, s0 + 3.0, 0.01, cfg)
+        run = run_similarity(w0, s0 + n_units, ds, cfg)
         per_unit = int(round(1.0 / run.ds))
-        # a unit of 100 steps spans more than one block of the 201-node grid
-        assert per_unit * nodes.size > 2 * analysis._LEDGER_BLOCK_ELEMENTS
+        rows = -(-analysis._LEDGER_BLOCK_ELEMENTS // nodes.size)
+        # a unit of 100 steps spans parts of three 41-row blocks of the
+        # 201-node grid, or a block parts of five 10-step units
+        assert rows == 41 and per_unit in (100, 10) and n_units * per_unit > 2 * rows
         if s0 == 100.0:
             assert np.log(phi(s0, params) * np.max(np.abs(w0.values))) > 44.0
         for k, sn in enumerate(run.snapshots):
             assert run.step_L[k * per_unit] == sn.L
             assert vars(sn) == vars(snapshot(run.fields[k], cfg))
         w, acc = w0, 0.0
-        for j in range(1, 3 * per_unit + 1):
+        for j in range(1, n_units * per_unit + 1):
             # each step on the run's clock: the j-th field sits at step_s[j]
             nxt = dataclasses.replace(step_w(w, run.ds), s=float(run.step_s[j]))
             acc += run.ds * ds_dissipation(w, nxt)
@@ -424,6 +434,86 @@ class TestRunSimilarity:
                 assert run.dissipation[j // per_unit - 1] == acc
                 np.testing.assert_array_equal(run.fields[j // per_unit].values, w.values)
                 acc = 0.0
+
+    @pytest.mark.parametrize("rows", [1, 7, 41, 150], ids=["1-row", "7-row", "default", "whole-run"])
+    def test_ledger_does_not_depend_on_the_blocks(self, monkeypatch, rows):
+        # how the steps are grouped into ledger blocks changes no bit: every
+        # array and unit field of a 150-step run on 201 nodes equals the
+        # default run's, and the run takes one snapshot of w0 and one per
+        # block of the next ceil(_LEDGER_BLOCK_ELEMENTS / nodes) steps
+        nodes = line_grid(20.0, 201)
+        w0 = SimField(
+            geometry="line", nodes=nodes, values=0.7 * profile_shape(nodes, 2.0, P31),
+            s=2.0, params=P31,
+        )
+        cfg = FunctionalConfig()
+        ref = run_similarity(w0, 5.0, DEFAULT_DS, cfg)
+        calls = []
+        # a count a little under rows x nodes still makes blocks of rows steps
+        monkeypatch.setattr(analysis, "_LEDGER_BLOCK_ELEMENTS", rows * nodes.size - 3)
+        monkeypatch.setattr(analysis, "snapshot", lambda w, c: calls.append(w) or snapshot(w, c))
+        run = run_similarity(w0, 5.0, DEFAULT_DS, cfg)
+        assert len(run.step_s) - 1 == 150
+        assert len(calls) == 1 + -(-150 // rows)
+        for name in ("dissipation", "step_s", "step_L", "step_mass"):
+            assert getattr(run, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert run.ds == ref.ds
+        assert [vars(sn) for sn in run.snapshots] == [vars(sn) for sn in ref.snapshots]
+        assert [f.s for f in run.fields] == [f.s for f in ref.fields] == [2.0, 3.0, 4.0, 5.0]
+        for f, g in zip(run.fields, ref.fields):
+            assert f.values.tobytes() == g.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "fail_at", [1, 42, 60], ids=["first-step", "first-of-a-block", "across-a-unit"]
+    )
+    def test_a_failed_step_ends_the_run_with_its_own_error(self, monkeypatch, fail_at):
+        # on 201 nodes a block is 41 steps and a unit 50: step 42 opens the
+        # second block, before any of its steps completed, and step 60 lies
+        # in that block past the unit boundary at step 50.  The completed
+        # steps' ledgers are finite, so the step's own error ends the run.
+        failure = BlowupOvershootError(f"step {fail_at} overshoots")
+        taken = []
+
+        def failing_step_w(w, ds):
+            taken.append(w.s)
+            if len(taken) == fail_at:
+                raise failure
+            return step_w(w, ds)
+
+        monkeypatch.setattr(analysis, "step_w", failing_step_w)
+        nodes = line_grid(20.0, 201)
+        w0 = SimField(
+            geometry="line", nodes=nodes, values=0.7 * profile_shape(nodes, 2.0, P31),
+            s=2.0, params=P31,
+        )
+        with pytest.raises(BlowupOvershootError) as caught:
+            run_similarity(w0, 5.0, DEFAULT_DS, FunctionalConfig())
+        assert caught.value is failure
+        assert len(taken) == fail_at
+
+    @pytest.mark.parametrize("rows", [1, 7, 21, 300], ids=["1-row", "7-row", "default", "whole-run"])
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            # w stays finite but |w|^(p+1) in its ledger overflows at s = 2.62,
+            # a step before step_w fails
+            (np.full(401, 1.0),
+             r"run_similarity: w blew up by s=2\.62: its ledger overflows \("),
+            # step_w fails first, at s = 2.38, on a Gaussian on floor 1
+            (1.0 + 0.2 * np.exp(-(line_grid(20.0, 401) / 2.0) ** 2),
+             r"step_w: w blew up in the step from s=2\.38 to"),
+        ],
+        ids=["ledger-first", "step-first"],
+    )
+    def test_the_first_failure_in_step_order_ends_the_run(self, monkeypatch, rows, values, error):
+        # the CLI's constant and Gaussian data on its default grid and ds:
+        # whatever the blocks, the run names the first step, in step order,
+        # whose step or own ledger fails
+        monkeypatch.setattr(analysis, "_LEDGER_BLOCK_ELEMENTS", rows * 401)
+        w0 = SimField(geometry="line", nodes=line_grid(20.0, 401), values=values, s=2.0,
+                      params=P31)
+        with pytest.raises(BlowupOvershootError, match=error):
+            run_similarity(w0, 8.0, DEFAULT_DS, FunctionalConfig())
 
     @pytest.mark.parametrize("s0, ds", [(2.0, 1.0 / 50), (2.3, 0.03)])
     def test_step_s_is_counted_from_the_start(self, s0, ds):

@@ -521,10 +521,21 @@ class TestMain:
             (["physical", "--set", "solver.dt_safety=1e-300", "--set", "grid.resolution=129"],
              r"ConfigurationError: run_to_blowup: safety 1e-300 makes the tolerance "
              r"safety\^2/2 underflow to 0$"),
-            # and safety^2 overflows float64 above a safety of about 1.3e154
+            # from 1 up a step may span the whole reaction timescale: at 1 T_hat
+            # drifts by 7 %, at 1000 the run stops at t_max after 1 step, and at
+            # 1e200 safety^2 would overflow float64
+            (["physical", "--set", "solver.dt_safety=1", "--set", "grid.resolution=129"],
+             r"ConfigurationError: run_to_blowup: safety must be positive and below 1, "
+             r"got 1\.0$"),
+            (["physical", "--set", "solver.dt_safety=1000", "--set", "grid.resolution=129"],
+             r"ConfigurationError: run_to_blowup: safety must be positive and below 1, "
+             r"got 1000\.0$"),
+            (["physical", "--set", "solver.dt_safety=1e8", "--set", "grid.resolution=129"],
+             r"ConfigurationError: run_to_blowup: safety must be positive and below 1, "
+             r"got 100000000\.0$"),
             (["physical", "--set", "solver.dt_safety=1e200", "--set", "grid.resolution=129"],
-             r"ConfigurationError: run_to_blowup: safety 1e\+200 makes the tolerance "
-             r"safety\^2/2 overflow float64$"),
+             r"ConfigurationError: run_to_blowup: safety must be positive and below 1, "
+             r"got 1e\+200$"),
             # the profile is the similarity datum at s0 = -log T, so the
             # default T = 1 has no frame to start from
             (["physical", "--set", "initial_data.kind=profile"],
@@ -556,6 +567,9 @@ class TestMain:
             "physical-m_stop-1e200",
             "physical-dt_safety=0",
             "physical-dt_safety=1e-300",
+            "physical-dt_safety=1",
+            "physical-dt_safety=1000",
+            "physical-dt_safety=1e8",
             "physical-dt_safety=1e200",
             "physical-profile-T=1",
             "ds=0",
@@ -856,7 +870,7 @@ class TestEveryAcceptedConfigEnds:
         "initial_data.value": 1e100})
     @example(scenario="similarity", config={
         "initial_data.kind": "gaussian", "grid.resolution": 129})
-    # the tolerance dt_safety^2/2 overflows float64
+    # a dt_safety far above 1, refused before dt_safety^2 could overflow float64
     @example(scenario="physical", config={"solver.dt_safety": 1e200, "grid.resolution": 64})
     def test_runs_or_names_its_error(self, tmp_path_factory, scenario, config):
         overrides = [f"{key}={value!r}" for key, value in config.items()]

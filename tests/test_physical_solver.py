@@ -412,12 +412,13 @@ class TestRunToBlowup:
         with pytest.raises(ConfigurationError, match="M_stop must be >= 1e6"):
             run_to_blowup(line_field(nodes, 1.0), M_stop=np.nan)
 
-    @pytest.mark.parametrize("safety", [0.0, -0.05, np.nan])
+    @pytest.mark.parametrize("safety", [0.0, -0.05, np.nan, 1.0, 1e200, np.inf])
     def test_safety_must_be_positive(self, safety):
         # safety sets the tolerance and every cap: at 0 the run would halt at
-        # once and report blow-up
+        # once and report blow-up, and from 1 up a step may span the whole
+        # reaction timescale (at 1e200 safety^2 would overflow float64)
         nodes = line_grid(5.0, 129)
-        with pytest.raises(ConfigurationError, match="safety must be positive"):
+        with pytest.raises(ConfigurationError, match="safety must be positive and below 1"):
             run_to_blowup(line_field(nodes, 1.0), safety=safety)
 
     @pytest.mark.parametrize("safety", [1e-300, 1e-162])
