@@ -115,18 +115,18 @@ def eval_f(u, params: Params, abs_max: tuple[np.ndarray, float] | None = None):
     The log is _ell at log phi = 0: log(2 + u*u) at each node with
     |u| <= 1e150 (log|u| <= LOG_U_SWITCH) and logaddexp(2 log|u|, log 2)
     above.  One reduction, max|u|, both rejects non-finite input (NaN and
-    inf propagate through it) and, at or below 1e150, makes the log one
-    log(2 + u*u) pass.  Inputs whose image exceeds float64 yield inf;
-    callers near blow-up treat that as the overshoot signal.
+    inf propagate through it) and, at or below 1e150, makes the log
+    log(2 + u*u) in one buffer.  Inputs whose image exceeds float64 yield
+    inf; callers near blow-up treat that as the overshoot signal.
 
     abs_max, the pair (|u|, max|u|) of an array u whose max its caller has
     already checked finite, stands in for that reduction.  eval_f then sets
     no floating-point error state of its own: imex_step calls it twice per
     step inside its own.  Without the pair it silences overflow itself.
     """
-    arr = np.asarray(u, dtype=float)
     if abs_max is not None:
-        return _f(arr, *abs_max, params)
+        return _f(u, *abs_max, params)
+    arr = np.asarray(u, dtype=float)
     ax, u_max = _abs_max(arr, "eval_f")
     with np.errstate(over="ignore"):
         out = _f(arr, ax, u_max, params)
@@ -136,9 +136,13 @@ def eval_f(u, params: Params, abs_max: tuple[np.ndarray, float] | None = None):
 def _f(u: np.ndarray, au: np.ndarray, u_max: float, params: Params):
     """f(u) from u, |u| = au and u_max = max|u|, under the caller's error state."""
     p, a = params.p, params.a
-    out = au ** (p - 1.0) * u
+    out = au ** (p - 1.0)
+    out *= u
     if a != 0.0:
-        out *= _ell(0.0, u, au, u_max) ** a
+        ell = _ell(0.0, u, au, u_max)
+        if a != 1.0:  # ell**1.0 is only a copy
+            ell **= a
+        out *= ell
     return out
 
 
@@ -176,9 +180,15 @@ def eval_F2(x: float, params: Params) -> float:
 
 
 def log_phi(s, params: Params):
-    """log phi(s) = s/(p-1) - (a/(p-1)) log s, defined for s > 0."""
-    arr = np.asarray(s, dtype=float)
+    """log phi(s) = s/(p-1) - (a/(p-1)) log s, defined for s > 0.
+
+    A float s is one float expression around numpy's log of s, the bits of
+    the 0-d array path without its array operations (math.log can round
+    differently from numpy's log)."""
     p, a = params.p, params.a
+    if isinstance(s, float):
+        return float(s / (p - 1.0) - (a / (p - 1.0)) * np.log(s))
+    arr = np.asarray(s, dtype=float)
     out = arr / (p - 1.0) - (a / (p - 1.0)) * np.log(arr)
     return float(out) if arr.ndim == 0 else out
 
@@ -213,12 +223,21 @@ def _ell(lp: float, w: np.ndarray, aw: np.ndarray, w_max: float):
     One rule, node by node: log(2 + u*u) where log|u| <= LOG_U_SWITCH, and
     logaddexp(2 log|u|, log 2) above, where u*u would overflow.  While
     phi max(|w|, 1) is below the switch, every node is, and it is one exp(lp)
-    scalar and one log(2 + u*u) pass.  phi itself is formed only while it is
-    below the switch too; above, u on the nodes below is e^(log|u|).
+    scalar and one new buffer: u*u formed in it, then 2 added and the log
+    taken in place.  phi itself is formed only while it is below the switch
+    too; above, u on the nodes below is e^(log|u|).
     """
     if lp + math.log(max(w_max, 1.0)) <= LOG_U_SWITCH:
-        u = math.exp(lp) * w if lp else w
-        return np.log(2.0 + u * u)
+        if w.ndim == 0:  # np.log(..., out=) refuses the numpy scalar u*u is
+            u = math.exp(lp) * w if lp else w
+            return np.log(2.0 + u * u)
+        if lp:
+            u = math.exp(lp) * w
+            u *= u
+        else:
+            u = w * w
+        u += 2.0
+        return np.log(u, out=u)
     # w = 0 gives log|u| = -inf, below the switch; u*u and e^(log|u|) may
     # overflow on the nodes above, whose values are the other form's
     with np.errstate(over="ignore", divide="ignore"):
@@ -246,16 +265,22 @@ def rescaled_nonlinearity(
     the pair (|w|, max|w|) of an array w whose max imex_step has checked
     finite, stands in for the function's own reduction, as in eval_f.
     """
-    arr = np.asarray(w, dtype=float)
-    aw, w_max = abs_max if abs_max is not None else _abs_max(arr, "rescaled_nonlinearity")
+    if abs_max is None:
+        w = np.asarray(w, dtype=float)
+        abs_max = _abs_max(w, "rescaled_nonlinearity")
+    aw, w_max = abs_max
     p, a = params.p, params.a
-    out = aw ** (p - 1.0) * arr
+    out = aw ** (p - 1.0)
+    out *= w
     if a != 0.0:
         _check_s(s, "rescaled_nonlinearity")
-        ell = _ell(log_phi(float(s), params), arr, aw, w_max)
-        out *= float(s) ** (-a)
-        out *= ell**a
-    return float(out) if arr.ndim == 0 else out
+        s = float(s)
+        ell = _ell(log_phi(s, params), w, aw, w_max)
+        out *= s ** (-a)
+        if a != 1.0:  # ell**1.0 is only a copy
+            ell **= a
+        out *= ell
+    return float(out) if w.ndim == 0 else out
 
 
 def _eta_rule() -> tuple[np.ndarray, np.ndarray]:

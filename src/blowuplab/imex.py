@@ -93,14 +93,17 @@ def _factor(bands: np.ndarray, alpha: float) -> tuple:
 
 
 class Operator:
-    """The implicit operator A of one grid: its read-only bands, the last dt
-    a step asked for, and the dgttrf factors of I - dt A and I - dt/2 A once
-    that dt is asked for again.  A field builds its operator once and hands
-    it to every field stepped from it."""
+    """The implicit operator A of one grid: its read-only bands, the three
+    views of them that A u reads, the last dt a step asked for, and the
+    dgttrf factors of I - dt A and I - dt/2 A once that dt is asked for
+    again.  A field builds its operator once and hands it to every field
+    stepped from it."""
 
     def __init__(self, nodes: np.ndarray, geometry: str, dimension: int, drift: bool = False):
         self.bands = laplacian_bands(np.asarray(nodes, dtype=float), geometry, dimension, drift)
         self.bands.setflags(write=False)
+        # A u = diag u, plus upper u[1:] on rows :-1 and lower u[:-1] on rows 1:
+        self.au_bands = self.bands[1], self.bands[0][1:], self.bands[2][:-1]
         self._dt = None
         self._factors = None
 
@@ -143,7 +146,8 @@ def _solve(
 def _checked_abs_max(x: np.ndarray, t: float, stage: str) -> tuple[np.ndarray, float]:
     """|x| and max|x| of a stage's solution.  NaN and inf propagate through
     the max, so it is also the finiteness check: a non-finite value is an
-    overshoot.
+    overshoot.  The max is read at argmax's index: argmax takes the first
+    NaN as the max, as max does, and skips the reduction machinery.
 
     Only the solution needs checking.  The substitutions reach every entry
     of the right-hand side and divide only by the nonzero pivots, and IEEE
@@ -152,12 +156,17 @@ def _checked_abs_max(x: np.ndarray, t: float, stage: str) -> tuple[np.ndarray, f
     non-finite solution.
     """
     ax = np.abs(x)
-    x_max = float(ax.max())
+    x_max = ax.item(ax.argmax())
     if not math.isfinite(x_max):
         raise BlowupOvershootError(f"imex_step: non-finite {stage} at t={t}")
     return ax, x_max
 
 
+# One error state for the whole step, both explicit evaluations included: an
+# overflow anywhere leaves an inf in a right-hand side, and the max of that
+# stage's solution reports it.  As a decorator np.errstate enters its context
+# at each call without building a new errstate object.
+@np.errstate(over="ignore")
 def imex_step(
     operator: Operator,
     u: np.ndarray,
@@ -184,24 +193,21 @@ def imex_step(
     """
     bands = operator.bands
     predictor, corrector = operator.factors(dt) or (None, None)
-    # One error state for the whole step, both explicit evaluations included:
-    # an overflow anywhere leaves an inf in a right-hand side, and the max
-    # of that stage's solution reports it.
-    with np.errstate(over="ignore"):
-        g0 = explicit(t, u, (np.abs(u), u_max))
-        rhs = dt * g0
-        rhs += u
-        u_star = _solve(bands, dt, predictor, rhs, "predictor")
-        g1 = explicit(t + dt, u_star, _checked_abs_max(u_star, t, "predictor"))
-        half = 0.5 * dt
-        rhs = bands[1] * u  # A u, then u + dt/2 A u
-        rhs[:-1] += bands[0][1:] * u[1:]
-        rhs[1:] += bands[2][:-1] * u[:-1]
-        rhs *= half
-        rhs += u
-        g1 += g0
-        g1 *= half
-        rhs += g1
-        u_new = _solve(bands, half, corrector, rhs, "corrector")
-        _, u_new_max = _checked_abs_max(u_new, t, "corrector")
+    g0 = explicit(t, u, (np.abs(u), u_max))
+    rhs = dt * g0
+    rhs += u
+    u_star = _solve(bands, dt, predictor, rhs, "predictor")
+    g1 = explicit(t + dt, u_star, _checked_abs_max(u_star, t, "predictor"))
+    half = 0.5 * dt
+    diag, upper, lower = operator.au_bands
+    rhs = diag * u  # A u, then u + dt/2 A u
+    rhs[:-1] += upper * u[1:]
+    rhs[1:] += lower * u[:-1]
+    rhs *= half
+    rhs += u
+    g1 += g0
+    g1 *= half
+    rhs += g1
+    u_new = _solve(bands, half, corrector, rhs, "corrector")
+    _, u_new_max = _checked_abs_max(u_new, t, "corrector")
     return u_new, u_new_max, u_star

@@ -138,9 +138,12 @@ def step(field_in: GridField, dt: float) -> tuple[GridField, float]:
         field_in.operator, field_in.values, field_in.sup, field_in.time, dt,
         lambda t, u, abs_max: eval_f(u, params, abs_max),
     )
-    # the gap in u*'s buffer, which nothing reads after the step
-    gap = np.abs(np.subtract(u_new, u_star, out=u_star), out=u_star)
-    return field_in._stepped(u_new, u_max, time=field_in.time + dt), float(gap.max())
+    # the gap in u*'s buffer, which nothing reads after the step; u* - u_new
+    # is -(u_new - u*) to the bit, and its max is read as imex_step reads one
+    gap = u_star
+    gap -= u_new
+    np.abs(gap, out=gap)
+    return field_in._stepped(u_new, u_max, time=field_in.time + dt), gap.item(gap.argmax())
 
 
 # What set an accepted step's dt: the reaction-timescale cap, the error

@@ -816,6 +816,11 @@ def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
+def _mostly(common, rare):
+    """common on about four draws in five, rare on the rest."""
+    return st.integers(0, 4).flatmap(lambda k: rare if k == 4 else common)
+
+
 # A strategy for every key of cli._SCHEMA but the run section, which the
 # subcommand and --output set.  The ranges keep an example cheap: small grids,
 # at most a few thousand steps, and no dt_safety or ds so small that the run
@@ -838,7 +843,12 @@ _CONFIG_KEYS = {
     "solver.s_end": st.floats(0.0, 12.0),
     "solver.s_max": st.floats(0.0, 40.0),
     "solver.ds": st.one_of(st.floats(-0.1, 1.0), _log_uniform(0.005, 1e300)),
-    "solver.dt_safety": st.one_of(st.floats(-0.1, 2.0), _log_uniform(0.01, 1e300)),
+    # run_to_blowup runs on dt_safety in (0, 1) and refuses values at or
+    # below 0 and at or above 1; None leaves the key unset
+    "solver.dt_safety": _mostly(
+        _log_uniform(0.01, 1.0).filter(lambda x: x < 1.0),
+        st.one_of(st.none(), st.floats(-0.1, 0.0), st.floats(1.0, 2.0), _log_uniform(1.0, 1e300)),
+    ),
     "solver.m_stop": _log_uniform(1e3, 1e300),
     "solver.t_max": st.floats(-1.0, 20.0),
     "functionals.m0": st.floats(-1.0, 30.0),
@@ -862,7 +872,12 @@ class TestEveryAcceptedConfigEnds:
               deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.too_slow])
     @given(
         scenario=st.sampled_from(["ode", "physical", "similarity"]),
-        config=st.fixed_dictionaries({}, optional=_CONFIG_KEYS),
+        # dt_safety is drawn on every example, so that most physical
+        # examples run with one of their own
+        config=st.fixed_dictionaries(
+            {"solver.dt_safety": _CONFIG_KEYS["solver.dt_safety"]},
+            optional={k: v for k, v in _CONFIG_KEYS.items() if k != "solver.dt_safety"},
+        ),
     )
     # a step's solution overflows: the step's max of it is the overshoot
     @example(scenario="physical", config={
@@ -873,7 +888,7 @@ class TestEveryAcceptedConfigEnds:
     # a dt_safety far above 1, refused before dt_safety^2 could overflow float64
     @example(scenario="physical", config={"solver.dt_safety": 1e200, "grid.resolution": 64})
     def test_runs_or_names_its_error(self, tmp_path_factory, scenario, config):
-        overrides = [f"{key}={value!r}" for key, value in config.items()]
+        overrides = [f"{key}={value!r}" for key, value in config.items() if value is not None]
         try:
             parse_config("", [*overrides, f"run.scenario={scenario}"])
         except ParseError:
