@@ -185,6 +185,14 @@ _SEPARATRIX_XTOL = 1e-10
 _SEPARATRIX_MAX_PROBES = 2 + 3 * math.ceil(
     math.log2((_SEPARATRIX_BRACKET[1] - _SEPARATRIX_BRACKET[0]) / _SEPARATRIX_XTOL)
 )
+# Each probe runs to s_end + _PROBE_MARGIN.  The m=0 mode grows like
+# e^(s - s0), so the margin sets how far past s_end a datum near the
+# separatrix is followed, and how deep the tuning goes: 10 confirms lambda to
+# about e^-20.  At 10 both audit pairs keep the bits they had at 14
+# (1.095659015913808 and 1.4413467196168306), and a separatrix op takes about
+# a quarter fewer steps; at 9 the (3,1) lambda moves by 1.6e-9, at 8 both
+# move, by 1.6e-9 and 5.4e-9.
+_PROBE_MARGIN = 10.0
 
 
 def _separatrix_root(g: Callable[[float], float], lo: float, hi: float) -> float:
@@ -275,8 +283,10 @@ def tune_blowup_amplitude(
     datum off the separatrix by d escapes at k ds ~ log(C/|d|), and the
     signal class * exp(-k ds) is linear in d on each side of the separatrix;
     _separatrix_root finds its root.  A probe that stays within the
-    thresholds past the window (class 0) is on the separatrix and ends the
-    search.
+    thresholds for n = (s_end - s0 + _PROBE_MARGIN) / ds steps (class 0) is
+    on the separatrix and ends the search: on the audit grid that is 1,000
+    steps, to s_esc = s_end + 10.  The two audit pairs take 12 and 10 probes,
+    5,296 and 4,576 steps.
 
     When probes is a list, one (lam, class, s_esc, k) record is appended
     per probe; this observes the search and changes no result.
@@ -284,9 +294,9 @@ def tune_blowup_amplitude(
     kap = kappa_a(params)
     ds_eff = cfl_step(nodes, DEFAULT_DS)
     per_unit = int(round(1.0 / ds_eff))
-    # Probe well past s_end: an off-separatrix datum may stay within the
-    # thresholds over the window of interest yet already be drifting away.
-    n_steps = int(round((s_end - s0 + 14.0) / ds_eff))
+    # Probe _PROBE_MARGIN past s_end: an off-separatrix datum may stay within
+    # the thresholds over the window of interest yet already be drifting away.
+    n_steps = int(round((s_end - s0 + _PROBE_MARGIN) / ds_eff))
 
     def escape(lam: float) -> tuple[int, int]:  # (class, k)
         w = SimField(

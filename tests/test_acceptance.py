@@ -13,11 +13,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from blowuplab import core_math, verification
+from blowuplab import analysis, core_math, verification
 from blowuplab.analysis import SimilarityRun, lyapunov_audit, run_similarity
 from blowuplab.core_math import Params, kappa_a
 from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot
-from blowuplab.initial_data import line_grid, random_smooth_shape
+from blowuplab.initial_data import line_grid, profile_shape, random_smooth_shape
 from blowuplab.ode_blowup import asymptotic_ratio, integrate_vT
 from blowuplab.similarity_solver import DEFAULT_DS, SimField
 from blowuplab.verification import (
@@ -310,6 +310,20 @@ def test_tuned_lambda_matches_bisection(corpus):
         lam, probes = corpus.tuning[pa]
         assert abs(lam - lam_bisect) <= 5e-10
         assert [r[0] for r in probes[:2]] == [0.5, 1.6]  # the bracket comes first
+
+
+def test_probe_margin_keeps_the_corpus_lambda(corpus, monkeypatch):
+    # every corpus tuning ends on a probe that stays on the separatrix for
+    # the 10-unit window plus the margin, and a margin of 14 finds the same bits
+    nodes = line_grid(verification.GRID_RADIUS, verification.GRID_NODES)
+    s0, s_end = verification.S0, verification.S0 + verification.PROFILE_UNITS
+    monkeypatch.setattr(analysis, "_PROBE_MARGIN", 14.0)
+    for (p, a), (lam, probes) in corpus.tuning.items():
+        _, cls, s_esc, steps = probes[-1]
+        assert (cls, steps, s_esc) == (0, 1000, s_end + 10.0)
+        params = Params(p, a)
+        shape = profile_shape(nodes, s0, params)
+        assert analysis.tune_blowup_amplitude(shape, nodes, s0, s_end, params) == lam
 
 
 def test_criterion_8_frame_equivalence():

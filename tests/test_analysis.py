@@ -191,6 +191,37 @@ class TestSeparatrixRoot:
         assert len(calls) == 5
 
 
+class TestTuneBlowupAmplitude:
+    def test_overshoot_is_a_blowup_at_the_step_that_raised(self, monkeypatch):
+        # a step_w that raises BlowupOvershootError once |w| passes 2 kappa_a,
+        # so every blow-up-side probe ends in the overshoot, before the sup
+        # threshold at 2.5 kappa_a is reached
+        s0, kap = 2.0, kappa_a(P31)
+        k, raised = 0, []  # the step within a probe; each raising probe's k
+
+        def overshooting(w, ds):
+            nonlocal k
+            k = 1 if w.s == s0 else k + 1  # w.s == s0 on a probe's first step
+            nxt = step_w(w, ds)
+            if nxt.sup > 2.0 * kap:
+                raised.append(k)
+                raise BlowupOvershootError(f"w blew up at s={w.s + ds}")
+            return nxt
+
+        monkeypatch.setattr(analysis, "step_w", overshooting)
+        nodes = line_grid(20.0, 401)
+        probes = []
+        lam = analysis.tune_blowup_amplitude(
+            profile_shape(nodes, s0, P31), nodes, s0, s0 + 10.0, P31, probes=probes
+        )
+        # the escape times shift, not the root: the corpus (3,1) multiplier
+        assert abs(lam - 1.095659015913808) <= 5e-10
+        blowups = [r for r in probes if r[1] == +1]
+        assert blowups and [r[3] for r in blowups] == raised
+        assert all(s_esc == s0 + n / 50 for _, _, s_esc, n in blowups)
+        assert probes[-1][1] == 0  # the search still ends on the separatrix
+
+
 class TestProfileError:
     def test_synthetic_profile_is_exact(self):
         nodes = line_grid(20.0, 801)
@@ -201,6 +232,21 @@ class TestProfileError:
             values=profile_shape(nodes, s, P31),
             s=s,
             params=P31,
+        )
+        rep = profile_error(w, z_max=1.0)
+        assert rep.sup_error <= 1e-6
+        assert rep.s == s
+
+    def test_synthetic_radial_profile_is_exact(self):
+        params = Params(3.0, 1.0, N=3)
+        r = np.linspace(0.0, 20.0, 401)
+        s = 9.0
+        w = SimField(
+            geometry="radial",
+            nodes=r,
+            values=profile_shape(r, s, params),
+            s=s,
+            params=params,
         )
         rep = profile_error(w, z_max=1.0)
         assert rep.sup_error <= 1e-6
