@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -183,13 +184,28 @@ def parse_config(
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     """The header line, then each row's numbers as floats in %.17g: one row
-    template, filled for every row in one formatting pass."""
-    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    template, filled for every row in one formatting pass.  rows may also be
+    a str, the body already formatted so (see _snapshots_body)."""
+    if isinstance(rows, str):
+        body = rows
+    else:
+        table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+        body = ""
         if table.size:
             line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-            fh.write(line * table.shape[0] % tuple(table.ravel().tolist()))
+            body = line * table.shape[0] % tuple(table.ravel().tolist())
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write(body)
+
+
+def _snapshots_body(nodes: np.ndarray, fields: list[SimField]) -> str:
+    """write_csv's rows (s, y, w) for fields on the grid nodes, a field's
+    rows after the last field's: each y is formatted once for all fields
+    and each field's s once for its rows."""
+    # joined with a field's s, the leading "" puts that s before every line
+    lines = [""] + [",%.17g,%%.17g\n" % y for y in nodes.tolist()]
+    return "".join(("%.17g" % f.s).join(lines) % tuple(f.values.tolist()) for f in fields)
 
 
 def _resolve_outdir(config: RunConfig) -> Path:
@@ -361,14 +377,7 @@ def _scenario_similarity(config: RunConfig, outdir: Path) -> dict:
         ["s", "L", "mass"],
         np.column_stack([run.step_s, run.step_L, run.step_mass]),
     )
-    write_csv(
-        outdir / "snapshots.csv",
-        ["s", "y", "w"],
-        np.vstack([
-            np.column_stack([np.full(f.nodes.shape, f.s), f.nodes, f.values])
-            for f in run.fields
-        ]),
-    )
+    write_csv(outdir / "snapshots.csv", ["s", "y", "w"], _snapshots_body(nodes, run.fields))
     if len(run.snapshots) >= 4:
         lyap = asdict(lyapunov_audit(run.snapshots, run.dissipation, run.step_L))
     else:
@@ -469,7 +478,12 @@ def _cmd_rate_fit(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later main call in the process: parse_args leaves it unchanged, and each
+    call's --set list is a new list (argparse's append copies the default
+    before appending)."""
     parser = argparse.ArgumentParser(
         prog="blowuplab",
         description="Blow-up laboratory for the log-perturbed semilinear heat equation",
@@ -501,8 +515,11 @@ def main(argv: list[str] | None = None) -> int:
     sp = sub.add_parser("rate-fit", help="fit blow-up exponents to a sup-history CSV")
     sp.add_argument("csv", type=str)
     sp.add_argument("--t-hat", type=float, required=True, dest="t_hat")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "rate-fit":
         return _cmd_rate_fit(args)
 

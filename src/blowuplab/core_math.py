@@ -374,16 +374,27 @@ def _G_table(p: float, a: float) -> np.ndarray:
 
 def _G(lc: np.ndarray, p: float, a: float) -> np.ndarray:
     """G at every lc of a 1-d array: the table on [_X_LO, _X_HI], its value
-    at _X_LO below (lc = -inf included) and the rule above."""
+    at _X_LO below (lc = -inf included) and the rule above.  Each step
+    that can runs in place, and x and the float index are dropped once
+    used, so at most four lc-sized arrays of its own are alive at once."""
     table = _G_table(p, a)
-    x = np.minimum(np.maximum(lc, _X_LO), _X_HI)
-    k = np.minimum(((x - _X_LO) * (1.0 / _PANEL)).astype(np.intp), _N_PANELS - 1)
+    x = np.maximum(lc, _X_LO)
+    np.minimum(x, _X_HI, out=x)
+    index = x - _X_LO
+    index *= 1.0 / _PANEL
+    k = index.astype(np.intp)
+    del index
+    np.minimum(k, _N_PANELS - 1, out=k)
     # one coefficient row at a time, each gathered for every node where it is
     # needed: table.take(k, axis=1) would hold all _DEGREE + 2 of them at once.
     # The midpoints are multiples of 1/8, so x - m_k is exact or nearly so,
     # where x - _X_LO would round away the low bits of a small x
-    t = (x - table[-1].take(k)) * (2.0 / _PANEL)
-    g = table[0].take(k) * t
+    t = table[-1].take(k)
+    np.subtract(x, t, out=t)
+    del x
+    t *= 2.0 / _PANEL
+    g = table[0].take(k)
+    g *= t
     for row in table[1:-2]:
         g += row.take(k)
         g *= t
@@ -436,13 +447,18 @@ def _F_body(lp, scale, w, params: Params, name: str):
     aw, _ = _abs_max(arr, name)
     p, a = params.p, params.a
     aw = np.atleast_1d(aw)  # a scalar runs the same ufunc loops as an array
-    # |w|^(p+1) may overflow to inf, and w = 0 gives lc = log 0 = -inf
+    # |w|^(p+1) may overflow to inf, and w = 0 gives lc = log 0 = -inf.  The
+    # result is formed in aw's buffer, after G is done with log|w|
     with np.errstate(over="ignore", divide="ignore"):
-        amp = aw ** (p + 1.0)
         if a == 0.0:
-            out = amp / (p + 1.0)
+            aw **= p + 1.0
+            aw /= p + 1.0
         else:
-            g = _G((lp + np.log(aw)).ravel(), p, a)
-            out = scale * amp * g.reshape(aw.shape)
-    out = out.reshape(arr.shape)
+            lc = np.log(aw)
+            lc += lp
+            g = _G(lc.ravel(), p, a)
+            aw **= p + 1.0
+            aw *= scale
+            aw *= g.reshape(aw.shape)
+    out = aw.reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out

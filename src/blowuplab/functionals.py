@@ -78,14 +78,22 @@ def snapshot(field: SimField, cfg: FunctionalConfig) -> FunctionalSnapshot:
     field alone: per_row forms each row's powers and exps of s as at a
     scalar s.  The energy integrand is |grad w|^2/2 + w^2/(2(p-1)) -
     e^(-(p+1)s/(p-1)) s^(2a/(p-1)) F(phi w), its F term in the stable
-    cancellation form."""
+    cancellation form.  The integrand is built in one buffer, each term
+    added in the order of the sum as written, with the F term formed first:
+    on a block, at most about six block-sized arrays are alive at once."""
     params = field.params
     p, b = params.p, cfg.b(params)
     w = field.values
+    F = rescaled_F(field.s, w, params)
     grad = np.gradient(w, field.spacing, axis=-1)
+    energy = 0.5 * grad
+    energy *= grad
+    del grad
     w2 = w**2
-    energy = 0.5 * grad * grad + w2 / (2.0 * (p - 1.0)) - rescaled_F(field.s, w, params)
     mass = integrate(field.rule, w2)
+    w2 /= 2.0 * (p - 1.0)
+    energy += w2
+    energy -= F
     E = integrate(field.rule, energy)
 
     def scalars(s):

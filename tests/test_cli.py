@@ -699,6 +699,79 @@ class TestMain:
         assert res["s0"] == pytest.approx(-math.log(0.1), rel=1e-15)
         assert (res["steps"], res["s_end"]) == (250, res["s0"] + 5)
 
+    @pytest.mark.parametrize(
+        "overrides, s0",
+        [([], 2.0), (["--set", "solver.T=0.1"], 2.3025850929940455)],
+        ids=["default", "T=0.1"],
+    )
+    def test_snapshots_csv_is_write_csv_of_the_unit_fields(
+        self, tmp_path, monkeypatch, overrides, s0
+    ):
+        # the (s, y, w) rows formatted from each field's s and each node's y
+        # once are the bytes of the table of every field's columns
+        import blowuplab.cli as cli_mod
+
+        runs, run_similarity = [], cli_mod.run_similarity
+
+        def keep(*args):
+            runs.append(run_similarity(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli_mod, "run_similarity", keep)
+        out = tmp_path / "run"
+        assert main(["similarity", *overrides, "--output", str(out)]) == 0
+        (run_,) = runs
+        assert run_.fields[0].s == s0
+        want = tmp_path / "want.csv"
+        write_csv(
+            want,
+            ["s", "y", "w"],
+            np.vstack([
+                np.column_stack([np.full(f.nodes.shape, f.s), f.nodes, f.values])
+                for f in run_.fields
+            ]),
+        )
+        assert (out / "snapshots.csv").read_bytes() == want.read_bytes()
+
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch, capsys):
+        # main builds its parser once per process; no call's --set list, or
+        # anything else, reaches the next call
+        import blowuplab.cli as cli_mod
+
+        seen = []
+
+        def parse(text, overrides=None, source="<string>"):
+            seen.append(list(overrides))
+            return parse_config(text, overrides=overrides, source=source)
+
+        monkeypatch.setattr(cli_mod, "parse_config", parse)
+        ledgers = ("functionals.csv", "dissipation.csv", "step_ledger.csv", "snapshots.csv")
+
+        def outputs(out):
+            report = json.loads((out / "report.json").read_text())
+            return report["config"], {name: (out / name).read_bytes() for name in ledgers}
+
+        sets = ["solver.s_end=5", "params.a=-1"]
+        first = ["similarity", "--set", sets[0], "--set", sets[1], "--output", str(tmp_path / "a")]
+        assert main(first) == 0
+        want = outputs(tmp_path / "a")
+        assert main(["similarity", "--output", str(tmp_path / "b")]) == 0
+        config = outputs(tmp_path / "b")[0]
+        assert (config["solver"]["s_end"], config["params"]["a"]) == (8.0, 1.0)
+        assert main(["similarity", "--set", "solver.nope=1", "--output", str(tmp_path / "c")]) == 2
+        T = 0.5
+        s = np.linspace(3.0, 17.0, 300)
+        write_csv(tmp_path / "hist.csv", ["t", "sup_u"], zip(T - np.exp(-s), np.exp(s / 2.0)))
+        assert main(["rate-fit", str(tmp_path / "hist.csv"), "--t-hat", str(T)]) == 0
+        assert main(first) == 0
+        assert outputs(tmp_path / "a") == want
+        scenario = "run.scenario=similarity"
+        assert seen == [
+            [*sets, scenario], [scenario], ["solver.nope=1", scenario], [*sets, scenario]
+        ]
+        assert cli_mod._parser() is cli_mod._parser()
+        capsys.readouterr()
+
     def test_physical_profile_blows_up(self, tmp_path):
         # psi_T(0) times the profile at s0 = -log 0.1 blows up; the run halts
         # where the next step would leave t unchanged

@@ -4,10 +4,12 @@ The a != 0 energy values marked as oracle constants come from mpmath
 quadrature of the defining integrals at 40 digits.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from blowuplab.core_math import Params
+from blowuplab.core_math import Params, rescaled_F
 from blowuplab.errors import ConfigurationError
 from blowuplab.functionals import FunctionalConfig, FunctionalSnapshot, snapshot
 from blowuplab.initial_data import line_grid
@@ -145,6 +147,28 @@ class TestSnapshot:
             assert getattr(got, name).shape == (5,)
             assert np.array_equal(getattr(got, name), [getattr(a, name) for a in alone])
         assert len(vars(got)) == len(FunctionalSnapshot.FIELDS) + 1  # and mass
+
+    @pytest.mark.parametrize("kernel", ["snapshot", "rescaled_F"])
+    def test_a_ledger_block_holds_at_most_six_and_a_half_blocks(self, kernel):
+        # a run's 21 x 401 block (ceil(2^13 / 401) rows): each kernel forms
+        # its values in place, so its traced peak stays near six blocks (11
+        # for snapshot and 8 for rescaled_F when every step had its own
+        # array); the heap top then does not grow and trim on every call
+        s = 2.0 + np.arange(21) / 50
+        fields = [random_field(seed, s=float(si)) for seed, si in enumerate(s)]
+        block = fields[0]._stepped(np.stack([f.values for f in fields]), s=s)
+        calls = {
+            "snapshot": lambda: snapshot(block, CFG),
+            "rescaled_F": lambda: rescaled_F(s, block.values, P31),
+        }
+        calls[kernel]()  # builds the (p, a) table of G outside the trace
+        tracemalloc.start()
+        try:
+            calls[kernel]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * block.values.nbytes
 
     def test_b_exponent(self):
         assert CFG.b(P31) == CFG.m0 * 3.0

@@ -1,8 +1,9 @@
-"""The step kernels and both steps, bit for bit against reference forms
-written out here: each numpy expression of the kernels as a fresh-array
-expression, log phi(s) through a 0-d array, max|x| by ndarray.max and the
-solves by scipy's solve_banded.  The kernels form the same values in fewer
-buffers and calls, so every bit must be the reference's."""
+"""The step kernels, both steps and the ledger's kernels, bit for bit
+against reference forms written out here: each numpy expression of the
+kernels as a fresh-array expression, log phi(s) through a 0-d array, max|x|
+by ndarray.max and the solves by scipy's solve_banded.  The kernels form
+the same values in fewer buffers and calls, so every bit must be the
+reference's."""
 
 import math
 
@@ -10,11 +11,22 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from blowuplab import core_math
-from blowuplab.core_math import LOG2, LOG_U_SWITCH, Params, eval_f, log_phi, rescaled_nonlinearity
+from blowuplab import analysis, core_math, verification
+from blowuplab.core_math import (
+    LOG2,
+    LOG_U_SWITCH,
+    Params,
+    eval_f,
+    eval_F,
+    log_phi,
+    rescaled_F,
+    rescaled_nonlinearity,
+)
+from blowuplab.functionals import FunctionalConfig, snapshot
 from blowuplab.imex import laplacian_bands
 from blowuplab.initial_data import gaussian, line_grid, profile_shape
 from blowuplab.physical_solver import GridField, step
+from blowuplab.quadrature import integrate
 from blowuplab.similarity_solver import DEFAULT_DS, SimField, cfl_step, step_w
 
 # a = 1 multiplies by the log itself, a = 0 skips it, and -1, 0.5 and 2 take
@@ -88,13 +100,86 @@ def _ref_imex_step(bands, u, u_max, t, dt, explicit):
 
 def _tuner_s_grid():
     """Every s a tuner probe from s0 = 2 evaluates its source at: s0 + k ds
-    by repeated addition, over its 24 units."""
+    by repeated addition, over the probe window of the audit pairs' tuning,
+    verification.PROFILE_UNITS + analysis._PROBE_MARGIN units."""
     ds = cfl_step(line_grid(20.0, 401), DEFAULT_DS)
+    units = verification.PROFILE_UNITS + analysis._PROBE_MARGIN
     s, grid = 2.0, []
-    for _ in range(round(24.0 / ds)):
+    for _ in range(round(units / ds)):
         grid.append(s)
         s += ds
     return np.array(grid)
+
+
+def _ref_G(lc, p, a):
+    table = core_math._G_table(p, a)
+    x = np.minimum(np.maximum(lc, core_math._X_LO), core_math._X_HI)
+    k = ((x - core_math._X_LO) * (1.0 / core_math._PANEL)).astype(np.intp)
+    k = np.minimum(k, core_math._N_PANELS - 1)
+    t = (x - table[-1].take(k)) * (2.0 / core_math._PANEL)
+    g = table[0].take(k) * t
+    for row in table[1:-2]:
+        g = (g + row.take(k)) * t
+    g = g + table[-2].take(k)
+    high = lc > core_math._X_HI
+    if high.any():
+        g[high] = core_math._G_rule(lc[high], p, a)
+    return g
+
+
+def _ref_F_body(lp, scale, w, params):
+    arr = np.asarray(w, dtype=float)
+    aw = np.atleast_1d(np.abs(arr))
+    p, a = params.p, params.a
+    with np.errstate(over="ignore", divide="ignore"):
+        amp = aw ** (p + 1.0)
+        if a == 0.0:
+            out = amp / (p + 1.0)
+        else:
+            g = _ref_G((lp + np.log(aw)).ravel(), p, a)
+            out = scale * amp * g.reshape(aw.shape)
+    out = out.reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _ref_rescaled_F(s, w, params):
+    a = params.a
+    rows = [float(si) for si in np.atleast_1d(s)]
+    lp = [_ref_log_phi(si, params) if a != 0.0 else 0.0 for si in rows]
+    scale = [si ** (-a) for si in rows]
+    if np.ndim(s) == 0:
+        return _ref_F_body(lp[0], scale[0], w, params)
+    return _ref_F_body(np.array(lp)[:, None], np.array(scale)[:, None], w, params)
+
+
+def _ref_snapshot(field, cfg):
+    """The family's values as fresh-array expressions, each row's scalars
+    by the float path."""
+    p, b = field.params.p, cfg.b(field.params)
+    w = field.values
+    grad = np.gradient(w, field.spacing, axis=-1)
+    w2 = w**2
+    F = _ref_rescaled_F(field.s, w, field.params)
+    energy = 0.5 * grad * grad + w2 / (2.0 * (p - 1.0)) - F
+    mass = integrate(field.rule, w2)
+    E = integrate(field.rule, energy)
+
+    def per_s(fn):
+        if np.ndim(field.s) == 0:
+            return fn(field.s)
+        return np.array([fn(float(s)) for s in field.s])
+
+    J = -mass / (2.0 * field.s)
+    H = E + cfg.m0 * J
+    L0 = E - per_s(lambda s: s ** (-1.5)) * mass
+    decay = per_s(lambda s: s ** (-b))
+    return {
+        "s": field.s, "E": E, "J": J, "H_m": H,
+        "N_m": decay * H + per_s(lambda s: cfg.A * np.exp(-s)), "I": decay * mass, "L0": L0,
+        "L": per_s(lambda s: np.exp((p + 3.0) / np.sqrt(s))) * L0
+        + per_s(lambda s: cfg.theta * s ** (-0.75)),
+        "mass": mass,
+    }
 
 
 def _fields(rng):
@@ -216,3 +301,59 @@ class TestSteps:
             assert field.sup.hex() == u_max.hex()
             assert err.hex() == float(np.abs(u - u_star).max()).hex()
             assert field.time == t
+
+
+def _ledger_fields(rng):
+    """_fields with nodes scaled to 1e-12, where lc = log phi + log|w| is
+    below the table's -20, and to 1e18, where it is above its 44."""
+    w = _fields(rng)
+    w[1::5] *= 1e-12
+    w[2::7] *= 1e18
+    return w
+
+
+class TestLedger:
+    # a = 0 is the closed form, 1 and -1 the corpus pairs, 2 numpy's square
+    @pytest.mark.parametrize("params", [Params(3.0, a) for a in (0.0, 1.0, -1.0, 2.0)], ids=str)
+    def test_G(self, params):
+        # lc = -inf (w = 0), below -20, on the table, above 44 and above the
+        # switch, where the rule's rows take _ell's logaddexp form
+        lc = np.concatenate([
+            [-np.inf, -400.0, -20.0, -19.99, 0.0, 43.99, 44.0, 44.01, 300.0, 350.0],
+            np.random.default_rng(21).uniform(-25.0, 50.0, 2000),
+        ])
+        _assert_same_bits(core_math._G(lc, params.p, params.a),
+                          _ref_G(lc, params.p, params.a))
+
+    @pytest.mark.parametrize("params", [Params(3.0, a) for a in (0.0, 1.0, -1.0, 2.0)], ids=str)
+    def test_rescaled_F(self, params):
+        rng = np.random.default_rng(22)
+        w = _ledger_fields(rng)
+        # 600 puts lc above the switch on the 1e18 nodes
+        for s in (2.0, *_tuner_s_grid()[1::211], 40.0, 600.0):
+            _assert_same_bits(rescaled_F(s, w, params), _ref_rescaled_F(s, w, params))
+            for x in (1.7, -0.3, 0.0, 1e-12, 1e18, np.float64(2.5)):
+                got = rescaled_F(s, x, params)
+                assert type(got) is float
+                assert got == _ref_rescaled_F(s, x, params)
+        for s0 in (2.0, 600.0):
+            s = s0 + np.arange(21) / 50
+            block = np.stack([_ledger_fields(rng) for _ in s])
+            _assert_same_bits(rescaled_F(s, block, params), _ref_rescaled_F(s, block, params))
+        for x in (1.7, -0.3, 0.0, 1e-12, 1e18):
+            assert eval_F(x, params) == _ref_F_body(0.0, 1.0, x, params)
+
+    @pytest.mark.parametrize("params", [Params(3.0, a) for a in (0.0, 1.0, -1.0, 2.0)], ids=str)
+    def test_snapshot_on_a_21_by_401_block(self, params):
+        nodes = line_grid(20.0, 401)
+        rng = np.random.default_rng(23)
+        w0 = profile_shape(nodes, 2.0, params)
+        s = 2.0 + np.arange(21) / 50
+        block = np.stack([w0 * (1.0 + 0.1 * rng.standard_normal(401)) for _ in s])
+        field = SimField(geometry="line", nodes=nodes, values=w0, s=2.0, params=params)
+        cfg = FunctionalConfig()
+        for f in (field, field._stepped(block, s=s)):
+            got, want = vars(snapshot(f, cfg)), _ref_snapshot(f, cfg)
+            assert list(got) == list(want)
+            for name in got:
+                _assert_same_bits(got[name], want[name])
